@@ -13,8 +13,6 @@ from polarsc import (
     build_network,
     control_schedule,
     polar_transform,
-    push_decision,
-    selection_bits,
 )
 
 N = 8
@@ -24,9 +22,9 @@ m = N.bit_length() - 1
 state = PartialSumState(N)
 print(f"pushing decisions {bits} into the N={N} network:\n")
 for k, b in enumerate(bits, start=1):
-    push_decision(state, b, k)
+    state.push(b, k)
     ready = [s for s in range(1, m + 1) if state.stage_ready(s)]
-    feeds = {s: "".join(map(str, selection_bits(state, s))) for s in ready}
+    feeds = {s: "".join(map(str, state.selection_bits(s))) for s in ready}
     print(f"  after bit {k} ({b}): ready stages {feeds}")
 
 # The stage-1 feed after N/2 decisions is the re-encoded left half-block.

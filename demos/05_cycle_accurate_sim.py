@@ -10,18 +10,18 @@ import numpy as np
 from polarsc import (
     ChannelConfig,
     SimConfig,
+    draw_trials,
     make_code_spec,
     quantize,
     run,
     sc_decode,
     verify_equivalence,
 )
-from polarsc.channel import _draw_trials
 
 N, q = 16, 6
 spec = make_code_spec(N, N // 2)
 cfg_ch = ChannelConfig(kind="bpsk_awgn", ebn0_db=2.0, master_seed=11, code_rate=0.5)
-_, llrs = _draw_trials(spec, cfg_ch, 2)
+_, llrs = draw_trials(spec, cfg_ch, 2)
 frames = quantize(llrs, q)
 
 reference = sc_decode(frames[0], spec, "minsum_q", q=q)

@@ -43,12 +43,17 @@ from .igc import (
     PartialSumState,
     build_network,
     control_schedule,
-    push_decision,
-    selection_bits,
 )
 from .archsim import EquivalenceReport, SimConfig, SimResult, run, verify_equivalence
-from .cost import CostReport, component_counts, schedule_figures, xor_equivalent_total
-from .channel import ChannelConfig, SweepResult, ber_sweep, simulate_channel, trial_rng
+from .cost import CostReport, component_counts, schedule_figures
+from .channel import (
+    ChannelConfig,
+    SweepResult,
+    ber_sweep,
+    draw_trials,
+    simulate_channel,
+    trial_rng,
+)
 
 __version__ = "0.1.0"
 
@@ -60,11 +65,10 @@ __all__ = [
     "SimConfig", "SimResult", "SweepResult", "TimeChart", "WordQ",
     "addsub_q", "ber_sweep", "build_conventional", "build_lookahead",
     "build_network", "component_counts", "construct_frozen_set",
-    "control_schedule", "decide", "encode", "f_exact", "f_minsum",
+    "control_schedule", "decide", "draw_trials", "encode", "f_exact", "f_minsum",
     "full_addsub_1bit", "g_update", "gate_count", "latency",
     "lr_recursion_prob", "make_code_spec", "merged_pe", "minsum_pe",
-    "parallel_activity_table", "polar_transform", "push_decision", "quantize",
+    "parallel_activity_table", "polar_transform", "quantize",
     "run", "sc_decode", "sc_decode_batch", "schedule_figures",
-    "selection_bits", "simulate_channel", "trial_rng", "utilization",
-    "verify_equivalence", "xor_equivalent_total",
+    "simulate_channel", "trial_rng", "utilization", "verify_equivalence",
 ]

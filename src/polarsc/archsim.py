@@ -7,7 +7,8 @@ network delivers their select bits, at which point a multiplexer resolves
 them. Decisions at the final stage resolve their own candidate pair in
 the producing cycle (the one place same-cycle selection is required);
 every other consumed value must have been produced in a strictly earlier
-cycle, and the simulator enforces that.
+cycle, by the parent firing that owns the consumer's block, and the
+simulator enforces that.
 
 Arithmetic is saturating q-bit integer min-sum, bit-identical to the
 functional quantized decoder; optionally each PE can be evaluated through
@@ -21,27 +22,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig, _draw_trials, BPSK_AWGN
+from .channel import ChannelConfig, draw_trials, BPSK_AWGN
+from .code import require_power_of_two
 from .errors import InvalidParameterError, NotReadyError, SchedulingError
 from .gates import WordQ, merged_pe
 from .igc import PartialSumState
-from .llr import f_minsum, qmax, quantize, sc_decode_batch, MODE_MINSUM_Q
+from .llr import (
+    MODE_MINSUM_Q,
+    as_quantized,
+    decide,
+    f_minsum,
+    g_update,
+    qmax,
+    quantize,
+    saturate,
+    sc_decode_batch,
+)
 from .schedule import (
+    ARCHITECTURES,
+    CONVENTIONAL,
+    LOOKAHEAD,
+    PARALLEL2,
     ActivityTable,
     PE_F,
     build_conventional,
     build_lookahead,
 )
-
-CONVENTIONAL = "conventional"
-LOOKAHEAD = "lookahead"
-PARALLEL2 = "parallel2"
-
-_ALIASES = {
-    "conventional_pipelined": CONVENTIONAL,
-    "lookahead_2parallel": PARALLEL2,
-}
-_ARCHS = (CONVENTIONAL, LOOKAHEAD, PARALLEL2)
 
 
 @dataclass(frozen=True)
@@ -55,14 +61,10 @@ class SimConfig:
     use_gate_pes: bool = False
 
     def __post_init__(self):
-        arch = _ALIASES.get(self.architecture, self.architecture)
-        if arch not in _ARCHS:
+        if self.architecture not in ARCHITECTURES:
             raise InvalidParameterError(f"unknown architecture {self.architecture!r}")
-        object.__setattr__(self, "architecture", arch)
-        if self.q < 2:
-            raise InvalidParameterError(f"q must be >= 2, got {self.q}")
-        if self.spec.n_bits < 4:
-            raise InvalidParameterError("architectures require N >= 4")
+        qmax(self.q)  # validates q
+        require_power_of_two(self.spec.n_bits, "N", 4)
 
 
 @dataclass
@@ -101,45 +103,36 @@ class _Stream:
         self.label = label
         self.n = spec.n_bits
         self.m = self.n.bit_length() - 1
-        self.channel = np.asarray(llrs, dtype=np.int64)
+        self.channel = as_quantized(llrs, q)
         if self.channel.shape != (self.n,):
             raise InvalidParameterError(
                 f"stream {label}: expected {self.n} LLRs, got {self.channel.shape}"
             )
-        if np.any(np.abs(self.channel) > qmax(q)):
-            raise InvalidParameterError(f"stream {label}: inputs exceed the q={q} range")
         self.psum = PartialSumState(self.n)
-        self.fired = {s: 0 for s in range(1, self.m + 1)}
-        self.fbuf = {}      # stage -> (array, produced_cycle)
-        self.gbuf = {}      # stage -> (g0, g1, produced_cycle)   [look-ahead]
-        self.buf = {}       # stage -> (array, produced_cycle)    [conventional]
-        self.sel_cycle = {} # stage -> cycle its selection bits last completed
+        self.fired = {s: 0 for s in range(1, self.m + 1)}  # firings so far, per stage
+        # stage -> (outputs, produced cycle, producing firing); outputs are
+        # (f, g0, g1) in look-ahead mode and the single f or g output otherwise
+        self.buf = {}
         self.pending = {}   # stage -> dict(pairs, produced, dead) candidate sets
         self.next_index = 1
         self.decisions = np.zeros(self.n, dtype=np.int64)
         self.dec_llrs = np.zeros(self.n, dtype=np.int64)
 
-    def push(self, bit, cycle):
+    def push(self, bit):
         k = self.next_index
         self.decisions[k - 1] = bit
-        self.psum.push(int(bit), k)
+        self.psum.push(bit, k)
         self.next_index += 1
         # level at which the push settled; stage m - level just became ready
         level = (k & -k).bit_length() - 1
         stage = self.m - level
         if stage >= 1:
-            self.sel_cycle[stage] = cycle
             entry = self.pending.get(stage)
             if entry is not None and not entry["dead"]:
                 entry["dead"] = True  # selector resolved: pair collapses
 
     def alive_pairs(self):
         return sum(e["pairs"] for e in self.pending.values() if not e["dead"])
-
-
-def _sat(x, q):
-    m = qmax(q)
-    return np.clip(x, -m, m)
 
 
 def _gate_eval(a_arr, b_arr, q):
@@ -156,7 +149,7 @@ def _gate_eval(a_arr, b_arr, q):
 def _merged_outputs(a, b, q, use_gates):
     if use_gates:
         return _gate_eval(a, b, q)
-    return f_minsum(a, b), _sat(a + b, q), _sat(b - a, q)
+    return f_minsum(a, b), saturate(a + b, q), saturate(b - a, q)
 
 
 def _fmt(arr):
@@ -174,12 +167,6 @@ class _Sim:
         self.trace = []
         self.peak = 0
 
-    def _decide(self, llr, index):
-        pos = index - 1
-        if self.spec.frozen_mask[pos]:
-            return int(self.spec.frozen_value_array[pos])
-        return int(llr < 0)
-
     def _record(self, cycle, stream, stage, op, a, b, outs, sel=None):
         if not self.config.record_trace:
             return
@@ -192,66 +179,61 @@ class _Sim:
                 sel_bit,
             ))
 
-    def _stage_input(self, st, stage, blk, cycle):
-        """Input block for the given firing: channel, the parent's f output,
-        or the parent's g candidates resolved through the select MUX."""
+    def _fire(self, st, stage, cycle):
+        """Count one firing of ``stage``; returns its block index ``blk`` and
+        its input: the channel, or what the parent left in its buffer. The
+        buffer must hold the parent's firing ``blk // 2`` (the one that owns
+        this block), produced in an earlier cycle; odd blocks resolve
+        look-ahead g candidates through the select MUX."""
+        blk = st.fired[stage]
+        st.fired[stage] += 1
         if stage == 1:
-            return st.channel
+            return blk, st.channel
         parent = stage - 1
-        if blk % 2 == 0:
-            if parent not in st.fbuf:
-                raise SchedulingError(
-                    f"cycle {cycle}: stage {stage} needs stage {parent} f output "
-                    f"that was never produced"
-                )
-            arr, produced = st.fbuf[parent]
-            if produced >= cycle:
-                raise SchedulingError(
-                    f"cycle {cycle}: stage {stage} consumes stage {parent} f output "
-                    f"produced in cycle {produced}"
-                )
-            return arr
-        if parent not in st.gbuf:
+        if parent not in st.buf:
             raise SchedulingError(
-                f"cycle {cycle}: stage {stage} needs stage {parent} g candidates "
-                f"that were never produced"
+                f"cycle {cycle}: stage {stage} needs stage {parent} output "
+                f"that was never produced"
             )
-        g0, g1, produced = st.gbuf[parent]
+        outs, produced, parent_blk = st.buf[parent]
         if produced >= cycle:
             raise SchedulingError(
-                f"cycle {cycle}: stage {stage} consumes stage {parent} candidates "
+                f"cycle {cycle}: stage {stage} consumes stage {parent} output "
                 f"produced in cycle {produced}"
             )
+        if parent_blk != blk // 2:
+            raise SchedulingError(
+                f"cycle {cycle}: stage {stage} block {blk + 1} needs stage {parent} "
+                f"block {blk // 2 + 1}, but the buffer holds block {parent_blk + 1}"
+            )
+        if len(outs) == 1 or blk % 2 == 0:  # a sequential output, or the f side
+            return blk, outs[0]
+        _, g0, g1 = outs
+        return blk, np.where(self._select_bits(st, parent, cycle) == 1, g1, g0)
+
+    def _select_bits(self, st, stage, cycle):
         try:
-            sel = st.psum.selection_bits(parent)
+            return st.psum.selection_bits(stage)
         except NotReadyError as exc:
             raise SchedulingError(
-                f"cycle {cycle}: stage {parent} select bits not ready: {exc}"
+                f"cycle {cycle}: stage {stage} select bits not ready: {exc}"
             ) from exc
-        if st.sel_cycle.get(parent, -1) > cycle:
-            raise SchedulingError(
-                f"cycle {cycle}: stage {parent} select bits from the future"
-            )
-        return np.where(sel == 1, g1, g0)
 
     def exec_merged(self, st, stage, cycle):
         """One merged-PE activation of the look-ahead decoder."""
         half = self.n >> stage
-        blk = st.fired[stage]
-        st.fired[stage] += 1
-        inp = self._stage_input(st, stage, blk, cycle)
+        blk, inp = self._fire(st, stage, cycle)
         a, b = inp[:half], inp[half:]
         f_out, g0, g1 = _merged_outputs(a, b, self.q, self.config.use_gate_pes)
         if stage == self.m:
             k = st.next_index
-            u_odd = self._decide(f_out[0], k)
+            u_odd = int(decide(f_out[0], k, self.spec))
             st.dec_llrs[k - 1] = f_out[0]
-            st.push(u_odd, cycle)
+            st.push(u_odd)
             # same-cycle select: the fresh decision resolves this PE's pair
             g_val = g1[0] if u_odd else g0[0]
-            u_even = self._decide(g_val, k + 1)
             st.dec_llrs[k] = g_val
-            st.push(u_even, cycle)
+            st.push(int(decide(g_val, k + 1, self.spec)))
             self._record(cycle, st, stage, "fg", a, b, (f_out, g0, g1), sel=[u_odd])
         else:
             stale = st.pending.get(stage)
@@ -259,8 +241,7 @@ class _Sim:
                 raise SchedulingError(
                     f"cycle {cycle}: stage {stage} refires with unresolved candidates"
                 )
-            st.fbuf[stage] = (f_out, cycle)
-            st.gbuf[stage] = (g0, g1, cycle)
+            st.buf[stage] = ((f_out, g0, g1), cycle, blk)
             st.pending[stage] = {"pairs": half, "produced": cycle, "dead": False}
             self._record(cycle, st, stage, "fg", a, b, (f_out, g0, g1))
         return half
@@ -268,41 +249,20 @@ class _Sim:
     def exec_conventional(self, st, stage, pe_type, cycle):
         """One f or g activation of the sequential decoder."""
         half = self.n >> stage
-        if stage == 1:
-            inp = st.channel
-        else:
-            if stage - 1 not in st.buf:
-                raise SchedulingError(
-                    f"cycle {cycle}: stage {stage} input never produced"
-                )
-            inp, produced = st.buf[stage - 1]
-            if produced >= cycle:
-                raise SchedulingError(
-                    f"cycle {cycle}: stage {stage} consumes a value from cycle {produced}"
-                )
+        blk, inp = self._fire(st, stage, cycle)
         a, b = inp[:half], inp[half:]
         if pe_type == PE_F:
             out = f_minsum(a, b)
             self._record(cycle, st, stage, "f", a, b, (out,))
         else:
-            try:
-                sel = st.psum.selection_bits(stage)
-            except NotReadyError as exc:
-                raise SchedulingError(
-                    f"cycle {cycle}: stage {stage} select bits not ready: {exc}"
-                ) from exc
-            if st.sel_cycle.get(stage, -1) > cycle:
-                raise SchedulingError(
-                    f"cycle {cycle}: stage {stage} select bits from the future"
-                )
-            out = _sat(b + (1 - 2 * sel) * a, self.q)
+            sel = self._select_bits(st, stage, cycle)
+            out = g_update(a, b, sel, q=self.q)
             self._record(cycle, st, stage, "g", a, b, (out,), sel=sel)
-        st.buf[stage] = (out, cycle)
+        st.buf[stage] = ((out,), cycle, blk)
         if stage == self.m:
             k = st.next_index
-            bit = self._decide(out[0], k)
             st.dec_llrs[k - 1] = out[0]
-            st.push(bit, cycle)
+            st.push(int(decide(out[0], k, self.spec)))
         return half
 
     def end_of_cycle(self):
@@ -432,7 +392,7 @@ def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
         kind=BPSK_AWGN, ebn0_db=ebn0_db, master_seed=seed,
         code_rate=spec.k_info / spec.n_bits,
     )
-    _, llrs = _draw_trials(spec, cfg, trials * frames_per_trial)
+    _, llrs = draw_trials(spec, cfg, trials * frames_per_trial)
     q_llrs = quantize(llrs, config.q, scale)
     reference, _ = sc_decode_batch(q_llrs, spec, MODE_MINSUM_Q, q=config.q)
     matches = 0

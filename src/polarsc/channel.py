@@ -24,12 +24,12 @@ from .llr import (
     quantize,
     sc_decode_batch,
 )
+from .schedule import ARCHITECTURES, PARALLEL2
 
 NOISELESS = "noiseless"
 BPSK_AWGN = "bpsk_awgn"
 
 FUNCTIONAL = "functional"
-_ARCHITECTURES = ("conventional", "lookahead", "parallel2")
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,28 @@ class ChannelConfig:
 
 def trial_rng(master_seed, trial):
     """Deterministic per-trial generator, independent of execution order."""
+    if master_seed < 0:
+        raise InvalidParameterError(f"seed must be non-negative, got {master_seed}")
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial),))
     return np.random.default_rng(seq)
 
 
-def simulate_channel(codeword, cfg, trial):
-    """BPSK-modulate a codeword and return the channel LLR vector.
-
-    Bit 0 maps to +1, bit 1 to -1; the AWGN LLR is 2y/sigma^2. The
-    noiseless channel returns saturated +/- MAX_LLR certainties.
-    """
-    bits = np.asarray(codeword, dtype=np.int64)
-    symbols = 1.0 - 2.0 * bits
+def _bpsk_llrs(codeword, cfg, rng):
+    """Bit 0 maps to +1, bit 1 to -1; the AWGN LLR is 2y/sigma^2, with the
+    noise drawn from ``rng``. The noiseless channel returns saturated
+    +/- MAX_LLR certainties and draws nothing."""
+    symbols = 1.0 - 2.0 * np.asarray(codeword, dtype=np.int64)
     if cfg.kind == NOISELESS:
         return symbols * MAX_LLR
     var = cfg.noise_variance
-    rng = trial_rng(cfg.master_seed, trial)
-    y = symbols + rng.normal(0.0, np.sqrt(var), size=bits.shape)
+    y = symbols + rng.normal(0.0, np.sqrt(var), size=symbols.shape)
     return np.clip(2.0 * y / var, -MAX_LLR, MAX_LLR)
+
+
+def simulate_channel(codeword, cfg, trial):
+    """BPSK-modulate a codeword and return the channel LLR vector, with the
+    noise of the given trial's stream."""
+    return _bpsk_llrs(codeword, cfg, trial_rng(cfg.master_seed, trial))
 
 
 @dataclass(frozen=True)
@@ -104,21 +108,18 @@ class SweepResult:
         }
 
 
-def _draw_trials(spec, cfg, trials):
-    """Messages and channel LLRs for trials 0..trials-1, one rng per trial."""
+def draw_trials(spec, cfg, trials):
+    """Messages and channel LLRs for trials 0..trials-1, one rng per trial.
+
+    Trial t's stream draws its K message bits first, then its N noise
+    samples.
+    """
     msgs = np.zeros((trials, spec.k_info), dtype=np.int64)
     llrs = np.zeros((trials, spec.n_bits), dtype=float)
     for t in range(trials):
         rng = trial_rng(cfg.master_seed, t)
         msgs[t] = rng.integers(0, 2, size=spec.k_info)
-        x = encode(msgs[t], spec)
-        symbols = 1.0 - 2.0 * x
-        if cfg.kind == NOISELESS:
-            llrs[t] = symbols * MAX_LLR
-        else:
-            var = cfg.noise_variance
-            y = symbols + rng.normal(0.0, np.sqrt(var), size=spec.n_bits)
-            llrs[t] = np.clip(2.0 * y / var, -MAX_LLR, MAX_LLR)
+        llrs[t] = _bpsk_llrs(encode(msgs[t], spec), cfg, rng)
     return msgs, llrs
 
 
@@ -136,7 +137,7 @@ def _decode_architecture(llrs, spec, architecture, q, scale):
     q_llrs = quantize(llrs, q, scale)
     out = np.zeros((llrs.shape[0], spec.n_bits), dtype=np.int64)
     for t in range(llrs.shape[0]):
-        if architecture == "parallel2":
+        if architecture == PARALLEL2:
             # same block on both streams; stream C1 carries the count
             result = run(cfg, [q_llrs[t], q_llrs[t]])
         else:
@@ -162,7 +163,7 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
         if mode not in (MODE_EXACT, MODE_MINSUM, MODE_MINSUM_Q):
             raise InvalidParameterError(f"unknown mode {mode!r}")
     for arch in architectures:
-        if arch not in _ARCHITECTURES:
+        if arch not in ARCHITECTURES:
             raise InvalidParameterError(f"unknown architecture {arch!r}")
     rate = spec.k_info / spec.n_bits
     info_mask = ~spec.frozen_mask
@@ -170,7 +171,7 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     for ebn0 in ebn0_points:
         cfg = ChannelConfig(kind=channel_kind, ebn0_db=float(ebn0),
                             master_seed=seed, code_rate=rate)
-        msgs, llrs = _draw_trials(spec, cfg, trials)
+        msgs, llrs = draw_trials(spec, cfg, trials)
         decoders = [(m, None) for m in modes] + [(MODE_MINSUM_Q, a) for a in architectures]
         for mode, arch in decoders:
             if arch is None:

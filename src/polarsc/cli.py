@@ -24,11 +24,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_EQUIVALENCE = 2
 
-_ARCH_MAP = {
-    "conventional": archsim.CONVENTIONAL,
-    "lookahead": archsim.LOOKAHEAD,
-    "parallel2": archsim.PARALLEL2,
-}
 _MODE_MAP = {
     "exact": llr.MODE_EXACT,
     "minsum": llr.MODE_MINSUM,
@@ -44,14 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameterError(message)
 
 
+def _write_file(path, text):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_output(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_file(out_path, text)
 
 
 def _csv_text(header, rows):
@@ -72,22 +74,32 @@ def _parse_bits(text):
     return bits
 
 
-def _parse_floats(text):
+def _parse_float(text):
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        return float(text)
     except ValueError as exc:
-        raise InvalidParameterError(f"bad number list: {exc}") from exc
+        raise InvalidParameterError(f"bad number: {text!r}") from exc
+
+
+def _parse_floats(text):
+    return [_parse_float(tok) for tok in text.replace(",", " ").split()]
 
 
 def _load_values(args, parse):
     if getattr(args, "values", None):
         return parse(args.values)
     if getattr(args, "infile", None):
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
-        if text.startswith("["):
+        try:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                text = fh.read().strip()
+        except (OSError, UnicodeError) as exc:
+            raise InvalidParameterError(f"cannot read {args.infile}: {exc}") from exc
+        if not text.startswith("["):
+            return parse(text)
+        try:
             return [float(v) for v in json.loads(text)]
-        return parse(text)
+        except (ValueError, TypeError) as exc:
+            raise InvalidParameterError(f"bad JSON number list in {args.infile}: {exc}") from exc
     raise InvalidParameterError("provide values inline or with --in")
 
 
@@ -135,12 +147,10 @@ def _cmd_decode(args):
 
 
 def _cmd_timechart(args):
-    if args.arch == "conventional":
+    if args.arch == schedule.CONVENTIONAL:
         chart = schedule.build_conventional(args.n)
-    elif args.arch == "lookahead":
-        chart = schedule.build_lookahead(args.n)
     else:
-        raise InvalidParameterError("timechart supports conventional and lookahead")
+        chart = schedule.build_lookahead(args.n)
     if args.format == "json":
         _write_output(chart.to_json(), args.out)
     else:
@@ -163,7 +173,7 @@ def _cmd_activity(args):
 def _cmd_simulate(args):
     spec = _spec_from_args(args)
     config = archsim.SimConfig(
-        spec=spec, q=args.q, architecture=_ARCH_MAP[args.arch],
+        spec=spec, q=args.q, architecture=args.arch,
         record_trace=args.trace is not None,
     )
     if args.trials > 1:
@@ -183,7 +193,7 @@ def _cmd_simulate(args):
         code_rate=spec.k_info / spec.n_bits,
     )
     frames = 2 if config.architecture == archsim.PARALLEL2 else 1
-    _, float_llrs = channel._draw_trials(spec, cfg, frames)
+    _, float_llrs = channel.draw_trials(spec, cfg, frames)
     q_llrs = llr.quantize(float_llrs, args.q, args.scale)
     blocks = [q_llrs[i] for i in range(frames)]
     result = archsim.run(config, blocks if frames == 2 else blocks[0])
@@ -192,19 +202,17 @@ def _cmd_simulate(args):
         if not np.array_equal(result.decisions[s], reference[s]):
             raise EquivalenceError(f"stream {s + 1} diverged from the functional decoder")
     if args.trace is not None:
-        text = _csv_text(archsim.TRACE_HEADER, result.trace)
-        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_file(args.trace, _csv_text(archsim.TRACE_HEADER, result.trace))
     _write_output(result.to_json(), args.out)
 
 
 def _cmd_ber(args):
     spec = _spec_from_args(args)
     modes = [_MODE_MAP[m] for m in args.mode] if args.mode else []
-    archs = [_ARCH_MAP[a] for a in args.arch] if args.arch else []
+    archs = args.arch or []
     if not modes and not archs:
         modes = [llr.MODE_MINSUM]
-    points = [float(v) for v in args.ebn0.split(",")] if args.ebn0 else [0.0]
+    points = _parse_floats(args.ebn0) if args.ebn0 else [0.0]
     kind = channel.NOISELESS if args.noiseless else channel.BPSK_AWGN
     results = channel.ber_sweep(
         spec, modes, archs, points, trials=args.trials, seed=args.seed,
@@ -252,11 +260,11 @@ def _cmd_igc_trace(args):
     m = args.n.bit_length() - 1
     rows = []
     for k, bit in enumerate(bits, start=1):
-        igc.push_decision(state, int(bit), k)
+        state.push(int(bit), k)
         level = (k & -k).bit_length() - 1
         stage = m - level
         if stage >= 1:
-            sel = igc.selection_bits(state, stage)
+            sel = state.selection_bits(stage)
             rows.append((k, stage, "".join(str(int(b)) for b in sel)))
     if args.format == "json":
         payload = {
@@ -311,7 +319,8 @@ def build_parser():
 
     p = sub.add_parser("timechart", help="emit a decoding time chart")
     _add_common(p)
-    p.add_argument("--arch", choices=("conventional", "lookahead"), default="lookahead")
+    p.add_argument("--arch", choices=(schedule.CONVENTIONAL, schedule.LOOKAHEAD),
+                   default=schedule.LOOKAHEAD)
     p.set_defaults(func=_cmd_timechart)
 
     p = sub.add_parser("activity", help="two-stream PE activity table")
@@ -322,7 +331,7 @@ def build_parser():
     _add_common(p)
     _add_code(p)
     _add_quant(p)
-    p.add_argument("--arch", choices=tuple(_ARCH_MAP), default="lookahead")
+    p.add_argument("--arch", choices=schedule.ARCHITECTURES, default=schedule.LOOKAHEAD)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1,
                    help="> 1 runs a randomized equivalence campaign")
@@ -336,7 +345,8 @@ def build_parser():
     _add_code(p)
     _add_quant(p)
     p.add_argument("--mode", action="append", choices=tuple(_MODE_MAP), default=None)
-    p.add_argument("--arch", action="append", choices=tuple(_ARCH_MAP), default=None)
+    p.add_argument("--arch", action="append", choices=schedule.ARCHITECTURES,
+                   default=None)
     p.add_argument("--ebn0", type=str, default="0,1,2,3", help="comma list of dB points")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -364,8 +374,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if hasattr(args, "k") and args.k is None:
             args.k = args.n // 2
-        if hasattr(args, "ebn0") and args.command == "simulate":
-            args.ebn0_value = float(args.ebn0) if args.ebn0 else 0.0
+        if args.command == "simulate":
+            args.ebn0_value = _parse_float(args.ebn0) if args.ebn0 else 0.0
         args.func(args)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

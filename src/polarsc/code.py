@@ -17,7 +17,8 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-def _require_power_of_two(n, what="length", minimum=2):
+def require_power_of_two(n, what="length", minimum=2):
+    """Raise InvalidParameterError unless ``n`` is a power of two >= ``minimum``."""
     if n < minimum or (n & (n - 1)) != 0:
         raise InvalidParameterError(
             f"{what} must be a power of two >= {minimum}, got {n}"
@@ -46,7 +47,7 @@ class CodeSpec:
     frozen_values: tuple
 
     def __post_init__(self):
-        _require_power_of_two(self.n_bits, "n_bits")
+        require_power_of_two(self.n_bits, "n_bits")
         frozen = tuple(int(i) for i in self.frozen_set)
         values = tuple(int(v) for v in self.frozen_values)
         if not (0 <= self.k_info <= self.n_bits):
@@ -118,7 +119,7 @@ def polar_transform(u):
     """
     x = np.array(u, dtype=np.int64) % 2
     n = x.shape[-1]
-    _require_power_of_two(n, minimum=1)  # the length-1 transform is the identity
+    require_power_of_two(n, minimum=1)  # the length-1 transform is the identity
     batch_shape = x.shape[:-1]
     x = x.reshape(-1, n)
     size = 2
@@ -144,7 +145,7 @@ def construct_frozen_set(n_bits, k_info, design_erasure=0.5):
     Reliability ties break deterministically: the smaller index freezes
     first. Returns a sorted tuple of 1-based indices.
     """
-    _require_power_of_two(n_bits, "n_bits")
+    require_power_of_two(n_bits, "n_bits")
     if not (1 <= k_info <= n_bits):
         raise InvalidParameterError(f"k_info must lie in 1..{n_bits}, got {k_info}")
     if not (0.0 < design_erasure < 1.0):

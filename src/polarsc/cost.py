@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .code import require_power_of_two
 from .errors import InvalidParameterError
+from .llr import qmax
 
 PROPOSED = "proposed"
 LINE_REFERENCE = "line_reference"
@@ -102,17 +104,9 @@ class CostReport:
         ]
 
 
-def _validate(n, q):
-    if n < 4 or (n & (n - 1)) != 0:
-        raise InvalidParameterError(f"N must be a power of two >= 4, got {n}")
-    if q < 2:
-        raise InvalidParameterError(f"q must be >= 2, got {q}")
-
-
 def schedule_figures(design, n):
     """(latency in cycles, normalized throughput) for one design."""
-    if n < 4 or (n & (n - 1)) != 0:
-        raise InvalidParameterError(f"N must be a power of two >= 4, got {n}")
+    require_power_of_two(n, "N", 4)
     if design == PROPOSED:
         return n, 2.0
     if design == LINE_REFERENCE:
@@ -122,7 +116,7 @@ def schedule_figures(design, n):
 
 def component_counts(design, n, q):
     """Exact per-component counts for one design at (N, q)."""
-    _validate(n, q)
+    qmax(q)  # validates q; schedule_figures validates N
     lat, thr = schedule_figures(design, n)
     if design == PROPOSED:
         return CostReport(
@@ -143,14 +137,10 @@ def component_counts(design, n, q):
     raise InvalidParameterError(f"unknown design {design!r}")
 
 
-def xor_equivalent_total(report):
-    """XOR-class unit total of a report (MUX bits at factor 1)."""
-    return report.xor_equivalent_total
-
-
 def asymptotic_totals(design, n, q):
     """Headline (lower-order-terms-dropped) totals: (xor_equivalent, reg)."""
-    _validate(n, q)
+    require_power_of_two(n, "N", 4)
+    qmax(q)  # validates q
     if design == PROPOSED:
         return 17 * q * n / 2, 9 * q * n / 2
     if design == LINE_REFERENCE:

@@ -31,9 +31,8 @@ class WordQ:
     q: int
 
     def __post_init__(self):
-        if self.q < 2:
-            raise InvalidParameterError(f"q must be >= 2, got {self.q}")
-        lo, hi = -(1 << (self.q - 1)), (1 << (self.q - 1)) - 1
+        hi = qmax(self.q)
+        lo = -hi - 1
         if not (lo <= self.value <= hi):
             raise InvalidParameterError(
                 f"value {self.value} outside q={self.q} range [{lo}, {hi}]"
@@ -223,8 +222,7 @@ def gate_count(cell, q=2):
     the sharing-ratio check; ``addsub_q`` and ``minsum_pe`` are the
     corresponding model-derived q-bit tallies.
     """
-    if q < 2:
-        raise InvalidParameterError(f"q must be >= 2, got {q}")
+    qmax(q)  # validates q
     if cell == "full_addsub":
         return GateCount(cell, q, xor=0, and_or=_FUSED_CELL_GATES, mux_bits=0, reg_bits=0)
     if cell == "separate_add_plus_sub":

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .code import require_power_of_two
 from .errors import InvalidParameterError, NotReadyError, SequencingError
 
 
@@ -31,8 +32,7 @@ class PartialSumState:
     """
 
     def __init__(self, n_bits):
-        if n_bits < 4 or (n_bits & (n_bits - 1)) != 0:
-            raise InvalidParameterError(f"N must be a power of two >= 4, got {n_bits}")
+        require_power_of_two(n_bits, "N", 4)
         self.n_bits = n_bits
         self.m = n_bits.bit_length() - 1
         # _acc[j] holds the transform of the most recent completed size-2^j
@@ -97,16 +97,6 @@ class PartialSumState:
         return self._acc[self.m - stage].copy()
 
 
-def push_decision(state, u_hat, index):
-    """Functional form of ``PartialSumState.push``; returns the state."""
-    return state.push(u_hat, index)
-
-
-def selection_bits(state, stage):
-    """Functional form of ``PartialSumState.selection_bits``."""
-    return state.selection_bits(stage)
-
-
 @dataclass(frozen=True)
 class ControlSignal:
     """Commutator control for one combining level: ``period`` decision
@@ -165,8 +155,7 @@ class IgcNetwork:
 def control_schedule(n_bits):
     """Toggle periods for all combining levels: level 1 toggles every
     decision pair, level s every 2^(s-1) pairs (strictly doubling)."""
-    if n_bits < 4 or (n_bits & (n_bits - 1)) != 0:
-        raise InvalidParameterError(f"N must be a power of two >= 4, got {n_bits}")
+    require_power_of_two(n_bits, "N", 4)
     levels = n_bits.bit_length() - 2
     return tuple(ControlSignal(stage=s, period=1 << (s - 1)) for s in range(1, levels + 1))
 
@@ -174,8 +163,7 @@ def control_schedule(n_bits):
 def build_network(n_bits):
     """Construct the network recursively: start from the single-element
     unit and add 2^(j-1) XOR-pass elements (N/4 at the top) per level."""
-    if n_bits < 4 or (n_bits & (n_bits - 1)) != 0:
-        raise InvalidParameterError(f"N must be a power of two >= 4, got {n_bits}")
+    require_power_of_two(n_bits, "N", 4)
     levels = n_bits.bit_length() - 2
     elements = []
     for j in range(1, levels + 1):

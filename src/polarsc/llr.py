@@ -6,7 +6,9 @@ Conventions used throughout:
 * sgn(0) = +1, hence ties decide 0.
 * Real-valued LLRs saturate at +/- MAX_LLR = 50.0; values at the rail are
   treated as exact (certainties stay certain through the combine).
-* q-bit integers saturate to the symmetric range [-(2^(q-1)-1), 2^(q-1)-1].
+* q-bit integers saturate to the symmetric range [-(2^(q-1)-1), 2^(q-1)-1],
+  for q in 2..54.
+* NaN is rejected; +/-inf saturates like any other out-of-range value.
 """
 
 from __future__ import annotations
@@ -27,10 +29,32 @@ _MODES = (MODE_EXACT, MODE_MINSUM, MODE_MINSUM_Q)
 
 
 def qmax(q):
-    """Largest magnitude representable by a symmetric q-bit quantizer."""
-    if q < 2:
-        raise InvalidParameterError(f"q must be >= 2, got {q}")
+    """Largest magnitude representable by a symmetric q-bit quantizer.
+
+    This is the toolkit's one check of q: it must lie in 2..54, the widths
+    whose rail 2^(q-1) - 1 float64 still holds exactly.
+    """
+    if not 2 <= q <= 54:
+        raise InvalidParameterError(f"q must lie in 2..54, got {q}")
     return (1 << (q - 1)) - 1
+
+
+def saturate(x, q):
+    """Clip values to the symmetric q-bit range [-qmax(q), qmax(q)]."""
+    m = qmax(q)
+    return np.clip(x, -m, m)
+
+
+def as_quantized(llrs, q):
+    """Return ``llrs`` as int64 after checking that every value is an integer
+    within +/-qmax(q); NaN fails the check."""
+    m = qmax(q)
+    raw = np.asarray(llrs)
+    if not np.all((raw >= -m) & (raw <= m) & (raw == np.round(raw))):
+        raise InvalidParameterError(
+            f"quantized LLRs must be integers within +/-{m} for q={q} (quantize first)"
+        )
+    return raw.astype(np.int64)
 
 
 def _sign(x):
@@ -77,37 +101,34 @@ def g_update(a, b, u_sel, q=None):
     out = b + (1 - 2 * u) * a
     if q is None:
         return np.clip(out, -MAX_LLR, MAX_LLR)
-    m = qmax(q)
-    return np.clip(out, -m, m)
-
-
-def sat_q(x, q):
-    """Clip integer values to the symmetric q-bit range."""
-    m = qmax(q)
-    return np.clip(np.asarray(x), -m, m)
+    return saturate(out, q)
 
 
 def quantize(x, q, scale=1.0):
     """Quantize real LLRs: scale, round half away from zero, saturate.
 
     The scale factor is a free knob (default 1.0); fixed-point behaviour
-    elsewhere in the toolkit does not depend on a particular choice.
+    elsewhere in the toolkit does not depend on a particular choice. NaN
+    raises InvalidParameterError; +/-inf saturates.
     """
-    m = qmax(q)
     y = np.asarray(x, dtype=float) * scale
+    if np.isnan(y).any():
+        raise InvalidParameterError("cannot quantize NaN")
     mag = np.floor(np.abs(y) + 0.5)
     out = _sign(y) * mag
-    return np.clip(out, -m, m).astype(np.int64)
+    return saturate(out, q).astype(np.int64)
 
 
 def decide(llr, index, spec):
-    """Single-bit decision: frozen positions return their frozen value,
-    otherwise LLR >= 0 decides 0 and LLR < 0 decides 1."""
+    """Leaf decision rule for the 1-based ``index``, elementwise over ``llr``:
+    a frozen position gives its frozen value, otherwise LLR >= 0 decides 0
+    and LLR < 0 decides 1. Returns int64 values; at a frozen position a
+    single value, which broadcasts against ``llr``."""
     if not (1 <= index <= spec.n_bits):
         raise InvalidParameterError(f"index must lie in 1..{spec.n_bits}, got {index}")
     if spec.frozen_mask[index - 1]:
-        return int(spec.frozen_value_array[index - 1])
-    return int(llr < 0)
+        return spec.frozen_value_array[index - 1]
+    return np.int64(llr < 0)
 
 
 @dataclass
@@ -131,25 +152,16 @@ class DecodeTrace:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _leaf_decide(llr_col, index, spec, u_out, llr_out):
-    """Vectorized decision for one leaf index over a batch column."""
-    pos = index - 1
-    if spec.frozen_mask[pos]:
-        bits = np.full(llr_col.shape, int(spec.frozen_value_array[pos]), dtype=np.int64)
-    else:
-        bits = (llr_col < 0).astype(np.int64)
-    u_out[:, pos] = bits
-    llr_out[:, pos] = llr_col
-    return bits
-
-
 def _sc_block(llrs, index0, spec, f_fun, g_fun, u_out, llr_out):
     """Depth-first SC over one block; returns the block's u bits and its
     re-encoded codeword bits (the partial sums for the parent's g)."""
     n = llrs.shape[1]
     if n == 1:
-        bits = _leaf_decide(llrs[:, 0], index0, spec, u_out, llr_out)
-        return bits[:, None], bits[:, None]
+        pos = index0 - 1
+        u_out[:, pos] = decide(llrs[:, 0], index0, spec)
+        llr_out[:, pos] = llrs[:, 0]
+        bits = u_out[:, pos:pos + 1]
+        return bits, bits
     half = n // 2
     a, b = llrs[:, :half], llrs[:, half:]
     u_left, x_left = _sc_block(f_fun(a, b), index0, spec, f_fun, g_fun, u_out, llr_out)
@@ -166,7 +178,8 @@ def sc_decode_batch(channel_llrs, spec, mode, q=None):
     """Decode a (batch, N) array of channel LLRs; returns (u_hat, decision_llrs).
 
     ``mode`` is one of "exact", "minsum", "minsum_q". In minsum_q mode the
-    inputs must already be integers in the symmetric q-bit range.
+    inputs must already be integers in the symmetric q-bit range; NaN is
+    rejected in every mode.
     """
     if mode not in _MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
@@ -175,26 +188,19 @@ def sc_decode_batch(channel_llrs, spec, mode, q=None):
         raise InvalidParameterError(
             f"expected shape (batch, {spec.n_bits}), got {llrs.shape}"
         )
-    if mode == MODE_EXACT:
-        llrs = np.clip(llrs.astype(float), -MAX_LLR, MAX_LLR)
-        f_fun = f_exact
-        g_fun = lambda a, b, u: g_update(a, b, u)
-    elif mode == MODE_MINSUM:
-        llrs = np.clip(llrs.astype(float), -MAX_LLR, MAX_LLR)
-        f_fun = f_minsum
-        g_fun = lambda a, b, u: g_update(a, b, u)
-    else:
+    if mode == MODE_MINSUM_Q:
         if q is None:
             raise InvalidParameterError("minsum_q mode requires q")
-        m = qmax(q)
-        raw = np.asarray(channel_llrs)
-        llrs = raw.astype(np.int64)
-        if np.any(llrs != raw):
-            raise InvalidParameterError("minsum_q mode expects integer LLRs (quantize first)")
-        if np.any(np.abs(llrs) > m):
-            raise InvalidParameterError(f"quantized inputs exceed the q={q} range")
+        llrs = as_quantized(llrs, q)
         f_fun = f_minsum
         g_fun = lambda a, b, u: g_update(a, b, u, q=q)
+    else:
+        llrs = llrs.astype(float)
+        if np.isnan(llrs).any():
+            raise InvalidParameterError("channel LLRs must not be NaN")
+        llrs = np.clip(llrs, -MAX_LLR, MAX_LLR)
+        f_fun = f_exact if mode == MODE_EXACT else f_minsum
+        g_fun = lambda a, b, u: g_update(a, b, u)
     batch = llrs.shape[0]
     u_out = np.zeros((batch, spec.n_bits), dtype=np.int64)
     llr_out = np.zeros((batch, spec.n_bits), dtype=float)

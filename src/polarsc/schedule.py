@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .code import require_power_of_two
 from .errors import InvalidParameterError
 
 PE_F = "TypeII_f"
@@ -25,6 +26,8 @@ PE_MERGED = "Merged_fg"
 
 CONVENTIONAL = "conventional"
 LOOKAHEAD = "lookahead"
+PARALLEL2 = "parallel2"
+ARCHITECTURES = (CONVENTIONAL, LOOKAHEAD, PARALLEL2)
 
 
 @dataclass(frozen=True)
@@ -84,18 +87,13 @@ class TimeChart:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _validate_n(n_bits):
-    if n_bits < 4 or (n_bits & (n_bits - 1)) != 0:
-        raise InvalidParameterError(f"N must be a power of two >= 4, got {n_bits}")
-
-
 def build_conventional(n_bits):
     """Sequential SC time chart: 2(N-1) cycles, one PE type per cycle.
 
     Stage i fires 2^i times (alternating f and g per block) with N/2^i
     active PEs per firing.
     """
-    _validate_n(n_bits)
+    require_power_of_two(n_bits, "N", 4)
     m = n_bits.bit_length() - 1
     cycles = []
     for stage in range(m, 0, -1):
@@ -113,7 +111,7 @@ def build_lookahead(n_bits):
     once, so stage i fires only 2^(i-1) times; the channel stage appears
     exactly once.
     """
-    _validate_n(n_bits)
+    require_power_of_two(n_bits, "N", 4)
     m = n_bits.bit_length() - 1
     cycles = []
     for stage in range(m, 0, -1):
@@ -200,7 +198,6 @@ def parallel_activity_table(n_bits, streams=2):
     """
     if streams != 2:
         raise InvalidParameterError("only the 2-stream schedule is supported")
-    _validate_n(n_bits)
     chart = build_lookahead(n_bits)
     active = chart.active_sequence()  # length N-1
     span = n_bits

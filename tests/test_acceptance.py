@@ -34,7 +34,7 @@ from polarsc import (
     sc_decode_batch,
     verify_equivalence,
 )
-from polarsc.channel import ChannelConfig, _draw_trials, ber_sweep
+from polarsc.channel import ChannelConfig, draw_trials, ber_sweep
 from polarsc.cost import LINE_REFERENCE, PROPOSED
 from polarsc.llr import qmax
 from polarsc.schedule import PE_F, PE_G
@@ -225,7 +225,7 @@ def test_c10_end_to_end_coding_sanity():
     for ebn0 in (0.0, 1.0, 2.0, 3.0):
         cfg = ChannelConfig(kind="bpsk_awgn", ebn0_db=ebn0, master_seed=101,
                             code_rate=0.5)
-        msgs, llrs = _draw_trials(spec, cfg, trials)
+        msgs, llrs = draw_trials(spec, cfg, trials)
         u_hat, _ = sc_decode_batch(llrs, spec, "exact")
         errors = int(np.sum(u_hat[:, ~spec.frozen_mask] != msgs))
         bers.append(errors / (trials * spec.k_info))

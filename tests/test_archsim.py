@@ -6,6 +6,7 @@ import pytest
 from polarsc import (
     InvalidParameterError,
     MAX_LLR,
+    SchedulingError,
     SimConfig,
     encode,
     make_code_spec,
@@ -14,13 +15,14 @@ from polarsc import (
     sc_decode,
     verify_equivalence,
 )
-from polarsc.channel import ChannelConfig, _draw_trials
+from polarsc import archsim
+from polarsc.channel import ChannelConfig, draw_trials
 
 
 def noisy_llrs(spec, seed, ebn0_db=1.0, frames=1):
     cfg = ChannelConfig(kind="bpsk_awgn", ebn0_db=ebn0_db, master_seed=seed,
                         code_rate=spec.k_info / spec.n_bits)
-    _, llrs = _draw_trials(spec, cfg, frames)
+    _, llrs = draw_trials(spec, cfg, frames)
     return llrs
 
 
@@ -36,13 +38,6 @@ class TestCycleCounts:
         par = run(SimConfig(spec=spec, q=6, architecture="parallel2"),
                   [q_llrs, q_llrs])
         assert par.cycles_elapsed == n
-
-    def test_architecture_aliases(self):
-        spec = make_code_spec(8, 4)
-        assert SimConfig(spec=spec, q=6,
-                         architecture="conventional_pipelined").architecture == "conventional"
-        assert SimConfig(spec=spec, q=6,
-                         architecture="lookahead_2parallel").architecture == "parallel2"
 
 
 class TestDecisionEquivalence:
@@ -178,8 +173,104 @@ class TestTraceAndValidation:
             run(SimConfig(spec=spec, q=4, architecture="lookahead"),
                 np.full(8, 31, dtype=np.int64))
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, np.iinfo(np.int64).min])
+    def test_rejects_non_quantized_inputs(self, bad):
+        spec = make_code_spec(8, 4)
+        llrs = np.zeros(8, dtype=np.asarray(bad).dtype)
+        llrs[3] = bad
+        with pytest.raises(InvalidParameterError):
+            run(SimConfig(spec=spec, q=6, architecture="lookahead"), llrs)
+
+    def test_config_validation(self):
+        spec = make_code_spec(8, 4)
+        assert SimConfig(spec=spec, q=54, architecture="lookahead").q == 54
+        for kwargs in ({"q": 55, "architecture": "lookahead"},
+                       {"q": 1, "architecture": "lookahead"},
+                       {"q": 6, "architecture": "lookahead_2parallel"}):
+            with pytest.raises(InvalidParameterError):
+                SimConfig(spec=spec, **kwargs)
+        with pytest.raises(InvalidParameterError):
+            SimConfig(spec=make_code_spec(2, 1), q=6, architecture="lookahead")
+
     def test_sim_result_json_keys(self):
         spec = make_code_spec(8, 4)
         q_llrs = quantize(np.full(8, MAX_LLR), 6)
         d = run(SimConfig(spec=spec, q=6, architecture="lookahead"), q_llrs).to_json_dict()
         assert set(d) == {"cycles", "u_hat", "activity", "buffer_peak"}
+
+
+def _drop(cycle):
+    """Schedule mutation: remove the given 1-based cycle."""
+    return lambda sched: sched[:cycle - 1] + sched[cycle:]
+
+
+def _swap(cycle):
+    """Schedule mutation: exchange the given 1-based cycle with the next."""
+    def mutate(sched):
+        sched = list(sched)
+        sched[cycle - 1], sched[cycle] = sched[cycle], sched[cycle - 1]
+        return sched
+    return mutate
+
+
+def _remove_c1_stall(sched):
+    """Run stream C1 of the interleaved pair without its one-cycle stall."""
+    c1 = [e for cycle in sched for s, e in cycle if s == 0]
+    c2 = [e for cycle in sched for s, e in cycle if s == 1]
+    return ([[(0, c1[0])]]
+            + [[(0, c1[t]), (1, c2[t - 1])] for t in range(1, len(c1))]
+            + [[(1, c2[-1])]])
+
+
+def _merge_first_cycles(sched):
+    """Put both streams' channel-stage firings into cycle 1."""
+    return [list(sched[0]) + list(sched[1])] + list(sched[2:])
+
+
+class TestLegalityChecker:
+    """An illegal schedule must raise SchedulingError, never decode silently."""
+
+    N = 16
+
+    def run_mutated(self, monkeypatch, arch, mutate, frames):
+        spec = make_code_spec(self.N, self.N // 2)
+        q_llrs = quantize(noisy_llrs(spec, seed=3, frames=frames), 6)
+        build = archsim._build_schedule
+        monkeypatch.setattr(archsim, "_build_schedule", lambda cfg: mutate(build(cfg)))
+        cfg = SimConfig(spec=spec, q=6, architecture=arch)
+        if arch == "parallel2":
+            return [run(cfg, [q_llrs[t], q_llrs[t + 1]]) for t in range(0, frames, 2)]
+        return [run(cfg, q_llrs[t]) for t in range(frames)]
+
+    @pytest.mark.parametrize("arch,mutate", [
+        # a stage consumes its parent's buffer before the parent has
+        # refilled it for the consumer's block
+        ("lookahead", _drop(9)),       # the second stage-2 firing
+        ("conventional", _swap(16)),   # stage-1 g, then stage-2 f
+        ("parallel2", _drop(10)),
+        ("lookahead", _swap(2)),
+        ("lookahead", _drop(15)),
+        ("parallel2", _remove_c1_stall),
+        ("parallel2", _merge_first_cycles),  # PE-pool overflow
+    ], ids=["stale-lookahead", "stale-conventional", "stale-parallel2", "adjacent-swap",
+            "dropped-cycle", "c1-stall-removed", "pe-pool-overflow"])
+    def test_illegal_schedule_rejected(self, monkeypatch, arch, mutate):
+        with pytest.raises(SchedulingError):
+            self.run_mutated(monkeypatch, arch, mutate, frames=2)
+
+    @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
+    def test_every_drop_and_adjacent_swap(self, monkeypatch, arch):
+        # either the mutation is rejected or it is a legal reordering (such
+        # as exchanging two identical firings) that decodes identically
+        spec = make_code_spec(self.N, self.N // 2)
+        length = len(archsim._build_schedule(SimConfig(spec=spec, q=6, architecture=arch)))
+        want = [r.decisions for r in self.run_mutated(monkeypatch, arch, list, frames=4)]
+        mutations = [_drop(c) for c in range(1, length + 1)]
+        mutations += [_swap(c) for c in range(1, length)]
+        for mutate in mutations:
+            monkeypatch.undo()
+            try:
+                got = [r.decisions for r in self.run_mutated(monkeypatch, arch, mutate, 4)]
+            except SchedulingError:
+                continue
+            assert np.array_equal(got, want)

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CMD = [sys.executable, "-m", "polarsc"]
 
 
@@ -191,3 +193,51 @@ class TestContract:
         data = path.read_bytes()
         assert b"\r" not in data
         assert data.decode("utf-8").startswith("cycle,stage")
+
+
+class TestBadInput:
+    """Bad input exits 1 with an ``error:`` line, never with a traceback."""
+
+    def main(self, capsys, *argv):
+        from polarsc import cli
+
+        code = cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        code, err = self.main(capsys, "decode", "--n", "4", "--k", "2",
+                              "--in", str(tmp_path / "missing.json"))
+        assert code == 1 and err.startswith("error:")
+
+    def test_non_numeric_json_input(self, capsys, tmp_path):
+        path = tmp_path / "llrs.json"
+        path.write_text('["a", 1, 2, 3]')
+        code, err = self.main(capsys, "decode", "--n", "4", "--k", "2", "--in", str(path))
+        assert code == 1 and err.startswith("error:")
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        code, err = self.main(capsys, "timechart", "--n", "4",
+                              "--out", str(tmp_path / "no_such_dir" / "chart.json"))
+        assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["exact", "minsum", "minsum-q"])
+    def test_nan_llr_rejected(self, capsys, mode):
+        code, err = self.main(capsys, "decode", "--n", "4", "--k", "2",
+                              "--mode", mode, "--llrs", "nan,1,2,3")
+        assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("cost", "--n", "8", "--q", "55"),
+        ("decode", "--n", "4", "--k", "2", "--mode", "minsum-q", "--q", "55",
+         "--llrs", "1,2,3,4"),
+        ("ber", "--n", "8", "--ebn0", "1,x"),
+        ("simulate", "--n", "8", "--ebn0", "x"),
+        ("encode", "--n", "8", "--seed", "-1"),
+    ], ids=["cost-q55", "decode-q55", "ber-ebn0", "simulate-ebn0", "negative-seed"])
+    def test_bad_numbers_exit_1(self, capsys, argv):
+        assert self.main(capsys, *argv)[0] == 1
+
+    def test_q54_accepted(self, capsys):
+        assert self.main(capsys, "cost", "--n", "8", "--q", "54")[0] == 0

@@ -44,6 +44,13 @@ class TestComponentCounts:
         with pytest.raises(InvalidParameterError):
             component_counts("imaginary", 8, 6)
 
+    def test_q_bounds(self):
+        assert component_counts(PROPOSED, 8, 54).pe_xor == 9 * 54
+        with pytest.raises(InvalidParameterError):
+            component_counts(PROPOSED, 8, 55)
+        with pytest.raises(InvalidParameterError):
+            asymptotic_totals(PROPOSED, 8, 55)
+
 
 class TestTotals:
     def test_headline_values_at_n1024_q6(self):

@@ -148,6 +148,15 @@ class TestWordQ:
         with pytest.raises(InvalidParameterError):
             WordQ(8, 4)
 
+    def test_q_bounds(self):
+        assert WordQ(-(2**53), 54).value == -(2**53)
+        for q in (1, 55):
+            with pytest.raises(InvalidParameterError):
+                WordQ(0, q)
+            with pytest.raises(InvalidParameterError):
+                gate_count("merged_pe", q)
+        assert gate_count("merged_pe", 54).xor == 9 * 54
+
 
 class TestGateCounts:
     def test_merged_pe_published_rows(self):

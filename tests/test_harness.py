@@ -13,7 +13,7 @@ from polarsc import (
     simulate_channel,
     trial_rng,
 )
-from polarsc.channel import BPSK_AWGN, NOISELESS, _draw_trials
+from polarsc.channel import BPSK_AWGN, NOISELESS, draw_trials
 
 
 class TestChannel:
@@ -42,6 +42,20 @@ class TestChannel:
         b = trial_rng(9, 3).normal(size=5)
         assert np.array_equal(a, b)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            trial_rng(-1, 0)
+
+    def test_draw_order_message_then_noise(self):
+        spec = make_code_spec(16, 8)
+        cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=1.0, master_seed=4, code_rate=0.5)
+        msgs, llrs = draw_trials(spec, cfg, 3)
+        rng = trial_rng(4, 2)
+        msg = rng.integers(0, 2, size=8)
+        y = 1.0 - 2.0 * encode(msg, spec) + rng.normal(0.0, np.sqrt(cfg.noise_variance), 16)
+        assert np.array_equal(msgs[2], msg)
+        assert np.array_equal(llrs[2], np.clip(2.0 * y / cfg.noise_variance, -MAX_LLR, MAX_LLR))
+
     def test_noise_variance_formula(self):
         cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=3.0, master_seed=0, code_rate=0.25)
         want = 1.0 / (2 * 0.25 * 10 ** 0.3)
@@ -58,12 +72,12 @@ class TestDrawTrials:
     def test_deterministic_and_order_free(self):
         spec = make_code_spec(16, 8)
         cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=1.0, master_seed=5, code_rate=0.5)
-        msgs_a, llrs_a = _draw_trials(spec, cfg, 10)
-        msgs_b, llrs_b = _draw_trials(spec, cfg, 10)
+        msgs_a, llrs_a = draw_trials(spec, cfg, 10)
+        msgs_b, llrs_b = draw_trials(spec, cfg, 10)
         assert np.array_equal(msgs_a, msgs_b)
         assert np.array_equal(llrs_a, llrs_b)
         # a shorter campaign is a prefix of a longer one
-        msgs_c, llrs_c = _draw_trials(spec, cfg, 4)
+        msgs_c, llrs_c = draw_trials(spec, cfg, 4)
         assert np.array_equal(msgs_c, msgs_a[:4])
         assert np.array_equal(llrs_c, llrs_a[:4])
 

@@ -11,8 +11,6 @@ from polarsc import (
     build_network,
     control_schedule,
     polar_transform,
-    push_decision,
-    selection_bits,
 )
 
 
@@ -30,15 +28,15 @@ def check_vector_against_oracle(bits, n):
     m = n.bit_length() - 1
     state = PartialSumState(n)
     for k in range(1, n + 1):
-        push_decision(state, int(bits[k - 1]), k)
+        state.push(int(bits[k - 1]), k)
         for stage in range(1, m + 1):
             want = oracle_selection(bits, k, stage, n)
             if want is None:
                 assert not state.stage_ready(stage)
                 with pytest.raises(NotReadyError):
-                    selection_bits(state, stage)
+                    state.selection_bits(stage)
             else:
-                assert np.array_equal(selection_bits(state, stage), want), (
+                assert np.array_equal(state.selection_bits(stage), want), (
                     bits, k, stage,
                 )
 
@@ -47,18 +45,18 @@ class TestSelectionBits:
     def test_n4_single_butterfly(self):
         state = PartialSumState(4)
         state.push(1, 1).push(0, 2)
-        assert list(selection_bits(state, 1)) == [1, 0]
+        assert list(state.selection_bits(1)) == [1, 0]
 
     def test_n8_reencode_after_four(self):
         state = PartialSumState(8)
         for k, b in enumerate((1, 0, 1, 1), start=1):
             state.push(b, k)
-        assert list(selection_bits(state, 1)) == [1, 1, 0, 1]
+        assert list(state.selection_bits(1)) == [1, 1, 0, 1]
 
     def test_n8_decision_side_after_one(self):
         state = PartialSumState(8)
         state.push(1, 1)
-        assert list(selection_bits(state, 3)) == [1]
+        assert list(state.selection_bits(3)) == [1]
 
     def test_all_zero_prefix_gives_zero_feeds(self):
         n = 16
@@ -68,7 +66,7 @@ class TestSelectionBits:
             state.push(0, k)
             for stage in range(1, m + 1):
                 if state.stage_ready(stage):
-                    assert not selection_bits(state, stage).any()
+                    assert not state.selection_bits(stage).any()
 
     def test_exhaustive_n8(self):
         for code in range(256):

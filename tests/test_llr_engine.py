@@ -20,6 +20,7 @@ from polarsc import (
     sc_decode,
     sc_decode_batch,
 )
+from polarsc.llr import as_quantized, qmax
 
 
 class TestFMinsum:
@@ -131,6 +132,40 @@ class TestQuantize:
     def test_scale_knob(self):
         assert quantize(1.2, 6, scale=4.0) == 5
 
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            quantize([1.0, np.nan], 6)
+        with pytest.raises(InvalidParameterError):
+            quantize(1.0, 6, scale=np.nan)
+
+    def test_infinity_saturates(self):
+        assert list(quantize([np.inf, -np.inf], 6)) == [31, -31]
+
+    def test_q_upper_bound(self):
+        # 54 is the widest q whose rail 2^53 - 1 float64 holds exactly
+        m = qmax(54)
+        assert m == 2**53 - 1
+        assert list(quantize([1e30, -1e30], 54)) == [m, -m]
+        with pytest.raises(InvalidParameterError):
+            quantize(1e30, 55)
+        with pytest.raises(InvalidParameterError):
+            qmax(1)
+
+
+class TestQuantizedInputCheck:
+    def test_accepts_integers_in_range(self):
+        out = as_quantized([3.0, -31, 0], 6)
+        assert out.dtype == np.int64 and list(out) == [3, -31, 0]
+
+    @pytest.mark.parametrize("bad", [
+        [32, 0], [-32, 0], [1.5, 0], [np.nan, 0], [np.inf, 0],
+        # the integer a NaN used to quantize to; np.abs overflows on it
+        np.array([np.iinfo(np.int64).min, 0]),
+    ])
+    def test_rejects(self, bad):
+        with pytest.raises(InvalidParameterError):
+            as_quantized(bad, 6)
+
 
 class TestScDecode:
     def test_noiseless_all_zero(self):
@@ -175,6 +210,19 @@ class TestScDecode:
         spec = make_code_spec(8, 4)
         with pytest.raises(InvalidParameterError):
             sc_decode(np.zeros(7), spec, "minsum")
+
+    @pytest.mark.parametrize("mode,q", [("exact", None), ("minsum", None), ("minsum_q", 6)])
+    def test_rejects_nan(self, mode, q):
+        spec = make_code_spec(4, 2)
+        with pytest.raises(InvalidParameterError):
+            sc_decode_batch(np.array([[np.nan, 1.0, 2.0, 3.0]]), spec, mode, q=q)
+
+    def test_quantized_nan_cannot_sneak_through(self):
+        # quantize(nan) used to return INT64_MIN, which passed the q-range check
+        spec = make_code_spec(4, 2)
+        llrs = np.array([[np.iinfo(np.int64).min, 1, 2, 3]])
+        with pytest.raises(InvalidParameterError):
+            sc_decode_batch(llrs, spec, "minsum_q", q=6)
 
     def test_quantized_tracks_float_minsum_at_high_snr(self):
         # q = 12 at scale 1.0 keeps nearly every noisy frame identical to

@@ -1,0 +1,113 @@
+"""Property tests: invariants of the transform, the decoders, the partial-sum
+network, the quantizer and the f/g update rules, over generated inputs."""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from polarsc import (
+    MAX_LLR,
+    PartialSumState,
+    encode,
+    f_exact,
+    f_minsum,
+    g_update,
+    make_code_spec,
+    polar_transform,
+    quantize,
+    sc_decode,
+)
+from polarsc.llr import qmax
+
+
+def bit_lists(n):
+    return st.lists(st.integers(0, 1), min_size=n, max_size=n)
+
+
+def sgn(x):
+    return np.where(np.asarray(x) < 0, -1, 1)
+
+
+llr_floats = st.floats(-MAX_LLR, MAX_LLR)
+
+
+@given(st.integers(0, 8).flatmap(lambda m: bit_lists(1 << m)))
+def test_transform_is_its_own_inverse(bits):
+    assert np.array_equal(polar_transform(polar_transform(bits)), bits)
+
+
+@given(st.data())
+def test_noiseless_round_trip_decodes_without_errors(data):
+    n = 1 << data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(1, n))
+    spec = make_code_spec(n, k, frozen_values=data.draw(bit_lists(n - k)))
+    msg = data.draw(bit_lists(k))
+    q = data.draw(st.integers(2, 54))
+    u = np.zeros(n, dtype=np.int64)
+    u[spec.frozen_mask] = spec.frozen_value_array[spec.frozen_mask]
+    u[~spec.frozen_mask] = msg
+    llrs = (1 - 2 * encode(msg, spec)) * MAX_LLR
+    assert np.array_equal(sc_decode(llrs, spec, "exact").u_hat, u)
+    assert np.array_equal(sc_decode(llrs, spec, "minsum").u_hat, u)
+    assert np.array_equal(sc_decode(quantize(llrs, q), spec, "minsum_q", q=q).u_hat, u)
+
+
+@given(st.integers(2, 7).flatmap(lambda m: bit_lists(1 << m)))
+def test_partial_sums_match_reencode_oracle(bits):
+    n = len(bits)
+    m = n.bit_length() - 1
+    state = PartialSumState(n)
+    for k in range(1, n + 1):
+        state.push(bits[k - 1], k)
+        for stage in range(1, m + 1):
+            half = n >> stage
+            start = k - k % (2 * half)
+            if k - start < half:
+                assert not state.stage_ready(stage)
+            else:
+                want = polar_transform(bits[start:start + half])
+                assert np.array_equal(state.selection_bits(stage), want)
+
+
+@given(st.floats(allow_nan=False), st.integers(2, 54))
+def test_quantize_is_odd_saturating_and_bounded(x, q):
+    m = qmax(q)
+    v = int(quantize(x, q))
+    assert -m <= v <= m
+    assert int(quantize(-x, q)) == -v
+    if abs(x) >= m:
+        assert v == (m if x > 0 else -m)
+
+
+@given(llr_floats, llr_floats)
+def test_f_sign_laws(a, b):
+    for f in (f_minsum, f_exact):
+        out = f(a, b)
+        assert f(b, a) == out
+        # the product of the input signs, within rounding for f_exact
+        assert out * sgn(a) * sgn(b) >= -1e-12
+        assert abs(out) <= min(abs(a), abs(b))
+    assert abs(f_minsum(a, b)) == min(abs(a), abs(b))
+    assert f_minsum(-a, b) == -f_minsum(a, b)
+
+
+@given(st.integers(2, 12).flatmap(
+    lambda q: st.tuples(st.just(q), *[st.integers(-qmax(q), qmax(q))] * 2)))
+def test_quantized_f_sign_laws(args):
+    q, a, b = args
+    out = f_minsum(np.int64(a), np.int64(b))
+    assert out == sgn(a) * sgn(b) * min(abs(a), abs(b))
+    assert f_minsum(-a, b) == -out
+
+
+@given(st.integers(2, 12).flatmap(
+    lambda q: st.tuples(st.just(q), *[st.integers(-qmax(q), qmax(q))] * 2)),
+    st.integers(0, 1))
+def test_g_sign_laws(args, u):
+    q, a, b = args
+    out = g_update(a, b, u, q=q)
+    assert abs(out) <= qmax(q)
+    # negating both inputs negates g; u = 1 is u = 0 with a negated
+    assert g_update(-a, -b, u, q=q) == -out
+    assert g_update(a, b, 1, q=q) == g_update(-a, b, 0, q=q)
+    assert g_update(a, b, 0, q=q) == min(max(a + b, -qmax(q)), qmax(q))
