@@ -135,14 +135,11 @@ def _decode_architecture(llrs, spec, architecture, q, scale):
 
     cfg = SimConfig(spec=spec, q=q, architecture=architecture)
     q_llrs = quantize(llrs, q, scale)
-    out = np.zeros((llrs.shape[0], spec.n_bits), dtype=np.int64)
-    for t in range(llrs.shape[0]):
-        if architecture == PARALLEL2:
-            # same block on both streams; stream C1 carries the count
-            result = run(cfg, [q_llrs[t], q_llrs[t]])
-        else:
-            result = run(cfg, q_llrs[t])
-        out[t] = result.decisions[0]
+    if architecture != PARALLEL2:
+        return run(cfg, q_llrs).decisions[0]
+    # consecutive frames alternate between streams C1 and C2
+    out = np.empty_like(q_llrs)
+    out[0::2], out[1::2] = run(cfg, [q_llrs[0::2], q_llrs[1::2]]).decisions
     return out
 
 

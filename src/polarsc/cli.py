@@ -176,7 +176,7 @@ def _cmd_simulate(args):
         spec=spec, q=args.q, architecture=args.arch,
         record_trace=args.trace is not None,
     )
-    if args.trials > 1:
+    if args.trials != 1:  # verify_equivalence rejects a count below 1
         report = archsim.verify_equivalence(
             config, trials=args.trials, seed=args.seed,
             ebn0_db=args.ebn0_value, scale=args.scale,
@@ -195,8 +195,7 @@ def _cmd_simulate(args):
     frames = 2 if config.architecture == archsim.PARALLEL2 else 1
     _, float_llrs = channel.draw_trials(spec, cfg, frames)
     q_llrs = llr.quantize(float_llrs, args.q, args.scale)
-    blocks = [q_llrs[i] for i in range(frames)]
-    result = archsim.run(config, blocks if frames == 2 else blocks[0])
+    result = archsim.run(config, list(q_llrs) if frames == 2 else q_llrs[0])
     reference, _ = llr.sc_decode_batch(q_llrs, spec, llr.MODE_MINSUM_Q, q=args.q)
     for s in range(frames):
         if not np.array_equal(result.decisions[s], reference[s]):
@@ -257,12 +256,10 @@ def _cmd_igc_trace(args):
     if len(bits) != args.n:
         raise InvalidParameterError(f"need exactly {args.n} decision bits")
     state = igc.PartialSumState(args.n)
-    m = args.n.bit_length() - 1
     rows = []
     for k, bit in enumerate(bits, start=1):
         state.push(int(bit), k)
-        level = (k & -k).bit_length() - 1
-        stage = m - level
+        stage = igc.refreshed_stage(k, args.n)
         if stage >= 1:
             sel = state.selection_bits(stage)
             rows.append((k, stage, "".join(str(int(b)) for b in sel)))

@@ -7,10 +7,11 @@ like a streaming real-valued FFT datapath. The transform of the left half
 of a stage-s block is precisely the MUX select vector for that stage's
 precomputed g candidates.
 
-Storage is in-place: one slot array per combining level, reused block
-after block. Levels 1..log2(N)-2 account for the N/2 - 2 memory slots of
-the network; the level-0 bit and the topmost N/2-wide output live on wires
-within a decision cycle.
+Storage is one slot array per combining level, reused block after block.
+Levels 1..log2(N)-2 account for the N/2 - 2 memory slots of the network;
+the level-0 bit and the topmost N/2-wide output live on wires within a
+decision cycle. A batch of codewords decided in lockstep shares one state,
+whose pushes carry one bit per codeword and whose slot arrays gain a batch axis.
 """
 
 from __future__ import annotations
@@ -52,9 +53,15 @@ class PartialSumState:
         return sum(1 << j for j in range(1, self.m - 1))
 
     def push(self, u_hat, index):
-        """Fold decision ``u_hat`` (bit, 1-based ``index``) into the sums."""
-        if u_hat not in (0, 1):
-            raise InvalidParameterError(f"u_hat must be a bit, got {u_hat}")
+        """Fold decision ``u_hat`` (1-based ``index``) into the sums: one bit,
+        or a 1-D array of bits, one per codeword of a batch, all with the
+        same index, shaped like the first push."""
+        bits = np.asarray(u_hat)
+        shape = self._acc[0].shape[:-1] if self._count else bits.shape  # set by push 1
+        if bits.shape != shape or bits.ndim > 1 or not set(bits.ravel().tolist()) <= {0, 1}:
+            raise InvalidParameterError(
+                f"u_hat must be a bit or a 1-D array of bits, shaped as in push 1: {u_hat}"
+            )
         if index != self._count + 1:
             raise SequencingError(
                 f"expected decision index {self._count + 1}, got {index}"
@@ -62,7 +69,7 @@ class PartialSumState:
         if index > self.n_bits:
             raise SequencingError("all decisions already pushed")
         self._count = index
-        cur = np.array([u_hat], dtype=np.int64)
+        cur = bits.astype(np.int64)[..., None]
         j = 0
         while True:
             size = 1 << j
@@ -70,10 +77,10 @@ class PartialSumState:
             if rem == size:
                 # completed block is the left half of its parent: store it;
                 # it is also the ready selection vector for stage m - j
-                self._acc[j][:] = cur
+                self._acc[j] = cur
                 break
             # right half completed: butterfly with the stored sibling
-            cur = np.concatenate([self._acc[j] ^ cur, cur])
+            cur = np.concatenate([self._acc[j] ^ cur, cur], axis=-1)
             j += 1
             if (1 << j) == self.n_bits:
                 break  # whole codeword folded; nothing above to feed
@@ -89,12 +96,19 @@ class PartialSumState:
 
     def selection_bits(self, stage):
         """MUX select lines for ``stage``: transform of the decided left
-        half of the current stage-``stage`` block (length N / 2^stage)."""
+        half of the current stage-``stage`` block (length N / 2^stage, with
+        a leading batch axis after batched pushes)."""
         if not self.stage_ready(stage):
             raise NotReadyError(
                 f"stage {stage} feed incomplete after {self._count} decisions"
             )
         return self._acc[self.m - stage].copy()
+
+
+def refreshed_stage(index, n_bits):
+    """Stage whose select bits the push of decision ``index`` completes:
+    log2(N) - trailing_zeros(index); 0 for the push that ends the codeword."""
+    return n_bits.bit_length() - (index & -index).bit_length()
 
 
 @dataclass(frozen=True)

@@ -114,9 +114,10 @@ def quantize(x, q, scale=1.0):
     y = np.asarray(x, dtype=float) * scale
     if np.isnan(y).any():
         raise InvalidParameterError("cannot quantize NaN")
-    mag = np.floor(np.abs(y) + 0.5)
-    out = _sign(y) * mag
-    return saturate(out, q).astype(np.int64)
+    a = np.abs(saturate(y, q))  # saturating first keeps +/-inf out of the rounding
+    mag = np.rint(a)  # ties to even; a - mag is exact, so exact halves move up
+    mag += a - mag == 0.5
+    return (_sign(y) * mag).astype(np.int64)
 
 
 def decide(llr, index, spec):

@@ -189,23 +189,24 @@ class ActivityTable:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def parallel_activity_table(n_bits, streams=2):
-    """Two-stream interleaving of the look-ahead chart onto one N/2-PE pool.
+def interleave_two_streams(chart):
+    """Two-stream interleaving of a look-ahead chart onto one N/2-PE pool.
 
     Stream C1 stalls for one cycle right after its channel-stage cycle;
-    stream C2 runs the unstalled chart offset by one cycle. The joint span
-    is N cycles and no column ever exceeds N/2 active PEs.
+    stream C2 runs the unstalled chart offset by one cycle. Returns, per
+    cycle, the list of (stream index, chart entry) activations; the joint
+    span is N cycles and no cycle ever holds more than N/2 active PEs.
     """
+    first, *rest = [cycle[0] for cycle in chart.cycles]
+    return [[(0, first)], [(1, first)]] + [[(0, e), (1, e)] for e in rest]
+
+
+def parallel_activity_table(n_bits, streams=2):
+    """Per-cycle active PEs of the two interleaved look-ahead streams."""
     if streams != 2:
         raise InvalidParameterError("only the 2-stream schedule is supported")
-    chart = build_lookahead(n_bits)
-    active = chart.active_sequence()  # length N-1
-    span = n_bits
-    c1 = [0] * span
-    c2 = [0] * span
-    c1[0] = active[0]
-    for t in range(2, span):  # cycles 3..N hold chart entries 2..N-1
-        c1[t] = active[t - 1]
-    for t in range(1, span):  # cycles 2..N hold chart entries 1..N-1
-        c2[t] = active[t - 1]
-    return ActivityTable(n_bits, ("C1", "C2"), (tuple(c1), tuple(c2)))
+    counts = [[0] * n_bits, [0] * n_bits]
+    for t, cycle in enumerate(interleave_two_streams(build_lookahead(n_bits))):
+        for s, entry in cycle:
+            counts[s][t] = entry.active_pes
+    return ActivityTable(n_bits, ("C1", "C2"), tuple(map(tuple, counts)))

@@ -1,5 +1,7 @@
 """Cycle-accurate simulator: cycle counts, equivalence, buffers, traces."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from polarsc import (
     MAX_LLR,
     SchedulingError,
     SimConfig,
+    ber_sweep,
     encode,
     make_code_spec,
     quantize,
     run,
     sc_decode,
+    sc_decode_batch,
     verify_equivalence,
 )
 from polarsc import archsim
@@ -150,6 +154,105 @@ class TestActivityAndBuffers:
         assert res.candidate_buffer_peak == 0
 
 
+class TestBatchedRun:
+    """One run takes a (batch, N) array per stream and decodes every frame
+    exactly as a run of its own would."""
+
+    @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
+    def test_batch_equals_per_frame_runs(self, arch):
+        spec = make_code_spec(32, 16)
+        q_llrs = quantize(noisy_llrs(spec, seed=21, frames=12), 6)
+        cfg = SimConfig(spec=spec, q=6, architecture=arch)
+        streams = [q_llrs[0::2], q_llrs[1::2]] if arch == "parallel2" else [q_llrs]
+        batched = run(cfg, streams if arch == "parallel2" else q_llrs)
+        for t in range(len(streams[0])):
+            frames = [stream[t] for stream in streams]
+            single = run(cfg, frames if arch == "parallel2" else frames[0])
+            for s in range(len(streams)):
+                assert np.array_equal(batched.decisions[s][t], single.decisions[s])
+                assert np.array_equal(batched.decision_llrs[s][t], single.decision_llrs[s])
+        assert batched.cycles_elapsed == single.cycles_elapsed
+        assert batched.activity == single.activity
+        assert batched.candidate_buffer_peak == single.candidate_buffer_peak
+
+    @pytest.mark.parametrize("sizes", [(3, 1), (1, 3), (2, 0), (0, 0)])
+    def test_parallel2_unequal_batches(self, sizes):
+        spec = make_code_spec(16, 8)
+        q_llrs = quantize(noisy_llrs(spec, seed=8, frames=4), 6)[:sum(sizes)]
+        c1, c2 = q_llrs[:sizes[0]], q_llrs[sizes[0]:]
+        res = run(SimConfig(spec=spec, q=6, architecture="parallel2"), [c1, c2])
+        assert [d.shape for d in res.decisions] == [(sizes[0], 16), (sizes[1], 16)]
+        ref, ref_llrs = sc_decode_batch(q_llrs, spec, "minsum_q", q=6)
+        assert np.array_equal(np.concatenate(res.decisions), ref)
+        assert np.array_equal(np.concatenate(res.decision_llrs), ref_llrs)
+        assert res.cycles_elapsed == 16
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_ber_sweep_parallel2_odd_trials(self, trials):
+        # consecutive frames alternate between C1 and C2; an odd count
+        # leaves C2 one frame short (empty at one trial)
+        spec = make_code_spec(32, 16)
+        results = ber_sweep(spec, ["minsum_q"], ["lookahead", "parallel2"],
+                            [-3.0, -1.0], trials, seed=4)
+        counts = {}
+        for r in results:
+            counts.setdefault(r.architecture, []).append((r.bit_errors, r.frame_errors))
+        assert counts["parallel2"] == counts["lookahead"] == counts["functional"]
+        assert counts["lookahead"][0][1] == trials  # every frame has errors at -3 dB
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_gate_level_pes_on_a_batch(self, q):
+        spec = make_code_spec(8, 4)
+        q_llrs = quantize(noisy_llrs(spec, seed=3, frames=10), q)
+        fast = run(SimConfig(spec=spec, q=q, architecture="lookahead"), q_llrs)
+        gated = run(SimConfig(spec=spec, q=q, architecture="lookahead", use_gate_pes=True),
+                    q_llrs)
+        assert np.array_equal(fast.decisions[0], gated.decisions[0])
+        assert np.array_equal(fast.decision_llrs[0], gated.decision_llrs[0])
+
+    def test_trace_rejects_a_batch(self):
+        # a trace row has no frame column
+        spec = make_code_spec(8, 4)
+        q_llrs = quantize(np.full((2, 8), MAX_LLR), 6)
+        with pytest.raises(InvalidParameterError):
+            run(SimConfig(spec=spec, q=6, architecture="lookahead", record_trace=True),
+                q_llrs)
+        with pytest.raises(InvalidParameterError):
+            run(SimConfig(spec=spec, q=6, architecture="parallel2", record_trace=True),
+                [q_llrs[0], q_llrs[:1]])
+
+    def test_json_for_both_shapes(self):
+        spec = make_code_spec(8, 4)
+        q_llrs = quantize(noisy_llrs(spec, seed=6, frames=3), 6)
+        cfg = SimConfig(spec=spec, q=6, architecture="lookahead")
+        single = run(cfg, q_llrs[0])
+        assert json.dumps(single.to_json_dict()["u_hat"]) == json.dumps(
+            [[int(b) for b in single.decisions[0]]])
+        batched = json.loads(run(cfg, q_llrs).to_json())
+        assert batched["u_hat"][0][0] == single.to_json_dict()["u_hat"][0]
+        assert len(batched["u_hat"][0]) == 3
+
+    def test_first_divergence_located(self, monkeypatch):
+        # a reference that differs from the simulator in trial 2, stream C2,
+        # and in trial 3, stream C1, must report trial 2 first
+        decode = archsim.sc_decode_batch
+
+        def flipped(q_llrs, *args, **kwargs):
+            u_hat, llrs = decode(q_llrs, *args, **kwargs)
+            u_hat[2 * 2 + 1, 5] ^= 1
+            u_hat[3 * 2 + 0, 2] ^= 1
+            return u_hat, llrs
+
+        monkeypatch.setattr(archsim, "sc_decode_batch", flipped)
+        spec = make_code_spec(16, 8)
+        report = verify_equivalence(SimConfig(spec=spec, q=6, architecture="parallel2"),
+                                    trials=4, seed=7)
+        assert (report.matches, report.mismatches) == (2, 2)
+        div = report.first_divergence
+        assert (div["trial"], div["stream"], div["first_bit_index"]) == (2, 1, 6)
+        assert [a ^ b for a, b in zip(div["sim"], div["reference"])] == [0] * 5 + [1] + [0] * 10
+
+
 class TestTraceAndValidation:
     def test_trace_rows_recorded(self):
         spec = make_code_spec(8, 4)
@@ -192,6 +295,13 @@ class TestTraceAndValidation:
         with pytest.raises(InvalidParameterError):
             SimConfig(spec=make_code_spec(2, 1), q=6, architecture="lookahead")
 
+    @pytest.mark.parametrize("shape", [(7,), (2, 7), (2, 2, 8), ()])
+    def test_rejects_bad_shapes(self, shape):
+        spec = make_code_spec(8, 4)
+        with pytest.raises(InvalidParameterError):
+            run(SimConfig(spec=spec, q=6, architecture="lookahead"),
+                np.zeros(shape, dtype=np.int64))
+
     def test_sim_result_json_keys(self):
         spec = make_code_spec(8, 4)
         q_llrs = quantize(np.full(8, MAX_LLR), 6)
@@ -227,6 +337,17 @@ def _merge_first_cycles(sched):
     return [list(sched[0]) + list(sched[1])] + list(sched[2:])
 
 
+def _merge(cycle):
+    """Schedule mutation: run the given 1-based cycle and the next as one."""
+    return lambda sched: (sched[:cycle - 1] + [list(sched[cycle - 1]) + list(sched[cycle])]
+                          + sched[cycle + 1:])
+
+
+def _repeat(cycle):
+    """Schedule mutation: fire the given 1-based cycle twice in a row."""
+    return lambda sched: sched[:cycle] + sched[cycle - 1:]
+
+
 class TestLegalityChecker:
     """An illegal schedule must raise SchedulingError, never decode silently."""
 
@@ -257,6 +378,33 @@ class TestLegalityChecker:
     def test_illegal_schedule_rejected(self, monkeypatch, arch, mutate):
         with pytest.raises(SchedulingError):
             self.run_mutated(monkeypatch, arch, mutate, frames=2)
+
+    @pytest.mark.parametrize("arch,mutate,match", [
+        ("lookahead", _drop(1), "cycle 1: stage 2 needs stage 1 output that was never"),
+        ("lookahead", _merge(1), "cycle 1: stage 2 consumes stage 1 output produced in "
+                                 "cycle 1"),
+        ("lookahead", _drop(9), "cycle 9: stage 3 block 3 needs stage 2 block 2, but the "
+                                "buffer holds block 1"),
+        ("lookahead", _swap(8), "cycle 8: stage 1 select bits not ready after 6 "),
+        ("conventional", _drop(4), "select bits not ready"),
+        ("lookahead", _repeat(1), "cycle 2: stage 1 refires with unresolved candidates"),
+        ("parallel2", _merge_first_cycles, "cycle 1: 16 merged PEs requested from a pool "
+                                           "of 8"),
+        ("lookahead", _drop(15), "stream C1: 14 of 16 bits decided"),
+    ], ids=["never-produced", "same-cycle-chaining", "stale-buffer", "merged-select-early",
+            "g-select-early", "refire-unresolved", "pe-pool-overflow", "undecided-bits"])
+    def test_each_check_names_its_violation(self, monkeypatch, arch, mutate, match):
+        with pytest.raises(SchedulingError, match=match):
+            self.run_mutated(monkeypatch, arch, mutate, frames=2)
+
+    def test_check_reads_no_data(self, monkeypatch):
+        # an empty batch carries no LLRs, yet the illegal schedule is rejected
+        spec = make_code_spec(self.N, self.N // 2)
+        build = archsim._build_schedule
+        monkeypatch.setattr(archsim, "_build_schedule", lambda cfg: _drop(9)(build(cfg)))
+        with pytest.raises(SchedulingError, match="buffer holds block"):
+            run(SimConfig(spec=spec, q=6, architecture="lookahead"),
+                np.zeros((0, self.N), dtype=np.int64))
 
     @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
     def test_every_drop_and_adjacent_swap(self, monkeypatch, arch):

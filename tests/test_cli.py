@@ -235,7 +235,10 @@ class TestBadInput:
         ("ber", "--n", "8", "--ebn0", "1,x"),
         ("simulate", "--n", "8", "--ebn0", "x"),
         ("encode", "--n", "8", "--seed", "-1"),
-    ], ids=["cost-q55", "decode-q55", "ber-ebn0", "simulate-ebn0", "negative-seed"])
+        ("simulate", "--n", "8", "--trials", "0"),
+        ("simulate", "--n", "8", "--trials", "-3"),
+    ], ids=["cost-q55", "decode-q55", "ber-ebn0", "simulate-ebn0", "negative-seed",
+            "simulate-zero-trials", "simulate-negative-trials"])
     def test_bad_numbers_exit_1(self, capsys, argv):
         assert self.main(capsys, *argv)[0] == 1
 

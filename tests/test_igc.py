@@ -12,6 +12,7 @@ from polarsc import (
     control_schedule,
     polar_transform,
 )
+from polarsc.igc import refreshed_stage
 
 
 def oracle_selection(bits, k, stage, n):
@@ -92,6 +93,43 @@ class TestSelectionBits:
             state.push(0, k)
         with pytest.raises(SequencingError):
             state.push(0, 5)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, "1", None, [[0, 1]], [0, 2]])
+    def test_push_rejects_non_bits(self, bad):
+        with pytest.raises(InvalidParameterError):
+            PartialSumState(8).push(bad, 1)
+
+    @pytest.mark.parametrize("first,second", [([0, 1], 1), (1, [0, 1]), ([0, 1], [1, 1, 0])])
+    def test_push_keeps_the_shape_of_push_1(self, first, second):
+        state = PartialSumState(8).push(first, 1)
+        with pytest.raises(InvalidParameterError):
+            state.push(second, 2)
+
+    def test_batched_push_matches_one_state_per_codeword(self):
+        n, batch = 16, 5
+        m = n.bit_length() - 1
+        bits = np.random.default_rng(4).integers(0, 2, size=(batch, n))
+        shared = PartialSumState(n)
+        single = [PartialSumState(n) for _ in range(batch)]
+        for k in range(1, n + 1):
+            shared.push(bits[:, k - 1], k)
+            for state, row in zip(single, bits):
+                state.push(int(row[k - 1]), k)
+            for stage in range(1, m + 1):
+                if shared.stage_ready(stage):
+                    want = np.stack([state.selection_bits(stage) for state in single])
+                    assert np.array_equal(shared.selection_bits(stage), want)
+
+    def test_refreshed_stage(self):
+        # push k completes the select bits of stage log2(N) - trailing_zeros(k)
+        assert [refreshed_stage(k, 8) for k in range(1, 9)] == [3, 2, 3, 1, 3, 2, 3, 0]
+        state = PartialSumState(64)
+        for k in range(1, 65):
+            stage = refreshed_stage(k, 64)
+            was_ready = stage >= 1 and state.stage_ready(stage)
+            state.push(0, k)
+            assert stage >= 1 or k == 64
+            assert stage < 1 or (not was_ready and state.stage_ready(stage))
 
     def test_storage_footprint(self):
         for n in (4, 8, 64, 1024):

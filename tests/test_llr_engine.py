@@ -121,7 +121,13 @@ class TestDecide:
 
 
 class TestQuantize:
-    @pytest.mark.parametrize("x,q,want", [(0.4, 4, 0), (7.9, 4, 7), (-2.5, 4, -3)])
+    @pytest.mark.parametrize("x,q,want", [
+        (0.4, 4, 0), (7.9, 4, 7), (-2.5, 4, -3), (2.5, 6, 3), (-2.5, 6, -3),
+        # the largest double below 0.5, and odd integers above 2^52, round
+        # wrongly once 0.5 is added in floating point
+        (0.49999999999999994, 6, 0), (2**52 + 1, 54, 2**52 + 1),
+        (-(2**52 + 1), 54, -(2**52 + 1)),
+    ])
     def test_rounding_and_saturation(self, x, q, want):
         assert quantize(x, q) == want
 
