@@ -25,6 +25,7 @@ from .llr import (
     quantize,
     sc_decode,
     sc_decode_batch,
+    ssc_decode_batch,
 )
 from .schedule import (
     ActivityTable,
@@ -70,5 +71,5 @@ __all__ = [
     "lr_recursion_prob", "make_code_spec", "merged_pe", "minsum_pe",
     "parallel_activity_table", "polar_transform", "quantize",
     "run", "sc_decode", "sc_decode_batch", "schedule_figures",
-    "simulate_channel", "trial_rng", "utilization", "verify_equivalence",
+    "simulate_channel", "ssc_decode_batch", "trial_rng", "utilization", "verify_equivalence",
 ]

@@ -21,8 +21,10 @@ from .llr import (
     MODE_EXACT,
     MODE_MINSUM,
     MODE_MINSUM_Q,
+    clip_llr,
     quantize,
-    sc_decode_batch,
+    sc_decode_batch,  # unused here; perfbench/spans.py wraps it on this module
+    ssc_decode_batch,
 )
 from .schedule import ARCHITECTURES, PARALLEL2
 
@@ -71,7 +73,7 @@ def _bpsk_llrs(codeword, cfg, rng):
         return symbols * MAX_LLR
     var = cfg.noise_variance
     y = symbols + rng.normal(0.0, np.sqrt(var), size=symbols.shape)
-    return np.clip(2.0 * y / var, -MAX_LLR, MAX_LLR)
+    return clip_llr(2.0 * y / var)
 
 
 def simulate_channel(codeword, cfg, trial):
@@ -125,8 +127,8 @@ def draw_trials(spec, cfg, trials):
 
 def _decode_functional(llrs, spec, mode, q, scale):
     if mode == MODE_MINSUM_Q:
-        return sc_decode_batch(quantize(llrs, q, scale), spec, mode, q=q)[0]
-    return sc_decode_batch(llrs, spec, mode)[0]
+        return ssc_decode_batch(quantize(llrs, q, scale), spec, mode, q=q)
+    return ssc_decode_batch(llrs, spec, mode)
 
 
 def _decode_architecture(llrs, spec, architecture, q, scale):

@@ -161,7 +161,7 @@ def _cmd_timechart(args):
 
 
 def _cmd_activity(args):
-    table = schedule.parallel_activity_table(args.n, streams=2)
+    table = schedule.parallel_activity_table(args.n)
     if args.format == "json":
         _write_output(table.to_json(), args.out)
     else:

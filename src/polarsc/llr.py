@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .code import polar_transform
 from .errors import InvalidParameterError
 
 MAX_LLR = 50.0
@@ -39,10 +40,20 @@ def qmax(q):
     return (1 << (q - 1)) - 1
 
 
+def _clamp(x, m):
+    # np.minimum/np.maximum keep the dtype and +/-inf handling of np.clip at a
+    # fraction of its call overhead on small arrays
+    return np.minimum(np.maximum(x, -m), m)
+
+
 def saturate(x, q):
     """Clip values to the symmetric q-bit range [-qmax(q), qmax(q)]."""
-    m = qmax(q)
-    return np.clip(x, -m, m)
+    return _clamp(x, qmax(q))
+
+
+def clip_llr(x):
+    """Clip real LLRs to the rail [-MAX_LLR, MAX_LLR]."""
+    return _clamp(x, MAX_LLR)
 
 
 def as_quantized(llrs, q):
@@ -86,7 +97,7 @@ def f_exact(a, b):
     out = _sign(a) * _sign(b) * lo
     out = out + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
     out = np.where(lo >= MAX_LLR, _sign(a) * _sign(b) * MAX_LLR, out)
-    return np.clip(out, -MAX_LLR, MAX_LLR)
+    return clip_llr(out)
 
 
 def g_update(a, b, u_sel, q=None):
@@ -100,7 +111,7 @@ def g_update(a, b, u_sel, q=None):
     u = np.asarray(u_sel)
     out = b + (1 - 2 * u) * a
     if q is None:
-        return np.clip(out, -MAX_LLR, MAX_LLR)
+        return clip_llr(out)
     return saturate(out, q)
 
 
@@ -175,13 +186,9 @@ def _sc_block(llrs, index0, spec, f_fun, g_fun, u_out, llr_out):
     )
 
 
-def sc_decode_batch(channel_llrs, spec, mode, q=None):
-    """Decode a (batch, N) array of channel LLRs; returns (u_hat, decision_llrs).
-
-    ``mode`` is one of "exact", "minsum", "minsum_q". In minsum_q mode the
-    inputs must already be integers in the symmetric q-bit range; NaN is
-    rejected in every mode.
-    """
+def _checked_input(channel_llrs, spec, mode, q):
+    """Validate a decoder's (batch, N) input; return it in the mode's
+    arithmetic with the mode's f and g."""
     if mode not in _MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
     llrs = np.asarray(channel_llrs)
@@ -192,21 +199,96 @@ def sc_decode_batch(channel_llrs, spec, mode, q=None):
     if mode == MODE_MINSUM_Q:
         if q is None:
             raise InvalidParameterError("minsum_q mode requires q")
-        llrs = as_quantized(llrs, q)
-        f_fun = f_minsum
-        g_fun = lambda a, b, u: g_update(a, b, u, q=q)
-    else:
-        llrs = llrs.astype(float)
-        if np.isnan(llrs).any():
-            raise InvalidParameterError("channel LLRs must not be NaN")
-        llrs = np.clip(llrs, -MAX_LLR, MAX_LLR)
-        f_fun = f_exact if mode == MODE_EXACT else f_minsum
-        g_fun = lambda a, b, u: g_update(a, b, u)
+        return as_quantized(llrs, q), f_minsum, lambda a, b, u: g_update(a, b, u, q=q)
+    llrs = llrs.astype(float)
+    if np.isnan(llrs).any():
+        raise InvalidParameterError("channel LLRs must not be NaN")
+    return clip_llr(llrs), (f_exact if mode == MODE_EXACT else f_minsum), g_update
+
+
+def sc_decode_batch(channel_llrs, spec, mode, q=None):
+    """Decode a (batch, N) array of channel LLRs; returns (u_hat, decision_llrs).
+
+    ``mode`` is one of "exact", "minsum", "minsum_q". In minsum_q mode the
+    inputs must already be integers in the symmetric q-bit range; NaN is
+    rejected in every mode. This full recursion is the reference decoder.
+    """
+    llrs, f_fun, g_fun = _checked_input(channel_llrs, spec, mode, q)
     batch = llrs.shape[0]
     u_out = np.zeros((batch, spec.n_bits), dtype=np.int64)
     llr_out = np.zeros((batch, spec.n_bits), dtype=float)
     _sc_block(llrs, 1, spec, f_fun, g_fun, u_out, llr_out)
     return u_out, llr_out
+
+
+# Slack on the exact-mode Rate-1 margin, well above the rounding error that
+# the f and g chains below a node accumulate (about 1e-13 at the rail).
+_EXACT_SLACK = 1e-6
+
+
+def ssc_decode_batch(channel_llrs, spec, mode, q=None):
+    """Decisions of ``sc_decode_batch`` (bit for bit), by simplified SC.
+
+    Same arguments and input checks as ``sc_decode_batch``; returns the
+    (batch, N) u_hat only. The SC tree is walked with two shortcuts
+    (Alamdar-Yazdi and Kschischang, IEEE Comm. Lett. 2011):
+
+    * a Rate-0 node (every position frozen) takes its frozen values, and
+      its partial sums are their transform; no f or g is computed;
+    * a Rate-1 node (no position frozen) takes the hard decisions
+      x = (llr < 0) of its inputs as partial sums, and u = transform(x).
+
+    The Rate-1 shortcut equals SC only when no input can make an f output
+    lose its sign: in min-sum arithmetic an input of exactly 0 (sgn(0) = +1,
+    so SC decides [0, 1] on [0, -1] where transform(x) gives [1, 1]); in exact
+    arithmetic an input within d*ln(2) of 0 at a node of 2^d positions,
+    since each of the d f levels below it can shrink a magnitude by up to
+    ln(2), and near 0 ``f_exact`` rounds to 0 or to the wrong sign. Rows
+    with such an input take the SC step at that node instead, and the
+    shortcuts apply again below it.
+    """
+    llrs, f_fun, g_fun = _checked_input(channel_llrs, spec, mode, q)
+    frozen_values = spec.frozen_value_array
+    # frozen_before[i]: frozen positions among 0..i-1
+    frozen_before = [0] + np.cumsum(spec.frozen_mask).tolist()
+    ln2_per_level = np.log(2.0) if mode == MODE_EXACT else 0.0
+    slack = _EXACT_SLACK if mode == MODE_EXACT else 0.0
+
+    def block(llrs, start, u):
+        """Decide positions start..start+n-1 into ``u`` (batch, n); return
+        the block's partial sums."""
+        n = llrs.shape[1]
+        frozen = frozen_before[start + n] - frozen_before[start]
+        if frozen == n:
+            u[:] = frozen_values[start:start + n]
+            return np.broadcast_to(polar_transform(u[:1]), u.shape)
+        if n == 1:
+            u[:, 0] = llrs[:, 0] < 0
+            return u
+        if frozen == 0:
+            x = (llrs < 0).astype(np.int64)
+            margin = (n.bit_length() - 1) * ln2_per_level + slack
+            unsafe = (np.abs(llrs) <= margin).any(axis=1)
+            if unsafe.any():
+                # SC's partial sums are the transform of its decisions, so
+                # only they are kept and u comes from x for every row
+                scratch = np.empty((int(unsafe.sum()), n), dtype=np.int64)
+                x[unsafe] = split(llrs[unsafe], start, scratch)
+            u[:] = polar_transform(x)
+            return x
+        return split(llrs, start, u)
+
+    def split(llrs, start, u):
+        """One SC step: f into the left half, g into the right half."""
+        half = llrs.shape[1] // 2
+        a, b = llrs[:, :half], llrs[:, half:]
+        x_left = block(f_fun(a, b), start, u[:, :half])
+        x_right = block(g_fun(a, b, x_left), start + half, u[:, half:])
+        return np.concatenate([x_left ^ x_right, x_right], axis=1)
+
+    u_hat = np.empty(llrs.shape, dtype=np.int64)
+    block(llrs, 0, u_hat)
+    return u_hat
 
 
 def sc_decode(channel_llrs, spec, mode, q=None):

@@ -201,10 +201,8 @@ def interleave_two_streams(chart):
     return [[(0, first)], [(1, first)]] + [[(0, e), (1, e)] for e in rest]
 
 
-def parallel_activity_table(n_bits, streams=2):
+def parallel_activity_table(n_bits):
     """Per-cycle active PEs of the two interleaved look-ahead streams."""
-    if streams != 2:
-        raise InvalidParameterError("only the 2-stream schedule is supported")
     counts = [[0] * n_bits, [0] * n_bits]
     for t, cycle in enumerate(interleave_two_streams(build_lookahead(n_bits))):
         for s, entry in cycle:

@@ -72,7 +72,7 @@ def test_c02_n8_chart_sequences():
 
 def test_c03_two_stream_activity_table():
     t0 = time.time()
-    table = parallel_activity_table(8, streams=2)
+    table = parallel_activity_table(8)
     assert table.counts[0] == (4, 0, 2, 1, 1, 2, 1, 1)
     assert table.counts[1] == (0, 4, 2, 1, 1, 2, 1, 1)
     assert table.span == 8

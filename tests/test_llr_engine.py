@@ -1,6 +1,7 @@
 """Functional decoder engine: update rules, decisions, quantization."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,11 +17,14 @@ from polarsc import (
     g_update,
     lr_recursion_prob,
     make_code_spec,
+    polar_transform,
     quantize,
     sc_decode,
     sc_decode_batch,
+    ssc_decode_batch,
 )
-from polarsc.llr import as_quantized, qmax
+from polarsc import llr
+from polarsc.llr import as_quantized, clip_llr, qmax, saturate
 
 
 class TestFMinsum:
@@ -87,6 +91,12 @@ class TestGUpdate:
     def test_quantized_saturation(self):
         assert g_update(6, 5, 0, q=4) == 7
         assert g_update(6, -5, 1, q=4) == -7
+        out = g_update(np.array([6, -6]), np.array([5, -5]), 0, q=4)
+        assert out.dtype == np.int64 and list(out) == [7, -7]
+
+    def test_rail_saturation(self):
+        out = g_update(np.array([40.0, np.inf]), np.array([30.0, 1.0]), 0)
+        assert list(out) == [MAX_LLR, MAX_LLR]
 
     def test_candidate_identities(self):
         rng = np.random.default_rng(31)
@@ -145,7 +155,16 @@ class TestQuantize:
             quantize(1.0, 6, scale=np.nan)
 
     def test_infinity_saturates(self):
-        assert list(quantize([np.inf, -np.inf], 6)) == [31, -31]
+        out = quantize([np.inf, -np.inf], 6)
+        assert out.dtype == np.int64 and list(out) == [31, -31]
+
+    def test_saturate_keeps_dtype_and_clamps_infinity(self):
+        ints = saturate(np.array([40, -40, 3], dtype=np.int64), 6)
+        assert ints.dtype == np.int64 and list(ints) == [31, -31, 3]
+        floats = saturate(np.array([np.inf, -np.inf, 2.5]), 6)
+        assert floats.dtype == np.float64 and list(floats) == [31.0, -31.0, 2.5]
+        rail = clip_llr(np.array([np.inf, -np.inf, -60.0, 7.5]))
+        assert list(rail) == [MAX_LLR, -MAX_LLR, -MAX_LLR, 7.5]
 
     def test_q_upper_bound(self):
         # 54 is the widest q whose rail 2^53 - 1 float64 holds exactly
@@ -245,6 +264,67 @@ class TestScDecode:
             q_dec = sc_decode(quantize(llrs, 12), spec, "minsum_q", q=12).u_hat
             agree += int(np.array_equal(float_dec, q_dec))
         assert agree >= 0.99 * trials
+
+
+def _f_and_g_calls(monkeypatch, decode):
+    """Run ``decode()`` and count the calls of the f and g rules it makes."""
+    calls = Counter()
+    for name, key in (("f_exact", "f"), ("f_minsum", "f"), ("g_update", "g")):
+        def counted(*args, _fn=getattr(llr, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(llr, name, counted)
+    out = decode()
+    monkeypatch.undo()
+    return out, calls
+
+
+class TestSscDecode:
+    """The simplified-SC fast path: u_hat bit-identical to sc_decode_batch."""
+
+    @pytest.mark.parametrize("mode,q", [("exact", None), ("minsum", None), ("minsum_q", 6)])
+    def test_fewer_f_and_g_calls_at_n1024(self, monkeypatch, mode, q):
+        spec = make_code_spec(1024, 512)
+        llrs = np.random.default_rng(1024).normal(2.0, 2.0, size=(8, 1024))
+        if q is not None:
+            llrs = quantize(llrs, q)
+        (want, _), full = _f_and_g_calls(
+            monkeypatch, lambda: sc_decode_batch(llrs, spec, mode, q=q))
+        got, fast = _f_and_g_calls(
+            monkeypatch, lambda: ssc_decode_batch(llrs, spec, mode, q=q))
+        assert full == {"f": 1023, "g": 1023}
+        assert fast["f"] < 1023 and fast["g"] < 1023
+        assert np.array_equal(got, want)
+
+    # Rate-1 rows where the hard decisions transformed back are not SC's
+    # decisions: sgn(0) = +1 in min-sum, and f_exact rounding to 0
+    # (1e-9, -1e-9) or to the wrong sign (two positive inputs, f < 0); at
+    # N = 4 the second f level underflows although every input is 1e-5 or
+    # more, which only the d*ln(2) margin catches.
+    SHORTCUT_WRONG = [
+        pytest.param([0.0, -1.0], "minsum", None, id="minsum-zero"),
+        pytest.param([0, -1], "minsum_q", 6, id="minsum_q-zero"),
+        pytest.param([1e-9, -1e-9], "exact", None, id="exact-underflow"),
+        pytest.param([6.37066826e-09, 6.10371446e-10], "exact", None, id="exact-sign-flip"),
+        pytest.param([2e-5, 1e-5, 1e-5, -1e-5], "exact", None, id="exact-deep-underflow"),
+    ]
+
+    @pytest.mark.parametrize("row,mode,q", SHORTCUT_WRONG)
+    def test_hard_decisions_alone_differ_from_sc(self, row, mode, q):
+        spec = CodeSpec(len(row), len(row), (), ())
+        llrs = np.array([row])
+        sc = sc_decode_batch(llrs, spec, mode, q=q)[0]
+        assert not np.array_equal(polar_transform(llrs < 0), sc)
+
+    @pytest.mark.parametrize("row,mode,q", SHORTCUT_WRONG + [
+        pytest.param([4.07e-7, -3.0e-10], "exact", None, id="exact-tiny"),
+    ])
+    def test_guarded_rows_fall_back_to_sc(self, row, mode, q):
+        spec = CodeSpec(len(row), len(row), (), ())
+        # the second row takes the shortcut, so the batch is split per row
+        llrs = np.array([row, np.resize([3, -2], len(row))])
+        want = sc_decode_batch(llrs, spec, mode, q=q)[0]
+        assert np.array_equal(ssc_decode_batch(llrs, spec, mode, q=q), want)
 
 
 class TestLrRecursionProb:

@@ -2,11 +2,14 @@
 network, the quantizer and the f/g update rules, over generated inputs."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polarsc import (
     MAX_LLR,
+    CodeSpec,
+    InvalidParameterError,
     PartialSumState,
     encode,
     f_exact,
@@ -16,6 +19,8 @@ from polarsc import (
     polar_transform,
     quantize,
     sc_decode,
+    sc_decode_batch,
+    ssc_decode_batch,
 )
 from polarsc.llr import qmax
 
@@ -29,6 +34,17 @@ def sgn(x):
 
 
 llr_floats = st.floats(-MAX_LLR, MAX_LLR)
+
+# Inputs where the simplified decoder's Rate-1 shortcut is most at risk:
+# integers dense in zeros (sgn(0) = +1), values at and past the rail, and
+# magnitudes small enough that f_exact, at once or a few levels down, rounds
+# to zero or to the wrong sign.
+ssc_inputs = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.sampled_from([0.0, 1.0, -1.0, MAX_LLR, -MAX_LLR, np.inf, -np.inf]),
+    st.sampled_from([0.0, 1e-9, -1e-9, 1e-300, -1e-300, 4.07e-7, -3.0e-10,
+                     1e-5, -2e-5, 1e-3, -3e-3]),
+)
 
 
 @given(st.integers(0, 8).flatmap(lambda m: bit_lists(1 << m)))
@@ -111,3 +127,35 @@ def test_g_sign_laws(args, u):
     assert g_update(-a, -b, u, q=q) == -out
     assert g_update(a, b, 1, q=q) == g_update(-a, b, 0, q=q)
     assert g_update(a, b, 0, q=q) == min(max(a + b, -qmax(q)), qmax(q))
+
+
+@given(st.data())
+def test_ssc_decode_equals_sc_decode(data):
+    n = 1 << data.draw(st.integers(1, 8))
+    frozen_mask = data.draw(bit_lists(n))  # all frozen (K = 0) to none (K = N)
+    frozen = tuple(i + 1 for i, f in enumerate(frozen_mask) if f)
+    spec = CodeSpec(n, n - len(frozen), frozen, tuple(data.draw(bit_lists(len(frozen)))))
+    rows = data.draw(st.integers(1, 3))
+    llrs = np.array(data.draw(st.lists(ssc_inputs, min_size=rows * n, max_size=rows * n)))
+    llrs = llrs.reshape(rows, n)
+    for mode, q, x in (("exact", None, llrs), ("minsum", None, llrs),
+                       ("minsum_q", 6, quantize(llrs, 6))):
+        want = sc_decode_batch(x, spec, mode, q=q)[0]
+        assert np.array_equal(ssc_decode_batch(x, spec, mode, q=q), want)
+
+
+@pytest.mark.parametrize("llrs,mode,q", [
+    pytest.param([[np.nan, 1.0, 2.0, 3.0]], "exact", None, id="nan-exact"),
+    pytest.param([[np.nan, 1.0, 2.0, 3.0]], "minsum", None, id="nan-minsum"),
+    pytest.param([[np.nan, 1.0, 2.0, 3.0]], "minsum_q", 6, id="nan-minsum_q"),
+    pytest.param([1.0, 2.0, 3.0, 4.0], "minsum", None, id="one-dimensional"),
+    pytest.param([[1.0, 2.0, 3.0]], "minsum", None, id="wrong-length"),
+    pytest.param([[1.0, 2.0, 3.0, 4.0]], "sum-product", None, id="unknown-mode"),
+    pytest.param([[1, 2, 3, 4]], "minsum_q", None, id="minsum_q-without-q"),
+    pytest.param([[1.5, 2, 3, 4]], "minsum_q", 6, id="minsum_q-non-integer"),
+])
+def test_ssc_decode_rejects_what_sc_decode_rejects(llrs, mode, q):
+    spec = make_code_spec(4, 2)
+    for decode in (sc_decode_batch, ssc_decode_batch):
+        with pytest.raises(InvalidParameterError):
+            decode(np.array(llrs), spec, mode, q=q)

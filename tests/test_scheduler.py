@@ -128,26 +128,22 @@ class TestUtilization:
 
 class TestParallelActivity:
     def test_n8_reference_table(self):
-        table = parallel_activity_table(8, streams=2)
+        table = parallel_activity_table(8)
         assert table.counts[0] == (4, 0, 2, 1, 1, 2, 1, 1)
         assert table.counts[1] == (0, 4, 2, 1, 1, 2, 1, 1)
 
     @pytest.mark.parametrize("n", [4, 8, 16, 64, 256, 1024])
     def test_span_and_pool_bound(self, n):
-        table = parallel_activity_table(n, streams=2)
+        table = parallel_activity_table(n)
         assert table.span == n
         assert max(table.column_sums()) <= n // 2
 
     @pytest.mark.parametrize("n", [4, 8, 64])
     def test_each_stream_runs_whole_chart(self, n):
-        table = parallel_activity_table(n, streams=2)
+        table = parallel_activity_table(n)
         chart_work = sum(build_lookahead(n).active_sequence())
         for row in table.counts:
             assert sum(row) == chart_work
-
-    def test_rejects_other_stream_counts(self):
-        with pytest.raises(InvalidParameterError):
-            parallel_activity_table(8, streams=3)
 
 
 class TestSerialization:
@@ -163,7 +159,7 @@ class TestSerialization:
         assert len(d["cycles"]) == 6
 
     def test_activity_rows(self):
-        table = parallel_activity_table(4, streams=2)
+        table = parallel_activity_table(4)
         rows = table.to_rows()
         assert rows[0] == ("C1", 1, 2)
         assert len(rows) == 8
