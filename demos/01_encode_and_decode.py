@@ -8,11 +8,11 @@ import numpy as np
 
 from polarsc import (
     ChannelConfig,
+    draw_trials,
     lr_recursion_prob,
     make_code_spec,
     quantize,
     sc_decode,
-    simulate_channel,
 )
 from polarsc.code import encode
 
@@ -21,17 +21,15 @@ from polarsc.code import encode
 spec = make_code_spec(16, 8)
 print("code:", spec.to_json_dict())
 
-rng = np.random.default_rng(1)
-message = rng.integers(0, 2, size=spec.k_info)
-codeword = encode(message, spec)
+# One frame over BPSK/AWGN at 3 dB. Trial 0's stream draws the 8 message
+# bits, then the 16 noise samples; the noise variance follows from the code
+# rate K/N. The LLR convention is ln[P(y|0)/P(y|1)], so positive values
+# favour bit 0.
+cfg = ChannelConfig(kind="bpsk_awgn", ebn0_db=3.0, master_seed=7)
+msgs, frames = draw_trials(spec, cfg, 1)
+message, llrs = msgs[0], frames[0]
 print("message: ", message)
-print("codeword:", codeword)
-
-# BPSK over AWGN at 3 dB. The LLR convention is ln[P(y|0)/P(y|1)], so
-# positive values favour bit 0.
-cfg = ChannelConfig(kind="bpsk_awgn", ebn0_db=3.0, master_seed=7,
-                    code_rate=spec.k_info / spec.n_bits)
-llrs = simulate_channel(codeword, cfg, trial=0)
+print("codeword:", encode(message, spec))
 print("channel LLRs:", np.round(llrs, 2))
 
 for mode in ("exact", "minsum"):
@@ -52,7 +50,7 @@ print(f"minsum_q(q={q}) -> decoded message {decoded}, "
 # The probability-domain oracle runs the same recursion on raw likelihood
 # ratios; its decision-time ln(LR) values coincide with the exact decoder.
 small = make_code_spec(8, 4)
-lnlr = rng.uniform(-4, 4, size=8)
+lnlr = np.random.default_rng(1).uniform(-4, 4, size=8)
 prob = lr_recursion_prob(np.exp(lnlr), small)
 log = sc_decode(lnlr, small, "exact")
 print("probability vs log domain, max |ln LR - LLR|:",

@@ -20,7 +20,7 @@ from polarsc import (
 
 N, q = 16, 6
 spec = make_code_spec(N, N // 2)
-cfg_ch = ChannelConfig(kind="bpsk_awgn", ebn0_db=2.0, master_seed=11, code_rate=0.5)
+cfg_ch = ChannelConfig(kind="bpsk_awgn", ebn0_db=2.0, master_seed=11)
 _, llrs = draw_trials(spec, cfg_ch, 2)
 frames = quantize(llrs, q)
 

@@ -52,7 +52,6 @@ from .channel import (
     SweepResult,
     ber_sweep,
     draw_trials,
-    simulate_channel,
     trial_rng,
 )
 
@@ -71,5 +70,5 @@ __all__ = [
     "lr_recursion_prob", "make_code_spec", "merged_pe", "minsum_pe",
     "parallel_activity_table", "polar_transform", "quantize",
     "run", "sc_decode", "sc_decode_batch", "schedule_figures",
-    "simulate_channel", "ssc_decode_batch", "trial_rng", "utilization", "verify_equivalence",
+    "ssc_decode_batch", "trial_rng", "utilization", "verify_equivalence",
 ]

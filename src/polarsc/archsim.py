@@ -303,6 +303,19 @@ def run(config, channel_llrs):
     )
 
 
+def decode_frames(config, q_llrs):
+    """Decisions for a (frames, N) batch of quantized LLRs, in one run.
+
+    The 2-parallel architecture decodes even frames on stream C1 and odd
+    frames on stream C2.
+    """
+    if config.architecture != PARALLEL2:
+        return run(config, q_llrs).decisions[0]
+    out = np.empty_like(q_llrs)
+    out[0::2], out[1::2] = run(config, [q_llrs[0::2], q_llrs[1::2]]).decisions
+    return out
+
+
 @dataclass
 class EquivalenceReport:
     """Outcome of an architectural-vs-functional comparison campaign."""
@@ -349,28 +362,23 @@ def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
         raise InvalidParameterError("trials must be >= 1")
     spec = config.spec
     frames_per_trial = 2 if config.architecture == PARALLEL2 else 1
-    cfg = ChannelConfig(
-        kind=BPSK_AWGN, ebn0_db=ebn0_db, master_seed=seed,
-        code_rate=spec.k_info / spec.n_bits,
-    )
+    cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=ebn0_db, master_seed=seed)
     _, llrs = draw_trials(spec, cfg, trials * frames_per_trial)
     q_llrs = quantize(llrs, config.q, scale)
     reference, _ = sc_decode_batch(q_llrs, spec, MODE_MINSUM_Q, q=config.q)
-    result = run(config, [q_llrs[0::2], q_llrs[1::2]] if frames_per_trial == 2 else q_llrs)
+    got = decode_frames(config, q_llrs)
     # wrong[t, s]: stream s of trial t diverged
-    wrong = np.stack([np.any(got != reference[s::frames_per_trial], axis=1)
-                      for s, got in enumerate(result.decisions)], axis=1)
+    wrong = np.any(got != reference, axis=1).reshape(trials, frames_per_trial)
     first_divergence = None
     if wrong.any():
         t, s = (int(i) for i in np.argwhere(wrong)[0])
-        got = result.decisions[s][t]
-        want = reference[t * frames_per_trial + s]
+        frame = t * frames_per_trial + s
         first_divergence = {
             "trial": t,
             "stream": s,
-            "first_bit_index": int(np.argmax(got != want)) + 1,
-            "sim": got.tolist(),
-            "reference": want.tolist(),
+            "first_bit_index": int(np.argmax(got[frame] != reference[frame])) + 1,
+            "sim": got[frame].tolist(),
+            "reference": reference[frame].tolist(),
         }
     mismatches = int(wrong.any(axis=1).sum())
     return EquivalenceReport(

@@ -18,15 +18,14 @@ from .code import encode
 from .errors import InvalidParameterError
 from .llr import (
     MAX_LLR,
-    MODE_EXACT,
-    MODE_MINSUM,
     MODE_MINSUM_Q,
+    MODES,
     clip_llr,
     quantize,
     sc_decode_batch,  # unused here; perfbench/spans.py wraps it on this module
     ssc_decode_batch,
 )
-from .schedule import ARCHITECTURES, PARALLEL2
+from .schedule import ARCHITECTURES
 
 NOISELESS = "noiseless"
 BPSK_AWGN = "bpsk_awgn"
@@ -36,24 +35,17 @@ FUNCTIONAL = "functional"
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Channel kind, operating point, code rate, and the master seed."""
+    """Channel kind, operating point, and the master seed."""
 
     kind: str
     ebn0_db: float
     master_seed: int
-    code_rate: float = 0.5
 
     def __post_init__(self):
         if self.kind not in (NOISELESS, BPSK_AWGN):
             raise InvalidParameterError(f"unknown channel kind {self.kind!r}")
         if not np.isfinite(self.ebn0_db):
             raise InvalidParameterError("ebn0_db must be finite")
-        if not (0.0 < self.code_rate <= 1.0):
-            raise InvalidParameterError("code_rate must lie in (0, 1]")
-
-    @property
-    def noise_variance(self):
-        return 1.0 / (2.0 * self.code_rate * 10.0 ** (self.ebn0_db / 10.0))
 
 
 def trial_rng(master_seed, trial):
@@ -62,24 +54,6 @@ def trial_rng(master_seed, trial):
         raise InvalidParameterError(f"seed must be non-negative, got {master_seed}")
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial),))
     return np.random.default_rng(seq)
-
-
-def _bpsk_llrs(codeword, cfg, rng):
-    """Bit 0 maps to +1, bit 1 to -1; the AWGN LLR is 2y/sigma^2, with the
-    noise drawn from ``rng``. The noiseless channel returns saturated
-    +/- MAX_LLR certainties and draws nothing."""
-    symbols = 1.0 - 2.0 * np.asarray(codeword, dtype=np.int64)
-    if cfg.kind == NOISELESS:
-        return symbols * MAX_LLR
-    var = cfg.noise_variance
-    y = symbols + rng.normal(0.0, np.sqrt(var), size=symbols.shape)
-    return clip_llr(2.0 * y / var)
-
-
-def simulate_channel(codeword, cfg, trial):
-    """BPSK-modulate a codeword and return the channel LLR vector, with the
-    noise of the given trial's stream."""
-    return _bpsk_llrs(codeword, cfg, trial_rng(cfg.master_seed, trial))
 
 
 @dataclass(frozen=True)
@@ -114,15 +88,27 @@ def draw_trials(spec, cfg, trials):
     """Messages and channel LLRs for trials 0..trials-1, one rng per trial.
 
     Trial t's stream draws its K message bits first, then its N noise
-    samples.
+    samples; the noiseless channel draws the messages only. Bit 0 maps to
+    +1 and bit 1 to -1. The AWGN LLR is 2y/sigma^2 with sigma^2 =
+    1 / (2 (K/N) Eb/N0), clipped to the rail; the noiseless channel gives
+    +/- MAX_LLR certainties.
     """
-    msgs = np.zeros((trials, spec.k_info), dtype=np.int64)
-    llrs = np.zeros((trials, spec.n_bits), dtype=float)
+    n, k = spec.n_bits, spec.k_info
+    if k < 1:
+        raise InvalidParameterError(f"the channel needs K >= 1 message bits, got K = {k}")
+    awgn = cfg.kind == BPSK_AWGN
+    var = 1.0 / (2.0 * (k / n) * 10.0 ** (cfg.ebn0_db / 10.0))
+    msgs = np.empty((trials, k), dtype=np.int64)
+    noise = np.empty((trials, n))
     for t in range(trials):
         rng = trial_rng(cfg.master_seed, t)
-        msgs[t] = rng.integers(0, 2, size=spec.k_info)
-        llrs[t] = _bpsk_llrs(encode(msgs[t], spec), cfg, rng)
-    return msgs, llrs
+        msgs[t] = rng.integers(0, 2, size=k)
+        if awgn:
+            noise[t] = rng.normal(0.0, np.sqrt(var), size=n)
+    symbols = 1.0 - 2.0 * encode(msgs, spec)
+    if not awgn:
+        return msgs, symbols * MAX_LLR
+    return msgs, clip_llr(2.0 * (symbols + noise) / var)
 
 
 def _decode_functional(llrs, spec, mode, q, scale):
@@ -133,16 +119,10 @@ def _decode_functional(llrs, spec, mode, q, scale):
 
 def _decode_architecture(llrs, spec, architecture, q, scale):
     # imported here to keep channel usable without the simulator stack
-    from .archsim import SimConfig, run
+    from .archsim import SimConfig, decode_frames
 
-    cfg = SimConfig(spec=spec, q=q, architecture=architecture)
-    q_llrs = quantize(llrs, q, scale)
-    if architecture != PARALLEL2:
-        return run(cfg, q_llrs).decisions[0]
-    # consecutive frames alternate between streams C1 and C2
-    out = np.empty_like(q_llrs)
-    out[0::2], out[1::2] = run(cfg, [q_llrs[0::2], q_llrs[1::2]]).decisions
-    return out
+    return decode_frames(SimConfig(spec=spec, q=q, architecture=architecture),
+                         quantize(llrs, q, scale))
 
 
 def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
@@ -159,17 +139,15 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     for mode in modes:
-        if mode not in (MODE_EXACT, MODE_MINSUM, MODE_MINSUM_Q):
+        if mode not in MODES:
             raise InvalidParameterError(f"unknown mode {mode!r}")
     for arch in architectures:
         if arch not in ARCHITECTURES:
             raise InvalidParameterError(f"unknown architecture {arch!r}")
-    rate = spec.k_info / spec.n_bits
     info_mask = ~spec.frozen_mask
     results = []
     for ebn0 in ebn0_points:
-        cfg = ChannelConfig(kind=channel_kind, ebn0_db=float(ebn0),
-                            master_seed=seed, code_rate=rate)
+        cfg = ChannelConfig(kind=channel_kind, ebn0_db=float(ebn0), master_seed=seed)
         msgs, llrs = draw_trials(spec, cfg, trials)
         decoders = [(m, None) for m in modes] + [(MODE_MINSUM_Q, a) for a in architectures]
         for mode, arch in decoders:

@@ -190,7 +190,6 @@ def _cmd_simulate(args):
     cfg = channel.ChannelConfig(
         kind=channel.BPSK_AWGN if args.ebn0 else channel.NOISELESS,
         ebn0_db=args.ebn0_value, master_seed=args.seed,
-        code_rate=spec.k_info / spec.n_bits,
     )
     frames = 2 if config.architecture == archsim.PARALLEL2 else 1
     _, float_llrs = channel.draw_trials(spec, cfg, frames)

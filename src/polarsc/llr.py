@@ -26,7 +26,7 @@ MAX_LLR = 50.0
 MODE_EXACT = "exact"
 MODE_MINSUM = "minsum"
 MODE_MINSUM_Q = "minsum_q"
-_MODES = (MODE_EXACT, MODE_MINSUM, MODE_MINSUM_Q)
+MODES = (MODE_EXACT, MODE_MINSUM, MODE_MINSUM_Q)
 
 
 def qmax(q):
@@ -68,11 +68,6 @@ def as_quantized(llrs, q):
     return raw.astype(np.int64)
 
 
-def _sign(x):
-    # sgn(0) = +1
-    return np.where(np.asarray(x) < 0, -1, 1)
-
-
 def f_minsum(a, b):
     """Min-sum combine: sgn(a) * sgn(b) * min(|a|, |b|).
 
@@ -81,7 +76,8 @@ def f_minsum(a, b):
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    return _sign(a) * _sign(b) * np.minimum(np.abs(a), np.abs(b))
+    m = np.minimum(np.abs(a), np.abs(b))
+    return np.where((a < 0) ^ (b < 0), -m, m)
 
 
 def f_exact(a, b):
@@ -93,10 +89,10 @@ def f_exact(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    sign = np.where((a < 0) ^ (b < 0), -1.0, 1.0)
     lo = np.minimum(np.abs(a), np.abs(b))
-    out = _sign(a) * _sign(b) * lo
-    out = out + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    out = np.where(lo >= MAX_LLR, _sign(a) * _sign(b) * MAX_LLR, out)
+    out = sign * lo + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    out = np.where(lo >= MAX_LLR, sign * MAX_LLR, out)
     return clip_llr(out)
 
 
@@ -128,7 +124,7 @@ def quantize(x, q, scale=1.0):
     a = np.abs(saturate(y, q))  # saturating first keeps +/-inf out of the rounding
     mag = np.rint(a)  # ties to even; a - mag is exact, so exact halves move up
     mag += a - mag == 0.5
-    return (_sign(y) * mag).astype(np.int64)
+    return np.where(y < 0, -mag, mag).astype(np.int64)
 
 
 def decide(llr, index, spec):
@@ -165,31 +161,26 @@ class DecodeTrace:
 
 
 def _sc_block(llrs, index0, spec, f_fun, g_fun, u_out, llr_out):
-    """Depth-first SC over one block; returns the block's u bits and its
-    re-encoded codeword bits (the partial sums for the parent's g)."""
+    """Depth-first SC over one block, deciding into ``u_out``; returns the
+    block's re-encoded codeword bits (the partial sums for the parent's g)."""
     n = llrs.shape[1]
     if n == 1:
         pos = index0 - 1
         u_out[:, pos] = decide(llrs[:, 0], index0, spec)
         llr_out[:, pos] = llrs[:, 0]
-        bits = u_out[:, pos:pos + 1]
-        return bits, bits
+        return u_out[:, pos:pos + 1]
     half = n // 2
     a, b = llrs[:, :half], llrs[:, half:]
-    u_left, x_left = _sc_block(f_fun(a, b), index0, spec, f_fun, g_fun, u_out, llr_out)
-    u_right, x_right = _sc_block(
-        g_fun(a, b, x_left), index0 + half, spec, f_fun, g_fun, u_out, llr_out
-    )
-    return (
-        np.concatenate([u_left, u_right], axis=1),
-        np.concatenate([x_left ^ x_right, x_right], axis=1),
-    )
+    x_left = _sc_block(f_fun(a, b), index0, spec, f_fun, g_fun, u_out, llr_out)
+    x_right = _sc_block(g_fun(a, b, x_left), index0 + half, spec, f_fun, g_fun,
+                        u_out, llr_out)
+    return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
 
 def _checked_input(channel_llrs, spec, mode, q):
     """Validate a decoder's (batch, N) input; return it in the mode's
     arithmetic with the mode's f and g."""
-    if mode not in _MODES:
+    if mode not in MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
     llrs = np.asarray(channel_llrs)
     if llrs.ndim != 2 or llrs.shape[1] != spec.n_bits:
@@ -320,15 +311,12 @@ def _lr_block(lrs, index0, spec, u_out, lnlr_out):
             bit = 0 if lrs[0] >= 1.0 else 1
         u_out[pos] = bit
         lnlr_out[pos] = np.log(lrs[0])
-        return np.array([bit]), np.array([bit])
+        return np.array([bit])
     half = n // 2
     a, b = lrs[:half], lrs[half:]
-    u_left, x_left = _lr_block(_lr_f(a, b), index0, spec, u_out, lnlr_out)
-    u_right, x_right = _lr_block(_lr_g(a, b, x_left), index0 + half, spec, u_out, lnlr_out)
-    return (
-        np.concatenate([u_left, u_right]),
-        np.concatenate([x_left ^ x_right, x_right]),
-    )
+    x_left = _lr_block(_lr_f(a, b), index0, spec, u_out, lnlr_out)
+    x_right = _lr_block(_lr_g(a, b, x_left), index0 + half, spec, u_out, lnlr_out)
+    return np.concatenate([x_left ^ x_right, x_right])
 
 
 def lr_recursion_prob(channel_lrs, spec):

@@ -223,8 +223,7 @@ def test_c10_end_to_end_coding_sanity():
     trials = 10_000
     bers = []
     for ebn0 in (0.0, 1.0, 2.0, 3.0):
-        cfg = ChannelConfig(kind="bpsk_awgn", ebn0_db=ebn0, master_seed=101,
-                            code_rate=0.5)
+        cfg = ChannelConfig(kind="bpsk_awgn", ebn0_db=ebn0, master_seed=101)
         msgs, llrs = draw_trials(spec, cfg, trials)
         u_hat, _ = sc_decode_batch(llrs, spec, "exact")
         errors = int(np.sum(u_hat[:, ~spec.frozen_mask] != msgs))

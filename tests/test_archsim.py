@@ -24,8 +24,7 @@ from polarsc.channel import ChannelConfig, draw_trials
 
 
 def noisy_llrs(spec, seed, ebn0_db=1.0, frames=1):
-    cfg = ChannelConfig(kind="bpsk_awgn", ebn0_db=ebn0_db, master_seed=seed,
-                        code_rate=spec.k_info / spec.n_bits)
+    cfg = ChannelConfig(kind="bpsk_awgn", ebn0_db=ebn0_db, master_seed=seed)
     _, llrs = draw_trials(spec, cfg, frames)
     return llrs
 

@@ -3,16 +3,22 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CMD = [sys.executable, "-m", "polarsc"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, env=env)
 
 
 def parse_csv(text):

@@ -37,7 +37,24 @@ class TestFMinsum:
         a = rng.normal(size=500)
         b = rng.normal(size=500)
         assert np.allclose(f_minsum(a, b), f_minsum(b, a))
-        assert np.all(np.sign(f_minsum(a, b)) == np.sign(a) * np.sign(b))
+        edge = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf])
+        ints = np.array([0, 3, -3, 31, -31], dtype=np.int64)
+        cases = [
+            (a, b),
+            (edge[:, None], edge[None, :]),  # every pair, by broadcasting
+            (ints[:, None], ints[None, :]),
+            (ints, 7),
+            (-0.0, -2.5), (3, -2), (-4, -4),  # Python scalars
+        ]
+        for x, y in cases:
+            got = f_minsum(x, y)
+            xs, ys = np.broadcast_arrays(x, y)
+            # sgn(a) * sgn(b) * min(|a|, |b|) with sgn(0) = sgn(-0.0) = +1
+            want = [(1 if p >= 0 else -1) * (1 if r >= 0 else -1) * min(abs(p), abs(r))
+                    for p, r in zip(xs.ravel().tolist(), ys.ravel().tolist())]
+            assert got.dtype == np.result_type(x, y) and got.shape == xs.shape
+            assert got.ravel().tolist() == want
+            assert np.array_equal(np.signbit(got.ravel()), np.signbit(want))
 
     def test_integer_dtype_preserved(self):
         out = f_minsum(np.array([3, -7]), np.array([-2, -9]))
