@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, draw_trials, BPSK_AWGN
+from .channel import ChannelConfig, draw_trials, require_count, BPSK_AWGN
 from .code import require_power_of_two
 from .errors import InvalidParameterError, SchedulingError
 from .gates import WordQ, merged_pe
@@ -358,8 +358,7 @@ def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
     run, and each is compared against the functional reference on the very
     same quantized inputs. Returns a report rather than raising.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    trials = require_count(trials, 1)
     spec = config.spec
     frames_per_trial = 2 if config.architecture == PARALLEL2 else 1
     cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=ebn0_db, master_seed=seed)

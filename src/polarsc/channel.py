@@ -4,7 +4,9 @@ Per-trial determinism: the random stream of trial t is derived from
 (master_seed, t) through numpy's SeedSequence spawn mechanism
 (``SeedSequence(master_seed).spawn`` keyed by the trial index), so results
 do not depend on execution order and trials can be split across workers
-without changing aggregate counts.
+without changing aggregate counts. A sweep reads each stream once, maps it
+to every operating point, and decodes a chunk of trials at all points in
+one call per decoder.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ NOISELESS = "noiseless"
 BPSK_AWGN = "bpsk_awgn"
 
 FUNCTIONAL = "functional"
+
+_CHUNK_ELEMENTS = 1 << 18  # points x trials x N per decode call; bounds a sweep's memory
 
 
 @dataclass(frozen=True)
@@ -84,31 +88,47 @@ class SweepResult:
         }
 
 
-def draw_trials(spec, cfg, trials):
-    """Messages and channel LLRs for trials 0..trials-1, one rng per trial.
+def require_count(trials, minimum=0):
+    """``trials`` as an int; InvalidParameterError unless an integer >= ``minimum``."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < minimum:
+        raise InvalidParameterError(f"trials must be an integer >= {minimum}, got {trials!r}")
+    return int(trials)
 
-    Trial t's stream draws its K message bits first, then its N noise
-    samples; the noiseless channel draws the messages only. Bit 0 maps to
-    +1 and bit 1 to -1. The AWGN LLR is 2y/sigma^2 with sigma^2 =
-    1 / (2 (K/N) Eb/N0), clipped to the rail; the noiseless channel gives
-    +/- MAX_LLR certainties.
-    """
+
+def _draw(spec, kind, master_seed, trials, ebn0_points):
+    """Messages of the trials in the range ``trials``, and their channel
+    LLRs at each Eb/N0 point, stacked point after point."""
     n, k = spec.n_bits, spec.k_info
     if k < 1:
         raise InvalidParameterError(f"the channel needs K >= 1 message bits, got K = {k}")
-    awgn = cfg.kind == BPSK_AWGN
-    var = 1.0 / (2.0 * (k / n) * 10.0 ** (cfg.ebn0_db / 10.0))
-    msgs = np.empty((trials, k), dtype=np.int64)
-    noise = np.empty((trials, n))
-    for t in range(trials):
-        rng = trial_rng(cfg.master_seed, t)
-        msgs[t] = rng.integers(0, 2, size=k)
+    awgn = kind == BPSK_AWGN
+    msgs = np.empty((len(trials), k), dtype=np.int64)
+    normals = np.empty((len(trials), n)) if awgn else None
+    for i, t in enumerate(trials):
+        rng = trial_rng(master_seed, t)
+        msgs[i] = rng.integers(0, 2, size=k)
         if awgn:
-            noise[t] = rng.normal(0.0, np.sqrt(var), size=n)
+            normals[i] = rng.standard_normal(n)
     symbols = 1.0 - 2.0 * encode(msgs, spec)
-    if not awgn:
-        return msgs, symbols * MAX_LLR
-    return msgs, clip_llr(2.0 * (symbols + noise) / var)
+    llrs = np.empty((len(ebn0_points), len(trials), n))
+    for p, ebn0 in enumerate(ebn0_points):
+        var = 1.0 / (2.0 * (k / n) * 10.0 ** (ebn0 / 10.0))
+        llrs[p] = (clip_llr(2.0 * (symbols + np.sqrt(var) * normals) / var) if awgn
+                   else symbols * MAX_LLR)
+    return msgs, llrs.reshape(-1, n)
+
+
+def draw_trials(spec, cfg, trials):
+    """Messages and channel LLRs for trials 0..trials-1, one rng per trial.
+
+    Trial t's stream draws its K message bits, then N standard normals z
+    (AWGN only). Bit 0 maps to +1 and bit 1 to -1. The AWGN LLR is
+    2(x + sigma z)/sigma^2, sigma^2 = 1 / (2 (K/N) Eb/N0), clipped to the
+    rail (sigma z equals numpy's ``normal(0, sigma)`` on that stream); the
+    noiseless channel gives +/- MAX_LLR certainties.
+    """
+    return _draw(spec, cfg.kind, cfg.master_seed, range(require_count(trials)),
+                 [cfg.ebn0_db])
 
 
 def _decode_functional(llrs, spec, mode, q, scale):
@@ -125,6 +145,22 @@ def _decode_architecture(llrs, spec, architecture, q, scale):
                          quantize(llrs, q, scale))
 
 
+def _chunk_errors(spec, cfgs, decoders, trials, q, scale):
+    """(points, decoders, 2) bit and frame error counts on the trials in
+    the range ``trials``, every point decoded in one call per decoder."""
+    msgs, llrs = _draw(spec, cfgs[0].kind, cfgs[0].master_seed, trials,
+                       [c.ebn0_db for c in cfgs])
+    errors = np.zeros((len(cfgs), len(decoders), 2), dtype=np.int64)
+    for d, (mode, arch) in enumerate(decoders):
+        u_hat = (_decode_functional(llrs, spec, mode, q, scale) if arch is None
+                 else _decode_architecture(llrs, spec, arch, q, scale))
+        decoded = u_hat[:, ~spec.frozen_mask].reshape(len(cfgs), len(trials), -1)
+        for p, point in enumerate(decoded):
+            wrong = point != msgs
+            errors[p, d] = wrong.sum(), wrong.any(axis=1).sum()
+    return errors
+
+
 def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
               channel_kind=BPSK_AWGN, q=6, scale=1.0):
     """Monte-Carlo sweep over operating points, modes, and decoders.
@@ -134,41 +170,36 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     ("conventional", "lookahead", "parallel2"), each run in quantized
     min-sum arithmetic. Every decoder sees the identical per-trial LLR
     vectors, so matching seeds give matching error counts across decoders
-    that are exact re-schedulings of each other.
+    that are exact re-schedulings of each other. The counts do not depend
+    on how the trials are split into chunks.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    trials = require_count(trials, 1)
     for mode in modes:
         if mode not in MODES:
             raise InvalidParameterError(f"unknown mode {mode!r}")
     for arch in architectures:
         if arch not in ARCHITECTURES:
             raise InvalidParameterError(f"unknown architecture {arch!r}")
-    info_mask = ~spec.frozen_mask
-    results = []
-    for ebn0 in ebn0_points:
-        cfg = ChannelConfig(kind=channel_kind, ebn0_db=float(ebn0), master_seed=seed)
-        msgs, llrs = draw_trials(spec, cfg, trials)
-        decoders = [(m, None) for m in modes] + [(MODE_MINSUM_Q, a) for a in architectures]
-        for mode, arch in decoders:
-            if arch is None:
-                u_hat = _decode_functional(llrs, spec, mode, q, scale)
-                label = FUNCTIONAL
-            else:
-                u_hat = _decode_architecture(llrs, spec, arch, q, scale)
-                label = arch
-            decoded_msgs = u_hat[:, info_mask]
-            bit_err = int(np.sum(decoded_msgs != msgs))
-            frame_err = int(np.sum(np.any(decoded_msgs != msgs, axis=1)))
-            results.append(SweepResult(
-                ebn0_db=float(ebn0), trials=trials,
-                bit_errors=bit_err, frame_errors=frame_err,
-                ber=bit_err / (trials * spec.k_info),
-                fer=frame_err / trials,
-                mode=mode, q=q if mode == MODE_MINSUM_Q else None,
-                architecture=label,
-            ))
-    return results
+    cfgs = [ChannelConfig(kind=channel_kind, ebn0_db=float(e), master_seed=seed)
+            for e in ebn0_points]
+    if not cfgs:
+        return []
+    decoders = [(m, None) for m in modes] + [(MODE_MINSUM_Q, a) for a in architectures]
+    chunk = max(1, _CHUNK_ELEMENTS // (len(cfgs) * spec.n_bits))
+    errors = sum(_chunk_errors(spec, cfgs, decoders, range(t, min(t + chunk, trials)), q, scale)
+                 for t in range(0, trials, chunk))
+    return [
+        SweepResult(
+            ebn0_db=cfg.ebn0_db, trials=trials,
+            bit_errors=bit_err, frame_errors=frame_err,
+            ber=bit_err / (trials * spec.k_info),
+            fer=frame_err / trials,
+            mode=mode, q=q if mode == MODE_MINSUM_Q else None,
+            architecture=FUNCTIONAL if arch is None else arch,
+        )
+        for cfg, point in zip(cfgs, errors.tolist())
+        for (mode, arch), (bit_err, frame_err) in zip(decoders, point)
+    ]
 
 
 def sweep_results_to_json(results):

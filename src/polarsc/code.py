@@ -10,6 +10,7 @@ partial-sum network.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +175,7 @@ def encode(message, spec):
             f"message length must be {spec.k_info}, got {msg.shape[-1]}"
         )
     batch_shape = msg.shape[:-1]
-    msg = msg.reshape(-1, spec.k_info)
+    msg = msg.reshape(math.prod(batch_shape), spec.k_info)
     u = np.zeros((msg.shape[0], spec.n_bits), dtype=np.int64)
     u[:, ~spec.frozen_mask] = msg
     u[:, spec.frozen_mask] = spec.frozen_value_array[spec.frozen_mask]

@@ -243,8 +243,11 @@ class TestBadInput:
         ("encode", "--n", "8", "--seed", "-1"),
         ("simulate", "--n", "8", "--trials", "0"),
         ("simulate", "--n", "8", "--trials", "-3"),
+        ("ber", "--n", "8", "--trials", "0"),
+        ("ber", "--n", "8", "--trials", "-1"),
     ], ids=["cost-q55", "decode-q55", "ber-ebn0", "simulate-ebn0", "negative-seed",
-            "simulate-zero-trials", "simulate-negative-trials"])
+            "simulate-zero-trials", "simulate-negative-trials", "ber-zero-trials",
+            "ber-negative-trials"])
     def test_bad_numbers_exit_1(self, capsys, argv):
         assert self.main(capsys, *argv)[0] == 1
 

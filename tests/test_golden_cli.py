@@ -25,6 +25,12 @@ CASES = {
          "--q", "5", "--scale", "1.5", "--format", "csv", *_MODES, *_ARCHS],
         "2f63253619c665749cc4d9d102768f217d716953754159d9c8bf9684d035265c",
     ),
+    "ber-chunks-csv": (  # 12000 trials at N=16 and 3 points span three decode chunks
+        ["ber", "--n", "16", "--k", "8", "--ebn0", "1,2.5,4", "--trials", "12000",
+         "--seed", "6", "--format", "csv", "--mode", "minsum", "--mode", "minsum-q",
+         "--arch", "parallel2"],
+        "a346c39fa54c07d55a8e606ca1b6857e0803c3271714e6df6f5631f3f820edaf",
+    ),
     "ber-noiseless-json": (
         ["ber", "--n", "16", "--k", "4", "--trials", "5", "--noiseless",
          *_MODES, *_ARCHS],

@@ -1,6 +1,8 @@
 """Channel model, per-trial determinism, and Monte-Carlo sweeps."""
 
 import dataclasses
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,12 +12,19 @@ from polarsc import (
     CodeSpec,
     InvalidParameterError,
     MAX_LLR,
+    SimConfig,
     ber_sweep,
+    channel,
     encode,
     make_code_spec,
+    quantize,
+    sc_decode_batch,
     trial_rng,
+    verify_equivalence,
 )
 from polarsc.channel import BPSK_AWGN, NOISELESS, draw_trials
+from polarsc.llr import MODES
+from polarsc.schedule import ARCHITECTURES
 
 
 def reference_trials(spec, cfg, trials):
@@ -172,3 +181,120 @@ class TestBerSweep:
         d = r.to_json_dict()
         assert set(d) == {"ebn0_db", "trials", "bit_errors", "frame_errors",
                           "ber", "fer", "mode", "q", "architecture"}
+
+
+class TestTrialCounts:
+    """One count check guards draw_trials, ber_sweep and verify_equivalence."""
+
+    @pytest.mark.parametrize("trials", [-1, 2.5, True, np.bool_(True), "3", None],
+                             ids=["negative", "fraction", "bool", "numpy-bool", "str", "none"])
+    def test_bad_counts_rejected(self, trials):
+        spec = make_code_spec(16, 8)
+        cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=1.0, master_seed=0)
+        with pytest.raises(InvalidParameterError):
+            draw_trials(spec, cfg, trials)
+        with pytest.raises(InvalidParameterError):
+            ber_sweep(spec, ["minsum"], [], [1.0], trials, seed=0)
+        with pytest.raises(InvalidParameterError):
+            verify_equivalence(SimConfig(spec, 6, "lookahead"), trials, seed=0)
+
+    def test_numpy_integers_accepted(self):
+        spec = make_code_spec(16, 8)
+        cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=1.0, master_seed=0)
+        assert draw_trials(spec, cfg, np.int64(3))[1].shape == (3, 16)
+        (r,) = ber_sweep(spec, ["minsum"], [], [1.0], np.int32(3), seed=0)
+        assert r.trials == 3 and type(r.trials) is int
+        report = verify_equivalence(SimConfig(spec, 6, "lookahead"), np.uint8(2), seed=0)
+        assert report.trials == 2 and type(report.trials) is int
+
+
+class TestSweepChunks:
+    """ber_sweep draws each trial once and decodes chunks of trials with
+    all operating points stacked; none of that may show in the counts."""
+
+    @staticmethod
+    def set_chunk(monkeypatch, trials_per_chunk, points, spec):
+        monkeypatch.setattr(channel, "_CHUNK_ELEMENTS",
+                            trials_per_chunk * points * spec.n_bits)
+
+    @pytest.mark.parametrize("kind", [BPSK_AWGN, NOISELESS])
+    @pytest.mark.parametrize("trials", [7, 11])
+    def test_counts_do_not_depend_on_chunk_size(self, monkeypatch, kind, trials):
+        spec = make_code_spec(16, 8)
+        points = [0.0, 1.5, 3.0]
+
+        def sweep():
+            return ber_sweep(spec, list(MODES), list(ARCHITECTURES), points, trials,
+                             seed=5, channel_kind=kind, q=5, scale=1.5)
+
+        whole = sweep()  # the default budget holds all trials in one chunk
+        assert [(r.ebn0_db, r.mode, r.architecture) for r in whole] == [
+            (e, m, a) for e in points
+            for m, a in [(m, "functional") for m in MODES]
+            + [("minsum_q", a) for a in ARCHITECTURES]]
+        if kind == BPSK_AWGN:
+            assert sum(r.bit_errors for r in whole) > 0
+        for per_chunk in (1, 3):  # 3 divides neither trial count
+            self.set_chunk(monkeypatch, per_chunk, len(points), spec)
+            assert sweep() == whole, per_chunk
+
+    def test_each_trial_drawn_once_and_encoded_once_per_chunk(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(channel, "trial_rng", counted("trial_rng", channel.trial_rng))
+        monkeypatch.setattr(channel, "encode", counted("encode", channel.encode))
+        spec = make_code_spec(16, 8)
+        points = [0.0, 1.0, 2.0]
+
+        def sweep():
+            calls.clear()
+            ber_sweep(spec, ["minsum"], ["lookahead"], points, trials=10, seed=1)
+            return dict(calls)
+
+        assert sweep() == {"trial_rng": 10, "encode": 1}
+        self.set_chunk(monkeypatch, 4, len(points), spec)
+        assert sweep() == {"trial_rng": 10, "encode": 3}
+
+    @pytest.mark.parametrize("q, scale", [(6, 1.0), (4, 0.6)])
+    def test_counts_match_the_full_recursion_oracle(self, q, scale):
+        spec = make_code_spec(32, 16)
+        points, trials, seed = [0.5, 2.0, 3.5], 13, 9
+        results = ber_sweep(spec, list(MODES), list(ARCHITECTURES), points, trials,
+                            seed=seed, q=q, scale=scale)
+        got = {(r.ebn0_db, r.mode, r.architecture): (r.bit_errors, r.frame_errors)
+               for r in results}
+        for ebn0 in points:
+            msgs, llrs = draw_trials(spec, ChannelConfig(BPSK_AWGN, ebn0, seed), trials)
+            want = {}
+            for mode in MODES:
+                if mode == "minsum_q":
+                    u_hat, _ = sc_decode_batch(quantize(llrs, q, scale), spec, mode, q=q)
+                else:
+                    u_hat, _ = sc_decode_batch(llrs, spec, mode)
+                wrong = u_hat[:, ~spec.frozen_mask] != msgs
+                want[mode] = (int(wrong.sum()), int(wrong.any(axis=1).sum()))
+                assert got[(ebn0, mode, "functional")] == want[mode], (ebn0, mode)
+            for arch in ARCHITECTURES:
+                assert got[(ebn0, "minsum_q", arch)] == want["minsum_q"], (ebn0, arch)
+        assert sum(bits for bits, _ in got.values()) > 0
+
+    def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
+        spec = make_code_spec(64, 32)
+        points = [1.0, 2.0]
+        self.set_chunk(monkeypatch, 128, len(points), spec)
+        ber_sweep(spec, ["minsum_q"], ["lookahead"], points, 2, seed=1)  # warm caches
+        peaks = []
+        for trials in (128, 8 * 128):
+            tracemalloc.start()
+            try:
+                ber_sweep(spec, ["minsum_q"], ["lookahead"], points, trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks

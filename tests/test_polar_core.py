@@ -124,6 +124,15 @@ class TestEncode:
         with pytest.raises(InvalidParameterError):
             encode([1, 0, 1], spec)
 
+    def test_zero_information_bits_give_the_frozen_codeword(self):
+        values = (1, 0, 1, 1, 0, 0, 1, 0)
+        spec = CodeSpec(8, 0, tuple(range(1, 9)), values)
+        want = polar_transform(np.array(values))
+        single = encode([], spec)
+        assert single.shape == (8,) and np.array_equal(single, want)
+        batch = encode(np.zeros((3, 0)), spec)
+        assert batch.shape == (3, 8) and np.array_equal(batch, np.tile(want, (3, 1)))
+
 
 class TestCodeSpec:
     def test_json_round_trip(self):
