@@ -17,8 +17,9 @@ checked steps with no further checks, each step on a whole
 (batch, N) array of frames at once; a single frame is a batch of one.
 
 Arithmetic is saturating q-bit integer min-sum, bit-identical to the
-functional quantized decoder; optionally each PE can be evaluated through
-the gate-level models instead (slower, used for cross-checks).
+functional quantized decoder; optionally all PEs of a firing, in every
+frame, go through one bit-sliced call of the gate-level models instead
+(slower, used for cross-checks).
 """
 
 from __future__ import annotations
@@ -204,14 +205,6 @@ def check_schedule(config):
     return steps, activity, peak
 
 
-def _gate_eval(a, b, q):
-    """Evaluate (f, g0, g1) through the bit-true gate models, elementwise."""
-    words = [merged_pe(WordQ(x, q), WordQ(y, q))
-             for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
-    return tuple(np.array([w[i].value for w in words], dtype=np.int64).reshape(a.shape)
-                 for i in range(3))
-
-
 def run(config, channel_llrs):
     """Execute the configured architecture on quantized channel LLRs.
 
@@ -277,7 +270,7 @@ def run(config, channel_llrs):
             sel = psums[s].selection_bits(stage)
             outs = (g_update(a, b, sel, q=q),)
         elif config.use_gate_pes:
-            outs = _gate_eval(a, b, q)
+            outs = tuple(w.value for w in merged_pe(WordQ(a, q), WordQ(b, q)))
         else:
             outs = (f_minsum(a, b), saturate(a + b, q), saturate(b - a, q))
         bufs[s][stage] = outs

@@ -4,6 +4,13 @@ The datapath is two's complement; the sign/magnitude view needed by the
 min-sum PE is derived explicitly. Saturation is a post-stage clamp to the
 symmetric q-bit range, so the 1-bit cells stay pure combinational logic.
 
+The models run on q bit-planes, LSB first (bitslicing; Biham, FSE 1997).
+For a ``WordQ`` holding an int (one PE) a plane is one bit; for one holding
+an int64 array (one PE per element) plane i is a Python int whose bit j is
+bit i of element j, in row-major order. The cells use only AND, OR and XOR,
+with each NOT ANDed with a non-negative operand (``~x & y``), so no width
+mask is needed and the same logic evaluates one PE or a whole array.
+
 Two accounting schemes coexist in ``gate_count``:
 
 * ``merged_pe`` / ``reference_pe`` return the published per-PE rows of the
@@ -17,7 +24,10 @@ Two accounting schemes coexist in ``gate_count``:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParameterError
 from .llr import qmax
@@ -25,39 +35,78 @@ from .llr import qmax
 
 @dataclass(frozen=True)
 class WordQ:
-    """q-bit two's-complement word."""
+    """q-bit two's-complement word: an int, or an int64 array of words."""
 
-    value: int
+    value: int | np.ndarray
     q: int
 
     def __post_init__(self):
-        hi = qmax(self.q)
-        lo = -hi - 1
-        if not (lo <= self.value <= hi):
-            raise InvalidParameterError(
-                f"value {self.value} outside q={self.q} range [{lo}, {hi}]"
-            )
+        hi, v = qmax(self.q), self.value
+        if isinstance(v, np.ndarray):
+            if v.dtype.type is not np.int64:
+                raise InvalidParameterError(f"array words must be int64, got {v.dtype}")
+            # in range iff v + 2^(q-1) lies in [0, 2^q); a wrapped sum is negative
+            v = v[(v < -hi - 1) | (v > hi)][0] if np.count_nonzero((v + (hi + 1)) >> self.q) else 0
+        if not -hi - 1 <= v <= hi:
+            raise InvalidParameterError(f"value {v} outside q={self.q} range [{-hi - 1}, {hi}]")
 
     def bits(self):
-        """LSB-first bit list of the two's-complement pattern."""
-        pattern = self.value & ((1 << self.q) - 1)
-        return [(pattern >> i) & 1 for i in range(self.q)]
+        """LSB-first list of the q bit-planes of the two's-complement pattern."""
+        return _planes(self)[0][0]
 
     @classmethod
     def from_bits(cls, bits):
-        q = len(bits)
-        pattern = sum(b << i for i, b in enumerate(bits))
-        if pattern >= (1 << (q - 1)):
-            pattern -= 1 << q
-        return cls(pattern, q)
+        """Inverse of ``bits`` for an int word."""
+        return cls(_words([bits], None)[0].value, len(bits))
 
     def to_llrq(self):
         """Clamp the one non-symmetric pattern -2^(q-1) to -(2^(q-1)-1)."""
-        return WordQ(max(self.value, -qmax(self.q)), self.q)
+        return WordQ(np.maximum(self.value, -qmax(self.q)), self.q)
+
+
+# Bit i of a word weighs 2^i, except the sign bit, which weighs -2^(q-1).
+_BIT = 1 << np.arange(54, dtype=np.int64)
+_WEIGHTS = {q: np.append(_BIT[:q - 1], -_BIT[q - 1]) for q in range(2, 55)}
+
+
+def _planes(*words):
+    """LSB-first bit-planes of each of some words of one width and shape,
+    and that shape (None for int words); array words pack in one pass."""
+    kinds = {(w.q, w.value.shape if isinstance(w.value, np.ndarray) else None) for w in words}
+    if len(kinds) > 1:
+        raise InvalidParameterError("operands must share the same width and shape")
+    ((q, shape),) = kinds
+    if shape is None:
+        return [[(w.value >> i) & 1 for i in range(q)] for w in words], shape
+    n, k = len(words), math.prod(shape)
+    v = np.concatenate([w.value for w in words], axis=None).reshape(n, 1, k)
+    raw = np.packbits(v & _BIT[:q, None], axis=2, bitorder="little").tobytes()
+    nb = (k + 7) // 8
+    rows = [int.from_bytes(raw[i * nb:(i + 1) * nb], "little") for i in range(n * q)]
+    return [rows[j * q:(j + 1) * q] for j in range(n)], shape
+
+
+def _words(plane_lists, shape):
+    """Inverse of ``_planes``, unpacking all arrays in one pass. Values read
+    from q planes are in range, so the words skip ``WordQ``'s check."""
+    q = len(plane_lists[0])
+    if shape is None:
+        values = [sum(b << i for i, b in enumerate(p)) - (p[-1] << q) for p in plane_lists]
+    else:
+        k = math.prod(shape)
+        nb = (k + 7) // 8
+        raw = b"".join([p.to_bytes(nb, "little") for planes in plane_lists for p in planes])
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(plane_lists), q, nb)
+        bits = np.unpackbits(rows, axis=2, count=k, bitorder="little")
+        values = [v.reshape(shape) for v in np.dot(_WEIGHTS[q], bits)]
+    words = [object.__new__(WordQ) for _ in values]
+    for word, value in zip(words, values):
+        word.__dict__.update(value=value, q=q)
+    return words
 
 
 def full_addsub_1bit(x, y, z_in):
-    """Fused 1-bit adder-subtractor cell.
+    """Fused 1-bit adder-subtractor cell, on bits or on bit-planes.
 
     Returns (sd, c_out, b_out): the shared sum/difference bit
     x XOR y XOR z_in, the carry-out of x + y + z_in, and the borrow-out of
@@ -67,32 +116,56 @@ def full_addsub_1bit(x, y, z_in):
     p = x ^ y
     sd = p ^ z_in
     c_out = (x & y) | (p & z_in)
-    b_out = ((1 - x) & y) | ((1 - p) & z_in)
+    b_out = (~x & y) | (~p & z_in)
     return sd, c_out, b_out
 
 
-def _ripple_add(xb, yb):
-    """q-bit ripple add; returns (bits, carry_into_msb, carry_out)."""
-    bits = []
-    carry = 0
-    carry_into_msb = 0
-    for i in range(len(xb)):
-        carry_into_msb = carry
-        s, carry, _ = full_addsub_1bit(xb[i], yb[i], carry)
-        bits.append(s)
-    return bits, carry_into_msb, carry
+def _negate_where(bits, neg):
+    """Two's-complement negate where ``neg`` is set: (x XOR neg) + neg."""
+    out, carry = [], neg
+    for b in bits:
+        x = b ^ neg
+        out.append(x ^ carry)
+        carry &= x
+    return out
 
 
-def _ripple_sub(xb, yb):
-    """q-bit ripple subtract x - y; returns (bits, borrow_into_msb, borrow_out)."""
-    bits = []
+def _saturate(bits, overflow, negative):
+    """The two saturation clamps: where ``overflow`` is set the word becomes
+    -qmax if ``negative`` else qmax; the pattern -2^(q-1) becomes -qmax."""
+    msb = (overflow & negative) | (bits[-1] & ~overflow)
+    mid = [(overflow & ~negative) | (b & ~overflow) for b in bits[1:-1]]
+    low = 0
+    for b in mid:
+        low |= b
+    return [overflow | bits[0] | (msb & ~low)] + mid + [msb]
+
+
+def _addsub(xb, yb):
+    """Planes of x + y and y - x, both saturated, from one ripple pass."""
+    sums, diffs, carry, borrow = [], [], 0, 0
+    for x, y in zip(xb, yb):
+        carry_into_msb, borrow_into_msb = carry, borrow
+        s, carry, _ = full_addsub_1bit(x, y, carry)
+        d, _, borrow = full_addsub_1bit(y, x, borrow)
+        sums.append(s)
+        diffs.append(d)
+    # a sum overflows toward the operands' shared sign, a difference toward y's
+    return (_saturate(sums, carry_into_msb ^ carry, xb[-1]),
+            _saturate(diffs, borrow_into_msb ^ borrow, yb[-1]))
+
+
+def _minsum(ab, bb):
+    """Planes of sign(a) XOR sign(b) on min(|a|, |b|), saturated."""
+    # unsigned q-bit magnitudes: |-2^(q-1)| does not fit q-1 bits
+    mag_a, mag_b = _negate_where(ab, ab[-1]), _negate_where(bb, bb[-1])
     borrow = 0
-    borrow_into_msb = 0
-    for i in range(len(xb)):
-        borrow_into_msb = borrow
-        d, _, borrow = full_addsub_1bit(xb[i], yb[i], borrow)
-        bits.append(d)
-    return bits, borrow_into_msb, borrow
+    for x, y in zip(mag_a, mag_b):
+        borrow = full_addsub_1bit(x, y, borrow)[2]  # finally set iff |a| < |b|
+    mag = [(borrow & x) | (y & ~borrow) for x, y in zip(mag_a, mag_b)]
+    sign = ab[-1] ^ bb[-1]
+    # a magnitude of 2^(q-1) overflows the signed range
+    return _saturate(_negate_where(mag, sign), mag[-1], sign)
 
 
 def addsub_q(x, y):
@@ -102,38 +175,8 @@ def addsub_q(x, y):
     pass; two's-complement wrap-around is detected from the carry/borrow
     into and out of the sign position and clamped afterwards.
     """
-    if x.q != y.q:
-        raise InvalidParameterError("operands must share the same width")
-    q = x.q
-    m = qmax(q)
-    xb, yb = x.bits(), y.bits()
-
-    sum_bits, c_in_msb, c_out = _ripple_add(xb, yb)
-    if c_in_msb ^ c_out:  # signed overflow: operands share a sign
-        sum_val = m if xb[-1] == 0 else -m
-    else:
-        sum_val = WordQ.from_bits(sum_bits).value
-        sum_val = max(sum_val, -m)
-
-    diff_bits, b_in_msb, b_out = _ripple_sub(yb, xb)
-    if b_in_msb ^ b_out:  # signed overflow: operands have opposite signs
-        diff_val = m if yb[-1] == 0 else -m
-    else:
-        diff_val = WordQ.from_bits(diff_bits).value
-        diff_val = max(diff_val, -m)
-
-    return WordQ(sum_val, q), WordQ(diff_val, q)
-
-
-def _magnitude_bits(w):
-    """Unsigned magnitude of a two's-complement word, in q bits.
-
-    |-2^(q-1)| does not fit q-1 bits but does fit q unsigned bits.
-    """
-    if w.value >= 0:
-        return [(w.value >> i) & 1 for i in range(w.q)]
-    mag = -w.value
-    return [(mag >> i) & 1 for i in range(w.q)]
+    (xb, yb), shape = _planes(x, y)
+    return tuple(_words(_addsub(xb, yb), shape))
 
 
 def minsum_pe(a, b):
@@ -142,18 +185,8 @@ def minsum_pe(a, b):
     The magnitude comparison is the borrow-out of the shared subtractor
     running |a| - |b|: borrow set means |a| < |b|.
     """
-    if a.q != b.q:
-        raise InvalidParameterError("operands must share the same width")
-    q = a.q
-    mag_a = _magnitude_bits(a)
-    mag_b = _magnitude_bits(b)
-    _, _, borrow = _ripple_sub(mag_a, mag_b)
-    min_bits = mag_a if borrow else mag_b
-    mag = sum(bit << i for i, bit in enumerate(min_bits))
-    sign = (a.bits()[-1]) ^ (b.bits()[-1])
-    val = -mag if (sign and mag != 0) else mag
-    val = max(min(val, qmax(q)), -qmax(q))
-    return WordQ(val, q)
+    (ab, bb), shape = _planes(a, b)
+    return _words([_minsum(ab, bb)], shape)[0]
 
 
 def merged_pe(a, b):
@@ -162,11 +195,10 @@ def merged_pe(a, b):
     f is the min-sum combine; g0 = a + b and g1 = b - a are the two
     precomputed g candidates, saturated. In hardware the min-sum magnitude
     comparator and the difference path share one subtractor; here the same
-    ripple primitives serve both outputs.
+    fused cells serve both outputs.
     """
-    f_out = minsum_pe(a, b)
-    g0, g1 = addsub_q(a, b)
-    return f_out, g0, g1
+    (ab, bb), shape = _planes(a, b)
+    return tuple(_words([_minsum(ab, bb), *_addsub(ab, bb)], shape))
 
 
 @dataclass(frozen=True)

@@ -121,10 +121,12 @@ def quantize(x, q, scale=1.0):
     y = np.asarray(x, dtype=float) * scale
     if np.isnan(y).any():
         raise InvalidParameterError("cannot quantize NaN")
-    a = np.abs(saturate(y, q))  # saturating first keeps +/-inf out of the rounding
+    a = np.asarray(np.abs(y))  # an array even for one value, for the in-place steps
+    np.minimum(a, qmax(q), out=a)  # saturating first keeps +/-inf out of the rounding
     mag = np.rint(a)  # ties to even; a - mag is exact, so exact halves move up
-    mag += a - mag == 0.5
-    return np.where(y < 0, -mag, mag).astype(np.int64)
+    a -= mag
+    mag += a == 0.5
+    return np.copysign(mag, y, out=a).astype(np.int64)
 
 
 def decide(llr, index, spec):
@@ -273,7 +275,9 @@ def ssc_decode_batch(channel_llrs, spec, mode, q=None):
         """One SC step: f into the left half, g into the right half."""
         half = llrs.shape[1] // 2
         a, b = llrs[:, :half], llrs[:, half:]
-        x_left = block(f_fun(a, b), start, u[:, :half])
+        # a Rate-0 left child reads only the width of its input, so skip its f
+        rate0 = frozen_before[start + half] - frozen_before[start] == half
+        x_left = block(a if rate0 else f_fun(a, b), start, u[:, :half])
         x_right = block(g_fun(a, b, x_left), start + half, u[:, half:])
         return np.concatenate([x_left ^ x_right, x_right], axis=1)
 

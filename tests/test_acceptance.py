@@ -36,7 +36,7 @@ from polarsc import (
 )
 from polarsc.channel import ChannelConfig, draw_trials, ber_sweep
 from polarsc.cost import LINE_REFERENCE, PROPOSED
-from polarsc.llr import qmax
+from polarsc.llr import qmax, saturate
 from polarsc.schedule import PE_F, PE_G
 
 POWERS_TO_1024 = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
@@ -132,6 +132,27 @@ def test_c05_bit_true_gate_models():
         assert f.value == f_minsum(a, b)
         assert g0.value == max(-m8, min(m8, a + b))
         assert g1.value == max(-m8, min(m8, b - a))
+    # exhaustive for every q <= 8, one array call per model and q
+    for q in range(2, 9):
+        m = qmax(q)
+        words = np.arange(-m - 1, m + 1)
+        x, y = (v.ravel() for v in np.meshgrid(words, words, indexing="ij"))
+        s, d = addsub_q(WordQ(x, q), WordQ(y, q))
+        assert np.array_equal(s.value, saturate(x + y, q))
+        assert np.array_equal(d.value, saturate(y - x, q))
+        # the full two's-complement range, (-2^(q-1), -2^(q-1)) included
+        f, g0, g1 = merged_pe(WordQ(x, q), WordQ(y, q))
+        assert np.array_equal(f.value, saturate(f_minsum(x, y), q))
+        assert np.array_equal(g0.value, s.value) and np.array_equal(g1.value, d.value)
+        # the symmetric range the datapath runs on: (2^q - 1)^2 pairs
+        sym = (x >= -m) & (y >= -m)
+        a, b = WordQ(x[sym], q), WordQ(y[sym], q)
+        assert a.value.size == (2 * m + 1) ** 2
+        f, g0, g1 = merged_pe(a, b)
+        assert np.array_equal(minsum_pe(a, b).value, f_minsum(a.value, b.value))
+        assert np.array_equal(f.value, f_minsum(a.value, b.value))
+        assert np.array_equal(g0.value, saturate(a.value + b.value, q))
+        assert np.array_equal(g1.value, saturate(b.value - a.value, q))
     _report("criterion 5: bit-true gate models vs integer oracles", t0, 30)
 
 

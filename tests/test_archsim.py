@@ -209,6 +209,20 @@ class TestBatchedRun:
         assert np.array_equal(fast.decisions[0], gated.decisions[0])
         assert np.array_equal(fast.decision_llrs[0], gated.decision_llrs[0])
 
+    @pytest.mark.parametrize("sizes", [(2, 0), (0, 0)])
+    def test_gate_level_pes_on_empty_batches(self, sizes):
+        # a firing on an empty stream evaluates zero-width bit-planes
+        spec = make_code_spec(16, 8)
+        q_llrs = quantize(noisy_llrs(spec, seed=8, frames=2), 6)[:sum(sizes)]
+        blocks = [q_llrs[:sizes[0]], q_llrs[sizes[0]:]]
+        fast = run(SimConfig(spec=spec, q=6, architecture="parallel2"), blocks)
+        gated = run(SimConfig(spec=spec, q=6, architecture="parallel2", use_gate_pes=True),
+                    blocks)
+        assert [d.shape for d in gated.decisions] == [(sizes[0], 16), (sizes[1], 16)]
+        for s in range(2):
+            assert np.array_equal(fast.decisions[s], gated.decisions[s])
+            assert np.array_equal(fast.decision_llrs[s], gated.decision_llrs[s])
+
     def test_trace_rejects_a_batch(self):
         # a trace row has no frame column
         spec = make_code_spec(8, 4)

@@ -16,7 +16,7 @@ from polarsc import (
     minsum_pe,
 )
 from polarsc.gates import sharing_ratio
-from polarsc.llr import qmax
+from polarsc.llr import qmax, saturate
 
 
 def clamp(v, q):
@@ -143,6 +143,7 @@ class TestWordQ:
 
     def test_llrq_clamps_asymmetric_pattern(self):
         assert WordQ(-8, 4).to_llrq().value == -7
+        assert WordQ(np.array([-8, -7, 3]), 4).to_llrq().value.tolist() == [-7, -7, 3]
 
     def test_range_enforced(self):
         with pytest.raises(InvalidParameterError):
@@ -156,6 +157,63 @@ class TestWordQ:
             with pytest.raises(InvalidParameterError):
                 gate_count("merged_pe", q)
         assert gate_count("merged_pe", 54).xor == 9 * 54
+
+
+class TestArrayWords:
+    """One call on int64 arrays: bit j of every plane belongs to element j."""
+
+    def test_planes_hold_one_element_per_bit(self):
+        w = WordQ(np.array([[1, -2], [0, 3]]), 3)
+        # patterns 001, 110, 000, 011 in row-major order; plane i reads bit i
+        assert w.bits() == [0b1001, 0b1010, 0b0010]
+
+    def test_zero_dimensional_array(self):
+        f, g0, g1 = merged_pe(WordQ(np.array(-5), 4), WordQ(np.array(4), 4))
+        assert [(w.value.shape, int(w.value)) for w in (f, g0, g1)] == [
+            ((), -4), ((), -1), ((), 7)]
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 0)])
+    def test_empty_arrays(self, shape):
+        empty = np.zeros(shape, dtype=np.int64)
+        for q in (2, 6, 54):
+            outs = merged_pe(WordQ(empty, q), WordQ(empty, q))
+            outs += addsub_q(WordQ(empty, q), WordQ(empty, q))
+            outs += (minsum_pe(WordQ(empty, q), WordQ(empty, q)),)
+            assert [w.value.shape for w in outs] == [shape] * 6
+            assert all(w.value.dtype == np.int64 for w in outs)
+
+    def test_q54_extremes(self):
+        # planes of 54 bits and a sign weight of -2^53 need int64 throughout
+        m = qmax(54)
+        vals = np.array([-m - 1, -m, -(2**52), -1, 0, 1, 2**52 + 1, m], dtype=np.int64)
+        a, b = np.meshgrid(vals, vals, indexing="ij")
+        f, g0, g1 = merged_pe(WordQ(a, 54), WordQ(b, 54))
+        assert np.array_equal(f.value, saturate(f_minsum(a, b), 54))
+        assert np.array_equal(g0.value, saturate(a + b, 54))
+        assert np.array_equal(g1.value, saturate(b - a, 54))
+
+    @pytest.mark.parametrize("q,bad", [
+        (4, [0, 8]), (4, [[-9]]), (54, [2**53]), (54, [-(2**53) - 1]),
+        # v + 2^(q-1) wraps around for these
+        (4, [2**63 - 1]), (54, [2**63 - 2**52]), (4, [-(2**63)]),
+    ])
+    def test_out_of_range_arrays_rejected(self, q, bad):
+        with pytest.raises(InvalidParameterError):
+            WordQ(np.array(bad, dtype=np.int64), q)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.uint64, bool])
+    def test_array_words_are_int64(self, dtype):
+        with pytest.raises(InvalidParameterError):
+            WordQ(np.zeros(3, dtype=dtype), 6)
+
+    def test_operands_share_shape_and_width(self):
+        zeros = np.zeros(3, dtype=np.int64)
+        three = WordQ(zeros, 6)
+        for other in (WordQ(zeros[:2], 6), WordQ(zeros[None], 6), WordQ(0, 6),
+                      WordQ(zeros, 5)):
+            for pe in (addsub_q, minsum_pe, merged_pe):
+                with pytest.raises(InvalidParameterError):
+                    pe(three, other)
 
 
 class TestGateCounts:

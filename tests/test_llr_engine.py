@@ -1,6 +1,7 @@
 """Functional decoder engine: update rules, decisions, quantization."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -193,6 +194,18 @@ class TestQuantize:
         with pytest.raises(InvalidParameterError):
             qmax(1)
 
+    def test_peak_memory(self):
+        # the scaled copy, the magnitude, the rounded magnitude and the
+        # int64 result, and no further input-sized temporary
+        x = np.random.default_rng(6).normal(0.0, 8.0, size=(4096, 64))
+        tracemalloc.start()
+        try:
+            quantize(x, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * x.nbytes
+
 
 class TestQuantizedInputCheck:
     def test_accepts_integers_in_range(self):
@@ -312,6 +325,26 @@ class TestSscDecode:
         assert full == {"f": 1023, "g": 1023}
         assert fast["f"] < 1023 and fast["g"] < 1023
         assert np.array_equal(got, want)
+
+    def test_no_f_into_a_rate0_left_child(self, monkeypatch):
+        # SSC splits only the nodes that are neither Rate-0 nor Rate-1; with
+        # no input near 0 no Rate-1 row falls back, so each split makes one
+        # f call exactly when its left child is not Rate-0
+        spec = make_code_spec(1024, 512)
+        frozen = np.asarray(spec.frozen_mask)
+
+        def f_calls(start, n):
+            count = frozen[start:start + n].sum()
+            if count in (0, n):
+                return 0
+            half = n // 2
+            left_rate0 = bool(frozen[start:start + half].all())
+            return (not left_rate0) + f_calls(start, half) + f_calls(start + half, half)
+
+        llrs = np.random.default_rng(5).normal(1.0, 1.0, size=(128, 1024))
+        got, calls = _f_and_g_calls(monkeypatch, lambda: ssc_decode_batch(llrs, spec, "minsum"))
+        assert calls["f"] == f_calls(0, 1024) == 95
+        assert np.array_equal(got, sc_decode_batch(llrs, spec, "minsum")[0])
 
     # Rate-1 rows where the hard decisions transformed back are not SC's
     # decisions: sgn(0) = +1 in min-sum, and f_exact rounding to 0

@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polarsc import (
     MAX_LLR,
     CodeSpec,
     InvalidParameterError,
     PartialSumState,
+    WordQ,
+    addsub_q,
     encode,
     f_exact,
     f_minsum,
     g_update,
     make_code_spec,
+    merged_pe,
+    minsum_pe,
     polar_transform,
     quantize,
     sc_decode,
@@ -159,3 +164,21 @@ def test_ssc_decode_rejects_what_sc_decode_rejects(llrs, mode, q):
     for decode in (sc_decode_batch, ssc_decode_batch):
         with pytest.raises(InvalidParameterError):
             decode(np.array(llrs), spec, mode, q=q)
+
+
+@given(st.data())
+def test_gate_models_on_arrays_equal_elementwise_calls(data):
+    # one call on int64 arrays (bit-planes of any width, empty included)
+    # gives each element what a call on that element alone gives
+    q = data.draw(st.integers(2, 54))
+    lo, hi = -(1 << (q - 1)), (1 << (q - 1)) - 1
+    words = st.one_of(st.integers(lo, hi), st.sampled_from([lo, -hi, -1, 0, 1, hi]))
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5))
+    a, b = (data.draw(hnp.arrays(np.int64, shape, elements=words)) for _ in range(2))
+    outs = (*merged_pe(WordQ(a, q), WordQ(b, q)), *addsub_q(WordQ(a, q), WordQ(b, q)),
+            minsum_pe(WordQ(a, q), WordQ(b, q)))
+    assert all(w.value.shape == shape and w.value.dtype == np.int64 for w in outs)
+    for i in np.ndindex(shape):
+        x, y = WordQ(int(a[i]), q), WordQ(int(b[i]), q)
+        want = (*merged_pe(x, y), *addsub_q(x, y), minsum_pe(x, y))
+        assert [w.value[i] for w in outs] == [w.value for w in want]
