@@ -33,7 +33,7 @@ from .channel import ChannelConfig, draw_trials, require_count, BPSK_AWGN
 from .code import require_power_of_two
 from .errors import InvalidParameterError, SchedulingError
 from .gates import WordQ, merged_pe
-from .igc import PartialSumState, refreshed_stage
+from .igc import PartialSumState, refreshed_stage, select_ready
 from .llr import (
     MODE_MINSUM_Q,
     as_quantized,
@@ -51,6 +51,7 @@ from .schedule import (
     PARALLEL2,
     ActivityTable,
     PE_F,
+    STREAM_LABELS,
     build_conventional,
     build_lookahead,
     interleave_two_streams,
@@ -100,16 +101,11 @@ class SimResult:
 TRACE_HEADER = ("cycle", "stream", "stage", "pe_index", "op", "inputs", "outputs",
                 "select_bit")
 
-_LABELS = ("C1", "C2")
-
 
 def _build_schedule(config):
     """Per-cycle list of (stream_index, chart_entry) activations."""
-    n = config.spec.n_bits
-    if config.architecture == CONVENTIONAL:
-        chart = build_conventional(n)
-    else:
-        chart = build_lookahead(n)
+    build = build_conventional if config.architecture == CONVENTIONAL else build_lookahead
+    chart = build(config.spec.n_bits)
     if config.architecture == PARALLEL2:
         return interleave_two_streams(chart)
     return [[(0, cycle[0])] for cycle in chart.cycles]
@@ -128,7 +124,7 @@ def check_schedule(config):
     m = n.bit_length() - 1
     merged = config.architecture != CONVENTIONAL
     schedule = _build_schedule(config)
-    labels = _LABELS if config.architecture == PARALLEL2 else _LABELS[:1]
+    labels = STREAM_LABELS if config.architecture == PARALLEL2 else STREAM_LABELS[:1]
     fired = [[0] * (m + 1) for _ in labels]  # firings so far, per stage
     buffered = [{} for _ in labels]  # stage -> (producing cycle, producing block)
     unresolved = [set() for _ in labels]  # stages holding live candidate pairs
@@ -170,7 +166,7 @@ def check_schedule(config):
                 select = stage - 1
             else:
                 select = None
-            if select is not None and decided[s] % (2 * (n >> select)) < (n >> select):
+            if select is not None and not select_ready(decided[s], select, n):
                 raise SchedulingError(
                     f"cycle {cycle}: stage {select} select bits not ready after "
                     f"{decided[s]} decisions"
@@ -226,7 +222,7 @@ def run(config, channel_llrs):
     n = spec.n_bits
     m = n.bit_length() - 1
     shapes, channels = [], []
-    for label, block in zip(_LABELS, blocks):
+    for label, block in zip(STREAM_LABELS, blocks):
         llrs = as_quantized(block, q)
         if llrs.ndim not in (1, 2) or llrs.shape[-1] != n:
             raise InvalidParameterError(
@@ -282,7 +278,7 @@ def run(config, channel_llrs):
                 leaf(s, np.where(u == 1, outs[2][:, 0], outs[1][:, 0]))
         if config.record_trace:
             trace.extend(
-                (cycle, _LABELS[s], stage, i, op, f"{a[0, i]}|{b[0, i]}",
+                (cycle, STREAM_LABELS[s], stage, i, op, f"{a[0, i]}|{b[0, i]}",
                  "|".join(str(o[0, i]) for o in outs), "" if sel is None else str(sel[0, i]))
                 for i in range(half)
             )

@@ -54,10 +54,8 @@ class ChannelConfig:
 
 def trial_rng(master_seed, trial):
     """Deterministic per-trial generator, independent of execution order."""
-    if master_seed < 0:
-        raise InvalidParameterError(f"seed must be non-negative, got {master_seed}")
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial),))
-    return np.random.default_rng(seq)
+    seed = require_count(master_seed, name="seed")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(trial),)))
 
 
 @dataclass(frozen=True)
@@ -88,11 +86,11 @@ class SweepResult:
         }
 
 
-def require_count(trials, minimum=0):
-    """``trials`` as an int; InvalidParameterError unless an integer >= ``minimum``."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < minimum:
-        raise InvalidParameterError(f"trials must be an integer >= {minimum}, got {trials!r}")
-    return int(trials)
+def require_count(value, minimum=0, name="trials"):
+    """``value`` as an int; InvalidParameterError unless an integer >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _draw(spec, kind, master_seed, trials, ebn0_points):

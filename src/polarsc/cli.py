@@ -129,13 +129,12 @@ def _cmd_encode(args):
 
 def _cmd_decode(args):
     spec = _spec_from_args(args)
-    values = _load_values(args, _parse_floats)
+    llrs = np.asarray(_load_values(args, _parse_floats))
     mode = _MODE_MAP[args.mode]
-    if mode == llr.MODE_MINSUM_Q:
-        q_llrs = llr.quantize(np.asarray(values), args.q, args.scale)
-        trace = llr.sc_decode(q_llrs, spec, mode, q=args.q)
-    else:
-        trace = llr.sc_decode(np.asarray(values), spec, mode)
+    q = args.q if mode == llr.MODE_MINSUM_Q else None
+    if q is not None:
+        llrs = llr.quantize(llrs, q, args.scale)
+    trace = llr.sc_decode(llrs, spec, mode, q=q)
     if args.format == "json":
         _write_output(trace.to_json(), args.out)
     else:
@@ -147,10 +146,8 @@ def _cmd_decode(args):
 
 
 def _cmd_timechart(args):
-    if args.arch == schedule.CONVENTIONAL:
-        chart = schedule.build_conventional(args.n)
-    else:
-        chart = schedule.build_lookahead(args.n)
+    conventional = args.arch == schedule.CONVENTIONAL
+    chart = (schedule.build_conventional if conventional else schedule.build_lookahead)(args.n)
     if args.format == "json":
         _write_output(chart.to_json(), args.out)
     else:

@@ -50,6 +50,11 @@ class WordQ:
         if not -hi - 1 <= v <= hi:
             raise InvalidParameterError(f"value {v} outside q={self.q} range [{-hi - 1}, {hi}]")
 
+    def __eq__(self, other):
+        # array words compare by shape and elements; like ndarray they stay unhashable
+        return (isinstance(other, WordQ) and self.q == other.q
+                and np.array_equal(self.value, other.value))
+
     def bits(self):
         """LSB-first list of the q bit-planes of the two's-complement pattern."""
         return _planes(self)[0][0]

@@ -87,12 +87,10 @@ class PartialSumState:
         return self
 
     def stage_ready(self, stage):
-        """True when the g-selection bits for ``stage`` are current: the
-        next undecided index lies in the right half of its stage block."""
+        """``select_ready`` after the decisions pushed so far."""
         if not (1 <= stage <= self.m):
             raise InvalidParameterError(f"stage must lie in 1..{self.m}, got {stage}")
-        half = self.n_bits >> stage
-        return (self._count % (half << 1)) >= half
+        return select_ready(self._count, stage, self.n_bits)
 
     def selection_bits(self, stage):
         """MUX select lines for ``stage``: transform of the decided left
@@ -103,6 +101,13 @@ class PartialSumState:
                 f"stage {stage} feed incomplete after {self._count} decisions"
             )
         return self._acc[self.m - stage].copy()
+
+
+def select_ready(decided, stage, n_bits):
+    """True when ``stage``'s select bits are current after ``decided`` decisions:
+    the next undecided index lies in the right half of its stage block."""
+    half = n_bits >> stage
+    return decided % (2 * half) >= half
 
 
 def refreshed_stage(index, n_bits):

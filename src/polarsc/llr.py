@@ -22,6 +22,7 @@ from .code import polar_transform
 from .errors import InvalidParameterError
 
 MAX_LLR = 50.0
+_TINY = np.finfo(float).smallest_normal
 
 MODE_EXACT = "exact"
 MODE_MINSUM = "minsum"
@@ -81,19 +82,23 @@ def f_minsum(a, b):
 
 
 def f_exact(a, b):
-    """Exact combine ln[(e^(a+b) + 1) / (e^a + e^b)], numerically stable.
+    """Exact combine ln[(e^(a+b) + 1) / (e^a + e^b)] = 2*artanh(tanh(a/2) * tanh(b/2)).
 
-    Equal to 2*artanh(tanh(a/2) * tanh(b/2)). Inputs with |x| >= MAX_LLR are
-    treated as certainties: if both operands sit at the rail the output
-    saturates instead of decaying by ln 2.
+    Evaluated as sgn(a)*sgn(b)*log1p(ea*eb / (ea + eb + 2)), ea = expm1(|a|),
+    eb = expm1(|b|), on inputs clipped to the rail: no term cancels, so the
+    sign is exact and the relative error a few ulps at every magnitude. The
+    magnitude is at most min(|a|, |b|), at least the smallest normal float
+    when both inputs are nonzero, and MAX_LLR when both sit at the rail
+    (certainties stay certain). A zero input gives +0.0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    sign = np.where((a < 0) ^ (b < 0), -1.0, 1.0)
-    lo = np.minimum(np.abs(a), np.abs(b))
-    out = sign * lo + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    out = np.where(lo >= MAX_LLR, sign * MAX_LLR, out)
-    return clip_llr(out)
+    abs_a, abs_b = np.minimum(np.abs(a), MAX_LLR), np.minimum(np.abs(b), MAX_LLR)
+    ea, eb = np.expm1(abs_a), np.expm1(abs_b)
+    lo = np.minimum(abs_a, abs_b)
+    mag = np.minimum(np.log1p(ea * eb / (ea + eb + 2.0)), lo)
+    mag = np.where(lo >= MAX_LLR, MAX_LLR, np.maximum(mag, np.minimum(lo, _TINY)))
+    return np.where((a < 0) ^ (b < 0), 0.0 - mag, mag)  # 0.0 - 0.0 is +0.0
 
 
 def g_update(a, b, u_sel, q=None):
@@ -114,10 +119,12 @@ def g_update(a, b, u_sel, q=None):
 def quantize(x, q, scale=1.0):
     """Quantize real LLRs: scale, round half away from zero, saturate.
 
-    The scale factor is a free knob (default 1.0); fixed-point behaviour
-    elsewhere in the toolkit does not depend on a particular choice. NaN
-    raises InvalidParameterError; +/-inf saturates.
+    The scale factor is a free knob (default 1.0, any finite value > 0);
+    fixed-point behaviour elsewhere in the toolkit does not depend on a
+    particular choice. NaN raises InvalidParameterError; +/-inf saturates.
     """
+    if not 0 < scale < np.inf:
+        raise InvalidParameterError(f"scale must be finite and > 0, got {scale!r}")
     y = np.asarray(x, dtype=float) * scale
     if np.isnan(y).any():
         raise InvalidParameterError("cannot quantize NaN")
@@ -214,11 +221,6 @@ def sc_decode_batch(channel_llrs, spec, mode, q=None):
     return u_out, llr_out
 
 
-# Slack on the exact-mode Rate-1 margin, well above the rounding error that
-# the f and g chains below a node accumulate (about 1e-13 at the rail).
-_EXACT_SLACK = 1e-6
-
-
 def ssc_decode_batch(channel_llrs, spec, mode, q=None):
     """Decisions of ``sc_decode_batch`` (bit for bit), by simplified SC.
 
@@ -231,21 +233,17 @@ def ssc_decode_batch(channel_llrs, spec, mode, q=None):
     * a Rate-1 node (no position frozen) takes the hard decisions
       x = (llr < 0) of its inputs as partial sums, and u = transform(x).
 
-    The Rate-1 shortcut equals SC only when no input can make an f output
-    lose its sign: in min-sum arithmetic an input of exactly 0 (sgn(0) = +1,
-    so SC decides [0, 1] on [0, -1] where transform(x) gives [1, 1]); in exact
-    arithmetic an input within d*ln(2) of 0 at a node of 2^d positions,
-    since each of the d f levels below it can shrink a magnitude by up to
-    ln(2), and near 0 ``f_exact`` rounds to 0 or to the wrong sign. Rows
-    with such an input take the SC step at that node instead, and the
+    The Rate-1 shortcut equals SC only when no f output below the node
+    loses its sign. Every f keeps sgn(a)*sgn(b) and a nonzero magnitude for
+    nonzero inputs, so only an input of exactly 0 breaks it (sgn(0) = +1,
+    so SC decides [0, 1] on [0, -1] where transform(x) gives [1, 1]). Rows
+    with a zero input take the SC step at that node instead, and the
     shortcuts apply again below it.
     """
     llrs, f_fun, g_fun = _checked_input(channel_llrs, spec, mode, q)
     frozen_values = spec.frozen_value_array
     # frozen_before[i]: frozen positions among 0..i-1
     frozen_before = [0] + np.cumsum(spec.frozen_mask).tolist()
-    ln2_per_level = np.log(2.0) if mode == MODE_EXACT else 0.0
-    slack = _EXACT_SLACK if mode == MODE_EXACT else 0.0
 
     def block(llrs, start, u):
         """Decide positions start..start+n-1 into ``u`` (batch, n); return
@@ -260,8 +258,7 @@ def ssc_decode_batch(channel_llrs, spec, mode, q=None):
             return u
         if frozen == 0:
             x = (llrs < 0).astype(np.int64)
-            margin = (n.bit_length() - 1) * ln2_per_level + slack
-            unsafe = (np.abs(llrs) <= margin).any(axis=1)
+            unsafe = (llrs == 0).any(axis=1)
             if unsafe.any():
                 # SC's partial sums are the transform of its decisions, so
                 # only they are kept and u comes from x for every row

@@ -28,6 +28,7 @@ CONVENTIONAL = "conventional"
 LOOKAHEAD = "lookahead"
 PARALLEL2 = "parallel2"
 ARCHITECTURES = (CONVENTIONAL, LOOKAHEAD, PARALLEL2)
+STREAM_LABELS = ("C1", "C2")  # the 2-parallel streams; single-stream runs use C1
 
 
 @dataclass(frozen=True)
@@ -207,4 +208,4 @@ def parallel_activity_table(n_bits):
     for t, cycle in enumerate(interleave_two_streams(build_lookahead(n_bits))):
         for s, entry in cycle:
             counts[s][t] = entry.active_pes
-    return ActivityTable(n_bits, ("C1", "C2"), tuple(map(tuple, counts)))
+    return ActivityTable(n_bits, STREAM_LABELS, tuple(map(tuple, counts)))

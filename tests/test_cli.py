@@ -245,9 +245,14 @@ class TestBadInput:
         ("simulate", "--n", "8", "--trials", "-3"),
         ("ber", "--n", "8", "--trials", "0"),
         ("ber", "--n", "8", "--trials", "-1"),
+        ("ber", "--n", "16", "--mode", "minsum-q", "--ebn0", "3", "--scale", "-2"),
+        ("ber", "--n", "16", "--mode", "minsum-q", "--ebn0", "3", "--scale", "0"),
+        ("decode", "--n", "4", "--k", "2", "--mode", "minsum-q", "--scale", "inf",
+         "--llrs", "1,2,3,4"),
     ], ids=["cost-q55", "decode-q55", "ber-ebn0", "simulate-ebn0", "negative-seed",
             "simulate-zero-trials", "simulate-negative-trials", "ber-zero-trials",
-            "ber-negative-trials"])
+            "ber-negative-trials", "ber-negative-scale", "ber-zero-scale",
+            "decode-infinite-scale"])
     def test_bad_numbers_exit_1(self, capsys, argv):
         assert self.main(capsys, *argv)[0] == 1
 

@@ -149,6 +149,17 @@ class TestWordQ:
         with pytest.raises(InvalidParameterError):
             WordQ(8, 4)
 
+    def test_equality(self):
+        words = np.array([1, -2])
+        assert WordQ(words, 4) == WordQ(words.copy(), 4)
+        assert WordQ(words, 4) != WordQ(np.array([1, 2]), 4)
+        assert WordQ(words, 4) != WordQ(words, 5)
+        assert WordQ(words, 4) != WordQ(np.array([[1, -2]]), 4)
+        assert WordQ(3, 4) == WordQ(3, 4) and WordQ(3, 4) != WordQ(3, 5)
+        assert hash(WordQ(3, 4)) == hash(WordQ(3, 4))
+        with pytest.raises(TypeError):
+            hash(WordQ(words, 4))  # unhashable, like ndarray
+
     def test_q_bounds(self):
         assert WordQ(-(2**53), 54).value == -(2**53)
         for q in (1, 55):

@@ -66,7 +66,7 @@ CASES = {
     ),
     "decode-exact": (
         ["decode", "--n", "8", "--mode", "exact", "--llrs", "1.5,-0.2,3,0,-2.5,0.7,-0.1,4"],
-        "450719ac66933e7a29e5faf589325cf0eac03e0fec4a034e7789a4526b0747a2",
+        "34b61b3108394d6a5d92149a31de2cab1998f7a529eda9c6e0d5e443f05fb59a",
     ),
     "decode-minsum": (
         ["decode", "--n", "8", "--k", "5", "--mode", "minsum", "--format", "csv",

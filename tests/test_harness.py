@@ -198,6 +198,25 @@ class TestTrialCounts:
         with pytest.raises(InvalidParameterError):
             verify_equivalence(SimConfig(spec, 6, "lookahead"), trials, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1], ids=["fraction", "bool", "negative"])
+    def test_bad_seeds_rejected(self, seed):
+        # the same check as for trial counts: no seed is truncated to an int
+        spec = make_code_spec(16, 8)
+        cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=1.0, master_seed=seed)
+        with pytest.raises(InvalidParameterError):
+            draw_trials(spec, cfg, 2)
+        with pytest.raises(InvalidParameterError):
+            ber_sweep(spec, ["minsum"], [], [1.0], 2, seed=seed)
+        with pytest.raises(InvalidParameterError):
+            verify_equivalence(SimConfig(spec, 6, "lookahead"), 2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = make_code_spec(16, 8)
+        cfgs = [ChannelConfig(kind=BPSK_AWGN, ebn0_db=1.0, master_seed=s)
+                for s in (7, np.int64(7), np.uint32(7))]
+        draws = [draw_trials(spec, cfg, 3)[1] for cfg in cfgs]
+        assert all(np.array_equal(d, draws[0]) for d in draws)
+
     def test_numpy_integers_accepted(self):
         spec = make_code_spec(16, 8)
         cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=1.0, master_seed=0)

@@ -87,6 +87,16 @@ class TestFExact:
         nz = (a != 0) & (b != 0)
         assert np.all(np.sign(exact[nz]) == np.sign(a[nz]) * np.sign(b[nz]))
 
+    def test_never_above_minsum(self):
+        # the magnitude is capped at min(|a|, |b|), which rounding alone could pass
+        rng = np.random.default_rng(37)
+        a, b = rng.uniform(-MAX_LLR, MAX_LLR, size=(2, 200_000))
+        assert np.all(np.abs(f_exact(a, b)) <= np.minimum(np.abs(a), np.abs(b)))
+
+    def test_zero_input_gives_positive_zero(self):
+        out = f_exact(np.array([0.0, -0.0, -2.0, 0.0]), np.array([-1.0, -3.0, 0.0, 0.0]))
+        assert list(out) == [0.0] * 4 and not np.signbit(out).any()
+
     def test_symmetry(self):
         rng = np.random.default_rng(23)
         a = rng.normal(scale=3, size=200)
@@ -171,6 +181,11 @@ class TestQuantize:
             quantize([1.0, np.nan], 6)
         with pytest.raises(InvalidParameterError):
             quantize(1.0, 6, scale=np.nan)
+
+    @pytest.mark.parametrize("scale", [0.0, -2.0, -0.0, np.inf, -np.inf])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(InvalidParameterError):
+            quantize([1.0, -2.0], 6, scale=scale)
 
     def test_infinity_saturates(self):
         out = quantize([np.inf, -np.inf], 6)
@@ -324,6 +339,10 @@ class TestSscDecode:
             monkeypatch, lambda: ssc_decode_batch(llrs, spec, mode, q=q))
         assert full == {"f": 1023, "g": 1023}
         assert fast["f"] < 1023 and fast["g"] < 1023
+        if mode != "minsum_q":
+            # no float input is exactly 0, so no Rate-1 row falls back and
+            # exact mode makes the f calls of min-sum (167 with a ln 2 margin)
+            assert fast["f"] == 95
         assert np.array_equal(got, want)
 
     def test_no_f_into_a_rate0_left_child(self, monkeypatch):
@@ -347,16 +366,12 @@ class TestSscDecode:
         assert np.array_equal(got, sc_decode_batch(llrs, spec, "minsum")[0])
 
     # Rate-1 rows where the hard decisions transformed back are not SC's
-    # decisions: sgn(0) = +1 in min-sum, and f_exact rounding to 0
-    # (1e-9, -1e-9) or to the wrong sign (two positive inputs, f < 0); at
-    # N = 4 the second f level underflows although every input is 1e-5 or
-    # more, which only the d*ln(2) margin catches.
+    # decisions: sgn(0) = +1, so an input of exactly 0 breaks the shortcut
+    # in every mode.
     SHORTCUT_WRONG = [
         pytest.param([0.0, -1.0], "minsum", None, id="minsum-zero"),
         pytest.param([0, -1], "minsum_q", 6, id="minsum_q-zero"),
-        pytest.param([1e-9, -1e-9], "exact", None, id="exact-underflow"),
-        pytest.param([6.37066826e-09, 6.10371446e-10], "exact", None, id="exact-sign-flip"),
-        pytest.param([2e-5, 1e-5, 1e-5, -1e-5], "exact", None, id="exact-deep-underflow"),
+        pytest.param([0.0, -1.0], "exact", None, id="exact-zero"),
     ]
 
     @pytest.mark.parametrize("row,mode,q", SHORTCUT_WRONG)
@@ -366,7 +381,12 @@ class TestSscDecode:
         sc = sc_decode_batch(llrs, spec, mode, q=q)[0]
         assert not np.array_equal(polar_transform(llrs < 0), sc)
 
+    # tiny exact inputs, once rounded by f to 0 or to the wrong sign; f now
+    # keeps every sign, so the shortcut holds on them
     @pytest.mark.parametrize("row,mode,q", SHORTCUT_WRONG + [
+        pytest.param([1e-9, -1e-9], "exact", None, id="exact-underflow"),
+        pytest.param([6.37066826e-09, 6.10371446e-10], "exact", None, id="exact-sign-flip"),
+        pytest.param([2e-5, 1e-5, 1e-5, -1e-5], "exact", None, id="exact-deep-underflow"),
         pytest.param([4.07e-7, -3.0e-10], "exact", None, id="exact-tiny"),
     ])
     def test_guarded_rows_fall_back_to_sc(self, row, mode, q):

@@ -105,11 +105,37 @@ def test_f_sign_laws(a, b):
     for f in (f_minsum, f_exact):
         out = f(a, b)
         assert f(b, a) == out
-        # the product of the input signs, within rounding for f_exact
-        assert out * sgn(a) * sgn(b) >= -1e-12
+        # the sign is the product of the input signs (0 for a zero input),
+        # so the output is nonzero whenever both inputs are
+        assert np.sign(out) == np.sign(a) * np.sign(b)
         assert abs(out) <= min(abs(a), abs(b))
     assert abs(f_minsum(a, b)) == min(abs(a), abs(b))
     assert f_minsum(-a, b) == -f_minsum(a, b)
+
+
+def _f_exact_longdouble(a, b):
+    """|f_exact(a, b)| in np.longdouble, by the same expression."""
+    big, small = (np.minimum(np.abs(np.longdouble(x)), MAX_LLR) for x in (a, b))
+    ea, eb = np.expm1(big), np.expm1(small)
+    return np.log1p(ea * eb / (ea + eb + 2))
+
+
+# magnitudes from far below the smallest normal float up to past the rail
+tiny_to_rail = st.builds(lambda e, s: s * 10.0 ** e, st.floats(-320, 1.8),
+                         st.sampled_from([1.0, -1.0]))
+
+
+@given(st.one_of(tiny_to_rail, llr_floats), st.one_of(tiny_to_rail, llr_floats))
+def test_f_exact_matches_longdouble(a, b):
+    out = f_exact(a, b)
+    assert np.sign(out) == np.sign(a) * np.sign(b)
+    want = _f_exact_longdouble(a, b)
+    if min(abs(a), abs(b)) >= MAX_LLR:
+        assert abs(out) == MAX_LLR  # certainties stay certain
+    elif want >= np.finfo(float).smallest_normal:
+        assert abs(np.longdouble(abs(out)) - want) <= 1e-15 * want
+    for x, y in ((50.0, 50.0), (-50.0, 50.0), (50.0, -50.0), (-50.0, -50.0)):
+        assert f_exact(x, y) == x * y / 50.0
 
 
 @given(st.integers(2, 12).flatmap(
