@@ -15,6 +15,9 @@ raises SchedulingError on any violation; it also yields the per-cycle PE
 activity and the candidate-buffer peak. The dataflow pass then runs the
 checked steps with no further checks, each step on a whole
 (batch, N) array of frames at once; a single frame is a batch of one.
+Streams with the same firing sequence, such as the two streams of the
+2-parallel decoder, share a batch: their frames are stacked and decided
+in lockstep, with one partial-sum state, and split apart at the end.
 
 Arithmetic is saturating q-bit integer min-sum, bit-identical to the
 functional quantized decoder; optionally all PEs of a firing, in every
@@ -207,10 +210,12 @@ def run(config, channel_llrs):
     ``channel_llrs`` is, per stream, one length-N integer vector or a
     (batch, N) array of frames: a single block for the single-stream
     architectures, a pair of blocks (batch sizes may differ) for the
-    2-parallel one. The schedule is checked once, before any arithmetic;
-    then each step applies its PE to every frame of its stream at once.
-    Decisions come back in the shape of their input. A trace row has no
-    frame column, so ``record_trace`` takes one vector per stream.
+    2-parallel one. The schedule is checked once, before any arithmetic.
+    Streams that fire the same (stage, op, block) sequence then run it in
+    lockstep, their frames stacked on one batch axis, so each step applies
+    its PE to every frame of those streams at once. Decisions come back in
+    the shape of their input. A trace row has no frame column, so
+    ``record_trace`` takes one vector per stream.
     """
     if config.architecture == PARALLEL2:
         if not isinstance(channel_llrs, (list, tuple)) or len(channel_llrs) != 2:
@@ -218,12 +223,10 @@ def run(config, channel_llrs):
         blocks = channel_llrs
     else:
         blocks = [channel_llrs]
-    spec, q = config.spec, config.q
-    n = spec.n_bits
-    m = n.bit_length() - 1
+    n = config.spec.n_bits
     shapes, channels = [], []
     for label, block in zip(STREAM_LABELS, blocks):
-        llrs = as_quantized(block, q)
+        llrs = as_quantized(block, config.q)
         if llrs.ndim not in (1, 2) or llrs.shape[-1] != n:
             raise InvalidParameterError(
                 f"stream {label}: expected {n} LLRs or a (batch, {n}) array, "
@@ -235,61 +238,96 @@ def run(config, channel_llrs):
         channels.append(llrs.reshape(-1, n))
     steps, activity, peak = check_schedule(config)
 
-    psums = [PartialSumState(n) for _ in channels]
-    bufs = [{} for _ in channels]  # stage -> outputs: (f, g0, g1) or (f,) or (g,)
-    decisions = [np.zeros(c.shape, dtype=np.int64) for c in channels]
-    dec_llrs = [np.zeros(c.shape, dtype=np.int64) for c in channels]
-    trace = []
+    fired = [[i for i, step in enumerate(steps) if step[1] == s] for s in range(len(channels))]
+    groups = {}  # firing sequence -> streams that fire it
+    for s, indices in enumerate(fired):
+        groups.setdefault(tuple(steps[i][2:] for i in indices), []).append(s)
+    decisions, dec_llrs = [None] * len(channels), [None] * len(channels)
+    rows = [()] * len(steps)  # trace rows of each step
+    for firings, members in groups.items():
+        frames = np.concatenate([channels[s] for s in members])
+        bounds = np.cumsum([0] + [len(channels[s]) for s in members])
 
-    def leaf(s, llrs):
-        k = psums[s].decided + 1
-        dec_llrs[s][:, k - 1] = llrs
-        u = decisions[s][:, k - 1]
+        def record(k, a, b, outs, sel):
+            # with record_trace every stream is one frame: row p is members[p]
+            for p, s in enumerate(members):
+                cycle, _, stage, op, _ = steps[fired[s][k]]
+                rows[fired[s][k]] = [
+                    (cycle, STREAM_LABELS[s], stage, i, op, f"{a[p, i]}|{b[p, i]}",
+                     "|".join(str(o[p, i]) for o in outs),
+                     "" if sel is None else str(sel[p, i]))
+                    for i in range(a.shape[1])
+                ]
+
+        u, llrs = _dataflow(config, firings, frames, record if config.record_trace else None)
+        for p, s in enumerate(members):
+            decisions[s] = u[bounds[p]:bounds[p + 1]].reshape(shapes[s])
+            dec_llrs[s] = llrs[bounds[p]:bounds[p + 1]].reshape(shapes[s])
+    return SimResult(
+        decisions=decisions,
+        decision_llrs=dec_llrs,
+        cycles_elapsed=activity.span,
+        activity=activity,
+        candidate_buffer_peak=peak,
+        trace=[row for step_rows in rows for row in step_rows],
+    )
+
+
+_G_SIGNS = np.array([1, -1]).reshape(2, 1, 1)  # b + a and b - a in one pass
+
+
+def _dataflow(config, firings, frames, record):
+    """Run a checked sequence of (stage, op, block) firings on a (batch, N)
+    stack of frames decided in lockstep; return the decisions and the
+    decision-time LLRs. ``record(k, a, b, outs, sel)``, unless None, sees
+    the inputs, outputs and select bits of firing k."""
+    spec, q = config.spec, config.q
+    n = spec.n_bits
+    m = n.bit_length() - 1
+    psums = PartialSumState(n)
+    bufs = {}  # stage -> outputs: (f, g0, g1) or (f,) or (g,)
+    decisions = np.zeros(frames.shape, dtype=np.int64)
+    dec_llrs = np.zeros(frames.shape, dtype=np.int64)
+
+    def leaf(llrs):
+        k = psums.decided + 1
+        dec_llrs[:, k - 1] = llrs
+        u = decisions[:, k - 1]
         u[:] = decide(llrs, k, spec)
-        psums[s].push(u, k)
+        psums.push(u, k)
         return u
 
-    for cycle, s, stage, op, blk in steps:
+    for k, (stage, op, blk) in enumerate(firings):
         half = n >> stage
         if stage == 1:
-            inp = channels[s]
+            inp = frames
         elif op == "fg" and blk % 2:
-            _, g0, g1 = bufs[s][stage - 1]
-            inp = np.where(psums[s].selection_bits(stage - 1) == 1, g1, g0)
+            _, g0, g1 = bufs[stage - 1]
+            inp = np.where(psums.selection_bits(stage - 1) == 1, g1, g0)
         else:
-            inp = bufs[s][stage - 1][0]
+            inp = bufs[stage - 1][0]
         a, b = inp[:, :half], inp[:, half:]
         sel = None
         if op == "f":
             outs = (f_minsum(a, b),)
         elif op == "g":
-            sel = psums[s].selection_bits(stage)
+            sel = psums.selection_bits(stage)
             outs = (g_update(a, b, sel, q=q),)
         elif config.use_gate_pes:
             outs = tuple(w.value for w in merged_pe(WordQ(a, q), WordQ(b, q)))
         else:
-            outs = (f_minsum(a, b), saturate(a + b, q), saturate(b - a, q))
-        bufs[s][stage] = outs
+            g = saturate(b + _G_SIGNS * a, q)
+            outs = (f_minsum(a, b), g[0], g[1])
+        bufs[stage] = outs
         if stage == m:
-            u = leaf(s, outs[0][:, 0])
+            u = leaf(outs[0][:, 0])
             if op == "fg":
                 # same-cycle select: the fresh decision resolves this PE's pair
                 sel = u[:, None]
-                leaf(s, np.where(u == 1, outs[2][:, 0], outs[1][:, 0]))
-        if config.record_trace:
-            trace.extend(
-                (cycle, STREAM_LABELS[s], stage, i, op, f"{a[0, i]}|{b[0, i]}",
-                 "|".join(str(o[0, i]) for o in outs), "" if sel is None else str(sel[0, i]))
-                for i in range(half)
-            )
-    return SimResult(
-        decisions=[d.reshape(shape) for d, shape in zip(decisions, shapes)],
-        decision_llrs=[d.reshape(shape) for d, shape in zip(dec_llrs, shapes)],
-        cycles_elapsed=activity.span,
-        activity=activity,
-        candidate_buffer_peak=peak,
-        trace=trace,
-    )
+                leaf(np.where(u == 1, outs[2][:, 0], outs[1][:, 0]))
+        if record is not None:
+            record(k, a, b, outs, sel)
+    return decisions, dec_llrs
 
 
 def decode_frames(config, q_llrs):

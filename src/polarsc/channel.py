@@ -23,7 +23,9 @@ from .llr import (
     MODE_MINSUM_Q,
     MODES,
     clip_llr,
+    qmax,
     quantize,
+    require_scale,
     sc_decode_batch,  # unused here; perfbench/spans.py wraps it on this module
     ssc_decode_batch,
 )
@@ -169,9 +171,13 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     min-sum arithmetic. Every decoder sees the identical per-trial LLR
     vectors, so matching seeds give matching error counts across decoders
     that are exact re-schedulings of each other. The counts do not depend
-    on how the trials are split into chunks.
+    on how the trials are split into chunks. The seed, q and scale are
+    checked whether or not a decoder or an operating point uses them.
     """
     trials = require_count(trials, 1)
+    require_count(seed, name="seed")
+    qmax(q)
+    require_scale(scale)
     for mode in modes:
         if mode not in MODES:
             raise InvalidParameterError(f"unknown mode {mode!r}")

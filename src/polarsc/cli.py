@@ -131,6 +131,8 @@ def _cmd_decode(args):
     spec = _spec_from_args(args)
     llrs = np.asarray(_load_values(args, _parse_floats))
     mode = _MODE_MAP[args.mode]
+    llr.qmax(args.q)
+    llr.require_scale(args.scale)
     q = args.q if mode == llr.MODE_MINSUM_Q else None
     if q is not None:
         llrs = llr.quantize(llrs, q, args.scale)

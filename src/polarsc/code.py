@@ -86,11 +86,6 @@ class CodeSpec:
         """Frozen bit values over 0-based positions (0 at information spots)."""
         return self._frozen_vals
 
-    @property
-    def info_set(self):
-        """Sorted 1-based indices of the K information positions."""
-        return tuple(i + 1 for i in range(self.n_bits) if not self._frozen_mask[i])
-
     def to_json_dict(self):
         return {
             "n": self.n_bits,

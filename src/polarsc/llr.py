@@ -41,6 +41,12 @@ def qmax(q):
     return (1 << (q - 1)) - 1
 
 
+def require_scale(scale):
+    """The toolkit's one check of a quantizer scale: finite and > 0."""
+    if not 0 < scale < np.inf:
+        raise InvalidParameterError(f"scale must be finite and > 0, got {scale!r}")
+
+
 def _clamp(x, m):
     # np.minimum/np.maximum keep the dtype and +/-inf handling of np.clip at a
     # fraction of its call overhead on small arrays
@@ -123,8 +129,7 @@ def quantize(x, q, scale=1.0):
     fixed-point behaviour elsewhere in the toolkit does not depend on a
     particular choice. NaN raises InvalidParameterError; +/-inf saturates.
     """
-    if not 0 < scale < np.inf:
-        raise InvalidParameterError(f"scale must be finite and > 0, got {scale!r}")
+    require_scale(scale)
     y = np.asarray(x, dtype=float) * scale
     if np.isnan(y).any():
         raise InvalidParameterError("cannot quantize NaN")

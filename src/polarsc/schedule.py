@@ -48,9 +48,6 @@ class TimeChart:
     kind: str
     cycles: tuple  # tuple of tuples of ChartEntry
 
-    def __len__(self):
-        return len(self.cycles)
-
     def stage_sequence(self):
         """Stage index of the single entry in each cycle."""
         return [c[0].stage for c in self.cycles]

@@ -8,6 +8,7 @@ import pytest
 from polarsc import (
     InvalidParameterError,
     MAX_LLR,
+    PartialSumState,
     SchedulingError,
     SimConfig,
     ber_sweep,
@@ -264,6 +265,39 @@ class TestBatchedRun:
         div = report.first_divergence
         assert (div["trial"], div["stream"], div["first_bit_index"]) == (2, 1, 6)
         assert [a ^ b for a, b in zip(div["sim"], div["reference"])] == [0] * 5 + [1] + [0] * 10
+
+
+class TestLockstepStreams:
+    """The two 2-parallel streams fire the same sequence, so one run decides
+    both in lockstep, as two look-ahead runs would one stream each."""
+
+    @pytest.mark.parametrize("sizes", [(3, 1), (0, 2), (4, 4)])
+    def test_parallel2_equals_two_lookahead_runs(self, sizes):
+        spec = make_code_spec(32, 16)
+        q_llrs = quantize(noisy_llrs(spec, seed=13, frames=sum(sizes)), 6)
+        blocks = [q_llrs[:sizes[0]], q_llrs[sizes[0]:]]
+        par = run(SimConfig(spec=spec, q=6, architecture="parallel2"), blocks)
+        for s, block in enumerate(blocks):
+            ref = run(SimConfig(spec=spec, q=6, architecture="lookahead"), block)
+            assert np.array_equal(par.decisions[s], ref.decisions[0])
+            assert np.array_equal(par.decision_llrs[s], ref.decision_llrs[0])
+
+    @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
+    def test_one_push_per_decision(self, monkeypatch, arch):
+        # the streams of a lockstep batch share one partial-sum state
+        indices = []
+        push = PartialSumState.push
+
+        def counted(self, u_hat, index):
+            indices.append(index)
+            return push(self, u_hat, index)
+
+        monkeypatch.setattr(PartialSumState, "push", counted)
+        spec = make_code_spec(16, 8)
+        q_llrs = quantize(noisy_llrs(spec, seed=4, frames=4), 6)
+        run(SimConfig(spec=spec, q=6, architecture=arch),
+            [q_llrs[:3], q_llrs[3:]] if arch == "parallel2" else q_llrs)
+        assert indices == list(range(1, 17))
 
 
 class TestTraceAndValidation:

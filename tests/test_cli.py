@@ -249,10 +249,18 @@ class TestBadInput:
         ("ber", "--n", "16", "--mode", "minsum-q", "--ebn0", "3", "--scale", "0"),
         ("decode", "--n", "4", "--k", "2", "--mode", "minsum-q", "--scale", "inf",
          "--llrs", "1,2,3,4"),
+        # no quantizer runs in these modes, yet the scale is checked
+        ("ber", "--n", "16", "--mode", "exact", "--ebn0", "3", "--scale", "-2",
+         "--trials", "5"),
+        ("decode", "--n", "4", "--k", "2", "--mode", "exact", "--scale", "0",
+         "--llrs", "1,2,3,4"),
+        ("decode", "--n", "4", "--k", "2", "--mode", "exact", "--q", "55",
+         "--llrs", "1,2,3,4"),
     ], ids=["cost-q55", "decode-q55", "ber-ebn0", "simulate-ebn0", "negative-seed",
             "simulate-zero-trials", "simulate-negative-trials", "ber-zero-trials",
             "ber-negative-trials", "ber-negative-scale", "ber-zero-scale",
-            "decode-infinite-scale"])
+            "decode-infinite-scale", "ber-exact-negative-scale", "decode-exact-zero-scale",
+            "decode-exact-q55"])
     def test_bad_numbers_exit_1(self, capsys, argv):
         assert self.main(capsys, *argv)[0] == 1
 

@@ -1,8 +1,9 @@
-"""Golden output: the sha256 of stdout for a fixed set of in-process CLI calls.
+"""Golden output: the sha256 of stdout for a fixed set of in-process CLI calls,
+and of the trace file ``simulate --trace`` writes.
 
 The hashes pin the bytes each subcommand prints at equal seeds, so a
 refactor of the channel, the decoders or the simulator that changes any
-message, noise sample, decision or count fails here.
+message, noise sample, decision, count or trace row fails here.
 """
 
 import hashlib
@@ -107,3 +108,19 @@ def test_stdout_digest(name, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+# argv of a ``simulate`` case above, and the sha256 of its --trace file
+TRACE_CASES = {
+    "simulate-lookahead": "aba360949943cd17dc1dbba4c34b5f423da8e145af8ed325f1ea193693fb406e",
+    "simulate-parallel2": "fe6392bbd13f6c9c22d62df2de818e2ff8e21c49add7cf08cecdc1890ef3c12c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_trace_file_digest(name, tmp_path, capsys):
+    argv, want_stdout = CASES[name]
+    path = tmp_path / "trace.csv"
+    assert cli.main([*argv, "--trace", str(path)]) == cli.EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == want_stdout
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_CASES[name]

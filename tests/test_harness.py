@@ -175,6 +175,18 @@ class TestBerSweep:
         with pytest.raises(InvalidParameterError):
             ber_sweep(spec, [], ["systolic"], [0.0], trials=1, seed=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 1.5}, {"seed": 0, "scale": 0.0}, {"seed": 0, "scale": -2.0},
+        {"seed": 0, "q": 99},
+    ], ids=["fractional-seed", "zero-scale", "negative-scale", "q99"])
+    def test_unused_arguments_checked(self, kwargs):
+        # no quantizer runs in minsum mode and no trial is drawn without
+        # points, yet every argument is checked
+        spec = make_code_spec(16, 8)
+        for points in ([], [3.0]):
+            with pytest.raises(InvalidParameterError):
+                ber_sweep(spec, ["minsum"], [], points, 2, **kwargs)
+
     def test_result_json_keys(self):
         spec = make_code_spec(8, 4)
         (r,) = ber_sweep(spec, ["minsum"], [], [0.0], trials=2, seed=0)

@@ -160,6 +160,46 @@ def test_g_sign_laws(args, u):
     assert g_update(a, b, 0, q=q) == min(max(a + b, -qmax(q)), qmax(q))
 
 
+def _select_bits(data, rows, width):
+    """Select bits shaped (rows, width): drawn per element, or one row
+    broadcast over all rows, as the SSC path passes a Rate-0 child's sums."""
+    if data.draw(st.booleans()):
+        return np.array(data.draw(bit_lists(rows * width)), dtype=np.int64).reshape(rows, width)
+    row = np.array(data.draw(bit_lists(width)), dtype=np.int64)[None, :]
+    return np.broadcast_to(row, (rows, width))
+
+
+@given(st.data())
+def test_g_update_is_the_signed_sum(data):
+    # g is b + (1 - 2u) a, then saturation or clipping, bit for bit
+    rows, width = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 8))
+    u = _select_bits(data, rows, width)
+    if data.draw(st.booleans()):
+        q = None
+        elements = st.one_of(st.sampled_from([0.0, -0.0]),
+                             st.sampled_from([1.5, -1.5, MAX_LLR, -MAX_LLR]),
+                             st.floats(-2 * MAX_LLR, 2 * MAX_LLR))
+        dtype, rail = np.float64, MAX_LLR
+    else:
+        q = data.draw(st.integers(2, 54))
+        m = qmax(q)
+        elements = st.one_of(st.sampled_from([0, m, -m, m - 1, 1 - m]), st.integers(-m, m))
+        dtype, rail = np.int64, m
+    a, b = (data.draw(hnp.arrays(dtype, (rows, width), elements=elements)) for _ in range(2))
+    got = g_update(a, b, u, q=q)
+    want = np.clip(b + (1 - 2 * u) * a, -rail, rail)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_g_update_keeps_signed_zeros():
+    # every sign of a zero a and b, under both select values
+    zeros = [0.0, -0.0]
+    a, b, u = (x.ravel() for x in np.meshgrid(zeros, zeros, [0, 1], indexing="ij"))
+    assert np.array_equal(np.signbit(g_update(a, b, u)), np.signbit(b + (1 - 2 * u) * a))
+
+
 @given(st.data())
 def test_ssc_decode_equals_sc_decode(data):
     n = 1 << data.draw(st.integers(1, 8))
