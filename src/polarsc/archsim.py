@@ -27,7 +27,6 @@ frame, go through one bit-sliced call of the gate-level models instead
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +95,6 @@ class SimResult:
             "activity": self.activity.to_json_dict(),
             "buffer_peak": self.candidate_buffer_peak,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 TRACE_HEADER = ("cycle", "stream", "stage", "pe_index", "op", "inputs", "outputs",
@@ -370,9 +366,6 @@ class EquivalenceReport:
             "passed": self.passed,
             "first_divergence": self.first_divergence,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):

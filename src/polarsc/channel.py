@@ -11,7 +11,6 @@ one call per decoder.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +203,3 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
         for cfg, point in zip(cfgs, errors.tolist())
         for (mode, arch), (bit_err, frame_err) in zip(decoders, point)
     ]
-
-
-def sweep_results_to_json(results):
-    return json.dumps([r.to_json_dict() for r in results], indent=2)

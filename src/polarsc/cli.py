@@ -2,8 +2,8 @@
 
 Subcommands: encode, decode, timechart, activity, simulate, ber, cost,
 igc-trace. Output is JSON or CSV (UTF-8, comma separator, header row, \\n
-line endings) to stdout or --out. Exit codes: 0 success, 1 invalid
-parameters, 2 internal equivalence failure.
+line endings) to stdout or --out; simulate writes JSON only. Exit codes:
+0 success, 1 invalid parameters, 2 internal equivalence failure.
 """
 
 from __future__ import annotations
@@ -47,21 +47,24 @@ def _write_file(path, text):
         raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_output(text, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        _write_file(out_path, text)
-
-
 def _csv_text(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _emit(args, payload, header, rows):
+    """Write ``payload`` as indented JSON, or ``header`` and ``rows`` as a CSV
+    table, as --format asks, to --out or else stdout."""
+    text = json.dumps(payload, indent=2) if args.format == "json" else _csv_text(header, rows)
+    if args.out is not None:
+        _write_file(args.out, text)
+    else:
+        sys.stdout.write(text)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
 
 
 def _parse_bits(text):
@@ -120,11 +123,7 @@ def _cmd_encode(args):
         "message": [int(b) for b in message],
         "codeword": [int(b) for b in codeword],
     }
-    if args.format == "json":
-        _write_output(json.dumps(payload, indent=2), args.out)
-    else:
-        rows = [(i + 1, int(b)) for i, b in enumerate(codeword)]
-        _write_output(_csv_text(("index", "bit"), rows), args.out)
+    _emit(args, payload, ("index", "bit"), [(i + 1, int(b)) for i, b in enumerate(codeword)])
 
 
 def _cmd_decode(args):
@@ -137,39 +136,28 @@ def _cmd_decode(args):
     if q is not None:
         llrs = llr.quantize(llrs, q, args.scale)
     trace = llr.sc_decode(llrs, spec, mode, q=q)
-    if args.format == "json":
-        _write_output(trace.to_json(), args.out)
-    else:
-        rows = [
-            (i + 1, int(u), float(v))
-            for i, (u, v) in enumerate(zip(trace.u_hat, trace.decision_llrs))
-        ]
-        _write_output(_csv_text(("index", "u_hat", "decision_llr"), rows), args.out)
+    rows = [
+        (i + 1, int(u), float(v))
+        for i, (u, v) in enumerate(zip(trace.u_hat, trace.decision_llrs))
+    ]
+    _emit(args, trace.to_json_dict(), ("index", "u_hat", "decision_llr"), rows)
 
 
 def _cmd_timechart(args):
     conventional = args.arch == schedule.CONVENTIONAL
     chart = (schedule.build_conventional if conventional else schedule.build_lookahead)(args.n)
-    if args.format == "json":
-        _write_output(chart.to_json(), args.out)
-    else:
-        _write_output(
-            _csv_text(("cycle", "stage", "pe_type", "active_pes"), chart.to_rows()),
-            args.out,
-        )
+    _emit(args, chart.to_json_dict(), ("cycle", "stage", "pe_type", "active_pes"),
+          chart.to_rows())
 
 
 def _cmd_activity(args):
     table = schedule.parallel_activity_table(args.n)
-    if args.format == "json":
-        _write_output(table.to_json(), args.out)
-    else:
-        _write_output(
-            _csv_text(("stream", "cycle", "active_pes"), table.to_rows()), args.out
-        )
+    _emit(args, table.to_json_dict(), ("stream", "cycle", "active_pes"), table.to_rows())
 
 
 def _cmd_simulate(args):
+    if args.trace is not None and args.trials > 1:
+        raise InvalidParameterError("--trace records a single run; use it with --trials 1")
     spec = _spec_from_args(args)
     config = archsim.SimConfig(
         spec=spec, q=args.q, architecture=args.arch,
@@ -180,7 +168,7 @@ def _cmd_simulate(args):
             config, trials=args.trials, seed=args.seed,
             ebn0_db=args.ebn0_value, scale=args.scale,
         )
-        _write_output(report.to_json(), args.out)
+        _emit(args, report.to_json_dict(), None, None)
         if not report.passed:
             raise EquivalenceError(
                 f"{report.mismatches} of {report.trials} trials diverged"
@@ -200,7 +188,7 @@ def _cmd_simulate(args):
             raise EquivalenceError(f"stream {s + 1} diverged from the functional decoder")
     if args.trace is not None:
         _write_file(args.trace, _csv_text(archsim.TRACE_HEADER, result.trace))
-    _write_output(result.to_json(), args.out)
+    _emit(args, result.to_json_dict(), None, None)
 
 
 def _cmd_ber(args):
@@ -215,17 +203,14 @@ def _cmd_ber(args):
         spec, modes, archs, points, trials=args.trials, seed=args.seed,
         channel_kind=kind, q=args.q, scale=args.scale,
     )
-    if args.format == "json":
-        _write_output(channel.sweep_results_to_json(results), args.out)
-    else:
-        header = ("mode", "architecture", "q", "ebn0_db", "trials", "bit_errors",
-                  "frame_errors", "ber", "fer")
-        rows = [
-            (r.mode, r.architecture, r.q if r.q is not None else "", r.ebn0_db,
-             r.trials, r.bit_errors, r.frame_errors, r.ber, r.fer)
-            for r in results
-        ]
-        _write_output(_csv_text(header, rows), args.out)
+    header = ("mode", "architecture", "q", "ebn0_db", "trials", "bit_errors",
+              "frame_errors", "ber", "fer")
+    rows = [
+        (r.mode, r.architecture, r.q if r.q is not None else "", r.ebn0_db,
+         r.trials, r.bit_errors, r.frame_errors, r.ber, r.fer)
+        for r in results
+    ]
+    _emit(args, [r.to_json_dict() for r in results], header, rows)
 
 
 def _cmd_cost(args):
@@ -235,14 +220,8 @@ def _cmd_cost(args):
         "both": [cost.PROPOSED, cost.LINE_REFERENCE],
     }[args.design]
     reports = [cost.component_counts(d, args.n, args.q) for d in designs]
-    if args.format == "json":
-        payload = [r.to_json_dict() for r in reports]
-        _write_output(json.dumps(payload, indent=2), args.out)
-    else:
-        rows = []
-        for r in reports:
-            rows.extend((r.design, line, value) for line, value in r.to_rows())
-        _write_output(_csv_text(("design", "line", "value"), rows), args.out)
+    rows = [(r.design, line, value) for r in reports for line, value in r.to_rows()]
+    _emit(args, [r.to_json_dict() for r in reports], ("design", "line", "value"), rows)
 
 
 def _cmd_igc_trace(args):
@@ -261,22 +240,17 @@ def _cmd_igc_trace(args):
         if stage >= 1:
             sel = state.selection_bits(stage)
             rows.append((k, stage, "".join(str(int(b)) for b in sel)))
-    if args.format == "json":
-        payload = {
-            "network": igc.build_network(args.n).to_json_dict(),
-            "updates": [
-                {"decision_index": k, "stage": s, "bits": b} for k, s, b in rows
-            ],
-        }
-        _write_output(json.dumps(payload, indent=2), args.out)
-    else:
-        _write_output(_csv_text(("decision_index", "stage", "bits"), rows), args.out)
+    payload = {
+        "network": igc.build_network(args.n).to_json_dict(),
+        "updates": [{"decision_index": k, "stage": s, "bits": b} for k, s, b in rows],
+    }
+    _emit(args, payload, ("decision_index", "stage", "bits"), rows)
 
 
-def _add_common(p, n_default=8):
+def _add_common(p, n_default=8, formats=("json", "csv")):
     p.add_argument("--n", type=int, default=n_default, help="code length N")
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=formats, default="json")
 
 
 def _add_code(p):
@@ -323,7 +297,7 @@ def build_parser():
     p.set_defaults(func=_cmd_activity)
 
     p = sub.add_parser("simulate", help="cycle-accurate run with equivalence check")
-    _add_common(p)
+    _add_common(p, formats=("json",))
     _add_code(p)
     _add_quant(p)
     p.add_argument("--arch", choices=schedule.ARCHITECTURES, default=schedule.LOOKAHEAD)
@@ -331,8 +305,10 @@ def build_parser():
     p.add_argument("--trials", type=int, default=1,
                    help="> 1 runs a randomized equivalence campaign")
     p.add_argument("--ebn0", type=str, default=None,
-                   help="Eb/N0 in dB (default noiseless for single runs)")
-    p.add_argument("--trace", type=str, default=None, help="write a trace CSV here")
+                   help="Eb/N0 in dB (default noiseless for a single run, "
+                        "0 dB for a campaign)")
+    p.add_argument("--trace", type=str, default=None,
+                   help="write a trace CSV here (needs --trials 1)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("ber", help="Monte-Carlo BER/FER sweep")

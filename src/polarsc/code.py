@@ -9,7 +9,6 @@ partial-sum network.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -93,9 +92,6 @@ class CodeSpec:
             "frozen": list(self.frozen_set),
             "frozen_values": list(self.frozen_values),
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, d):

@@ -14,7 +14,6 @@ in the report metadata.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .code import require_power_of_two
@@ -80,9 +79,6 @@ class CostReport:
             "normalized_throughput": self.normalized_throughput,
             "mux_to_xor_factor": self.mux_to_xor_factor,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_rows(self):
         """CSV rows (line, value), one per comparison-table line."""

@@ -23,7 +23,6 @@ Two accounting schemes coexist in ``gate_count``:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -232,9 +231,6 @@ class GateCount:
             "reg_bits": self.reg_bits,
             "unit_total": self.unit_total,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 # AND/OR-network sizes for the sharing-ratio comparison. The fused cell

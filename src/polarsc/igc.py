@@ -16,7 +16,6 @@ whose pushes carry one bit per codeword and whose slot arrays gain a batch axis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,9 +165,6 @@ class IgcNetwork:
             "storage_slots": self.storage_slots,
             "control": [{"stage": c.stage, "period": c.period} for c in self.control],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def control_schedule(n_bits):

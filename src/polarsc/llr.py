@@ -13,7 +13,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,9 +168,6 @@ class DecodeTrace:
             "mode": self.mode,
             "q": self.q,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _sc_block(llrs, index0, spec, f_fun, g_fun, u_out, llr_out):

@@ -12,7 +12,6 @@ cycle and stops the duplication at stage 1 (N-1 cycles total).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +79,6 @@ class TimeChart:
                 for cycle in self.cycles
             ],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def build_conventional(n_bits):
@@ -182,9 +178,6 @@ class ActivityTable:
             "streams": list(self.streams),
             "counts": [list(row) for row in self.counts],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def interleave_two_streams(chart):

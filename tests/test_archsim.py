@@ -242,7 +242,7 @@ class TestBatchedRun:
         single = run(cfg, q_llrs[0])
         assert json.dumps(single.to_json_dict()["u_hat"]) == json.dumps(
             [[int(b) for b in single.decisions[0]]])
-        batched = json.loads(run(cfg, q_llrs).to_json())
+        batched = json.loads(json.dumps(run(cfg, q_llrs).to_json_dict(), indent=2))
         assert batched["u_hat"][0][0] == single.to_json_dict()["u_hat"][0]
         assert len(batched["u_hat"][0]) == 3
 

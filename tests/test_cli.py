@@ -114,6 +114,23 @@ class TestSimulate:
         payload = json.loads(out.stdout)
         assert payload["passed"] is True
 
+    def test_json_is_the_only_format(self):
+        out = run_cli("simulate", "--n", "8", "--format", "csv")
+        assert out.returncode == 1
+        assert out.stderr.startswith("usage:")
+        assert "invalid choice: 'csv'" in out.stderr
+        out = run_cli("simulate", "--n", "8", "--format", "json")
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["cycles"] == 7
+
+    def test_trace_with_a_campaign_rejected(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        out = run_cli("simulate", "--n", "16", "--trials", "3", "--trace", str(trace))
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:")
+        assert "--trace" in out.stderr and "--trials" in out.stderr
+        assert not trace.exists()
+
 
 class TestBer:
     def test_noiseless_zero_errors(self):

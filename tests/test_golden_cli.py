@@ -99,6 +99,26 @@ CASES = {
         ["cost", "--n", "64", "--q", "5"],
         "17ee1c135049821fc67cbbbff3d85c30cf6674016a7438f7584197191f40682f",
     ),
+    "encode-csv": (
+        ["encode", "--n", "16", "--k", "7", "--seed", "3", "--format", "csv"],
+        "edf0a85539aeeb217eccaaa5b41132208da873d53d9240bc3e0c4f8b364b5f3b",
+    ),
+    "timechart-csv": (
+        ["timechart", "--n", "16", "--format", "csv"],
+        "f474024140876db4e51ea2195cf5892d0b86969bbcc363f58084bfe0eb095698",
+    ),
+    "activity-json": (
+        ["activity", "--n", "16"],
+        "bfb67cf96574283c6da12783fbbb92a33e6ce570562bf06fae2a41284bfdc0a7",
+    ),
+    "cost-csv": (
+        ["cost", "--n", "64", "--q", "5", "--format", "csv"],
+        "e4634fead6868d36260d893b0c1486a71004be01ef85be90e94a8145d762a0c3",
+    ),
+    "igc-trace-csv": (
+        ["igc-trace", "--n", "16", "--seed", "1", "--format", "csv"],
+        "e24baee8cfa346550d1cb7e7f84988eb48475aebb68dc978bcec71a6566eb8e6",
+    ),
 }
 
 

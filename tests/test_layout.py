@@ -1,0 +1,40 @@
+"""Layout of the package: only the command line turns data into JSON text.
+
+Library modules return data (``to_json_dict``, ``to_rows``); ``cli.py`` alone
+decides how it is written, so a second JSON renderer fails here.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "polarsc"
+
+
+def _trees():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def test_only_cli_imports_json():
+    importers = set()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "json" for m in modules):
+                importers.add(name)
+    assert importers == {"cli.py"}
+
+
+def test_no_class_defines_to_json():
+    found = [
+        f"{name}:{cls.name}"
+        for name, tree in _trees().items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "to_json"
+    ]
+    assert found == []

@@ -137,7 +137,7 @@ class TestEncode:
 class TestCodeSpec:
     def test_json_round_trip(self):
         spec = make_code_spec(8, 4)
-        d = json.loads(spec.to_json())
+        d = json.loads(json.dumps(spec.to_json_dict(), indent=2))
         assert set(d) == {"n", "k", "frozen", "frozen_values"}
         assert d["frozen"] == sorted(d["frozen"])
         again = CodeSpec.from_json_dict(d)
