@@ -15,9 +15,10 @@ raises SchedulingError on any violation; it also yields the per-cycle PE
 activity and the candidate-buffer peak. The dataflow pass then runs the
 checked steps with no further checks, each step on a whole
 (batch, N) array of frames at once; a single frame is a batch of one.
-Streams with the same firing sequence, such as the two streams of the
-2-parallel decoder, share a batch: their frames are stacked and decided
-in lockstep, with one partial-sum state, and split apart at the end.
+A legal schedule fires one sequence in every stream, so a run is one
+lockstep batch: the frames of all streams (both streams of the
+2-parallel decoder) are stacked and decided together, with one
+partial-sum state, and split apart at the end.
 
 Arithmetic is saturating q-bit integer min-sum, bit-identical to the
 functional quantized decoder; optionally all PEs of a firing, in every
@@ -207,11 +208,11 @@ def run(config, channel_llrs):
     (batch, N) array of frames: a single block for the single-stream
     architectures, a pair of blocks (batch sizes may differ) for the
     2-parallel one. The schedule is checked once, before any arithmetic.
-    Streams that fire the same (stage, op, block) sequence then run it in
-    lockstep, their frames stacked on one batch axis, so each step applies
-    its PE to every frame of those streams at once. Decisions come back in
-    the shape of their input. A trace row has no frame column, so
-    ``record_trace`` takes one vector per stream.
+    A legal schedule fires the same (stage, op, block) sequence in every
+    stream, so all streams run it in lockstep, their frames stacked on one
+    batch axis, and each step applies its PE to every frame at once.
+    Decisions come back in the shape of their input. A trace row has no
+    frame column, so ``record_trace`` takes one vector per stream.
     """
     if config.architecture == PARALLEL2:
         if not isinstance(channel_llrs, (list, tuple)) or len(channel_llrs) != 2:
@@ -234,31 +235,27 @@ def run(config, channel_llrs):
         channels.append(llrs.reshape(-1, n))
     steps, activity, peak = check_schedule(config)
 
+    # every stream of a legal schedule fires C1's sequence (see above)
     fired = [[i for i, step in enumerate(steps) if step[1] == s] for s in range(len(channels))]
-    groups = {}  # firing sequence -> streams that fire it
-    for s, indices in enumerate(fired):
-        groups.setdefault(tuple(steps[i][2:] for i in indices), []).append(s)
-    decisions, dec_llrs = [None] * len(channels), [None] * len(channels)
     rows = [()] * len(steps)  # trace rows of each step
-    for firings, members in groups.items():
-        frames = np.concatenate([channels[s] for s in members])
-        bounds = np.cumsum([0] + [len(channels[s]) for s in members])
 
-        def record(k, a, b, outs, sel):
-            # with record_trace every stream is one frame: row p is members[p]
-            for p, s in enumerate(members):
-                cycle, _, stage, op, _ = steps[fired[s][k]]
-                rows[fired[s][k]] = [
-                    (cycle, STREAM_LABELS[s], stage, i, op, f"{a[p, i]}|{b[p, i]}",
-                     "|".join(str(o[p, i]) for o in outs),
-                     "" if sel is None else str(sel[p, i]))
-                    for i in range(a.shape[1])
-                ]
+    def record(k, a, b, outs, sel):
+        # with record_trace every stream is one frame: row s is stream s
+        for s, indices in enumerate(fired):
+            cycle, _, stage, op, _ = steps[indices[k]]
+            rows[indices[k]] = [
+                (cycle, STREAM_LABELS[s], stage, i, op, f"{a[s, i]}|{b[s, i]}",
+                 "|".join(str(o[s, i]) for o in outs),
+                 "" if sel is None else str(sel[s, i]))
+                for i in range(a.shape[1])
+            ]
 
-        u, llrs = _dataflow(config, firings, frames, record if config.record_trace else None)
-        for p, s in enumerate(members):
-            decisions[s] = u[bounds[p]:bounds[p + 1]].reshape(shapes[s])
-            dec_llrs[s] = llrs[bounds[p]:bounds[p + 1]].reshape(shapes[s])
+    firings = [steps[i][2:] for i in fired[0]]
+    u, llrs = _dataflow(config, firings, np.concatenate(channels),
+                        record if config.record_trace else None)
+    cuts = np.cumsum([len(c) for c in channels])[:-1]
+    decisions = [d.reshape(shape) for d, shape in zip(np.split(u, cuts), shapes)]
+    dec_llrs = [d.reshape(shape) for d, shape in zip(np.split(llrs, cuts), shapes)]
     return SimResult(
         decisions=decisions,
         decision_llrs=dec_llrs,
@@ -327,16 +324,19 @@ def _dataflow(config, firings, frames, record):
 
 
 def decode_frames(config, q_llrs):
-    """Decisions for a (frames, N) batch of quantized LLRs, in one run.
+    """Decisions and decision LLRs of a (frames, N) batch of quantized LLRs.
 
     The 2-parallel architecture decodes even frames on stream C1 and odd
     frames on stream C2.
     """
     if config.architecture != PARALLEL2:
-        return run(config, q_llrs).decisions[0]
-    out = np.empty_like(q_llrs)
-    out[0::2], out[1::2] = run(config, [q_llrs[0::2], q_llrs[1::2]]).decisions
-    return out
+        result = run(config, q_llrs)
+        return result.decisions[0], result.decision_llrs[0]
+    result = run(config, [q_llrs[0::2], q_llrs[1::2]])
+    out = np.empty((2,) + q_llrs.shape, dtype=np.int64)
+    out[0, 0::2], out[0, 1::2] = result.decisions
+    out[1, 0::2], out[1, 1::2] = result.decision_llrs
+    return out[0], out[1]
 
 
 @dataclass
@@ -369,8 +369,8 @@ class EquivalenceReport:
 
 
 def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
-    """Random-message campaign: the architectural decisions must be
-    bit-identical to the functional quantized min-sum decoder.
+    """Random-message campaign: the architectural decisions and decision
+    LLRs must be identical to the functional quantized min-sum decoder's.
 
     Each trial draws fresh messages and noise (two independent frames per
     trial for the 2-parallel architecture, consecutive frames going to
@@ -384,20 +384,24 @@ def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
     cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=ebn0_db, master_seed=seed)
     _, llrs = draw_trials(spec, cfg, trials * frames_per_trial)
     q_llrs = quantize(llrs, config.q, scale)
-    reference, _ = sc_decode_batch(q_llrs, spec, MODE_MINSUM_Q, q=config.q)
-    got = decode_frames(config, q_llrs)
+    reference, ref_llrs = sc_decode_batch(q_llrs, spec, MODE_MINSUM_Q, q=config.q)
+    got, got_llrs = decode_frames(config, q_llrs)
+    differs = (got != reference) | (got_llrs != ref_llrs)
     # wrong[t, s]: stream s of trial t diverged
-    wrong = np.any(got != reference, axis=1).reshape(trials, frames_per_trial)
+    wrong = np.any(differs, axis=1).reshape(trials, frames_per_trial)
     first_divergence = None
     if wrong.any():
         t, s = (int(i) for i in np.argwhere(wrong)[0])
         frame = t * frames_per_trial + s
+        i = int(np.argmax(differs[frame]))
         first_divergence = {
             "trial": t,
             "stream": s,
-            "first_bit_index": int(np.argmax(got[frame] != reference[frame])) + 1,
+            "first_bit_index": i + 1,
             "sim": got[frame].tolist(),
             "reference": reference[frame].tolist(),
+            "sim_llr": got_llrs[frame, i].item(),
+            "reference_llr": ref_llrs[frame, i].item(),
         }
     mismatches = int(wrong.any(axis=1).sum())
     return EquivalenceReport(

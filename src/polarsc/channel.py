@@ -130,29 +130,27 @@ def draw_trials(spec, cfg, trials):
                  [cfg.ebn0_db])
 
 
-def _decode_functional(llrs, spec, mode, q, scale):
-    if mode == MODE_MINSUM_Q:
-        return ssc_decode_batch(quantize(llrs, q, scale), spec, mode, q=q)
-    return ssc_decode_batch(llrs, spec, mode)
-
-
-def _decode_architecture(llrs, spec, architecture, q, scale):
+def _decode_architecture(q_llrs, spec, architecture, q):
     # imported here to keep channel usable without the simulator stack
     from .archsim import SimConfig, decode_frames
 
-    return decode_frames(SimConfig(spec=spec, q=q, architecture=architecture),
-                         quantize(llrs, q, scale))
+    return decode_frames(SimConfig(spec=spec, q=q, architecture=architecture), q_llrs)[0]
 
 
 def _chunk_errors(spec, cfgs, decoders, trials, q, scale):
     """(points, decoders, 2) bit and frame error counts on the trials in
-    the range ``trials``, every point decoded in one call per decoder."""
+    the range ``trials``, every point decoded in one call per decoder and
+    the LLRs quantized once for all the quantized decoders."""
     msgs, llrs = _draw(spec, cfgs[0].kind, cfgs[0].master_seed, trials,
                        [c.ebn0_db for c in cfgs])
+    quantized = any(mode == MODE_MINSUM_Q for mode, _ in decoders)
+    q_llrs = quantize(llrs, q, scale) if quantized else None
     errors = np.zeros((len(cfgs), len(decoders), 2), dtype=np.int64)
     for d, (mode, arch) in enumerate(decoders):
-        u_hat = (_decode_functional(llrs, spec, mode, q, scale) if arch is None
-                 else _decode_architecture(llrs, spec, arch, q, scale))
+        if arch is not None:
+            u_hat = _decode_architecture(q_llrs, spec, arch, q)
+        else:
+            u_hat = ssc_decode_batch(q_llrs if mode == MODE_MINSUM_Q else llrs, spec, mode, q=q)
         decoded = u_hat[:, ~spec.frozen_mask].reshape(len(cfgs), len(trials), -1)
         for p, point in enumerate(decoded):
             wrong = point != msgs

@@ -39,6 +39,11 @@ class CodeSpec:
         Sorted 1-based indices of the N - K frozen positions.
     frozen_values : tuple of int
         Bit value per frozen index, aligned with ``frozen_set``.
+
+    Derived 0-based lookup arrays, used on the decoding hot path:
+    ``frozen_mask`` is True where a position is frozen, and
+    ``frozen_value_array`` holds the frozen bit values (0 at information
+    positions).
     """
 
     n_bits: int
@@ -66,24 +71,13 @@ class CodeSpec:
             raise InvalidParameterError("frozen_values must be bits")
         object.__setattr__(self, "frozen_set", frozen)
         object.__setattr__(self, "frozen_values", values)
-        # cached 0-based lookup arrays, used on the decoding hot path
         mask = np.zeros(self.n_bits, dtype=bool)
         vals = np.zeros(self.n_bits, dtype=np.int64)
         for idx, val in zip(frozen, values):
             mask[idx - 1] = True
             vals[idx - 1] = val
-        object.__setattr__(self, "_frozen_mask", mask)
-        object.__setattr__(self, "_frozen_vals", vals)
-
-    @property
-    def frozen_mask(self):
-        """Boolean mask over 0-based positions, True where frozen."""
-        return self._frozen_mask
-
-    @property
-    def frozen_value_array(self):
-        """Frozen bit values over 0-based positions (0 at information spots)."""
-        return self._frozen_vals
+        object.__setattr__(self, "frozen_mask", mask)
+        object.__setattr__(self, "frozen_value_array", vals)
 
     def to_json_dict(self):
         return {

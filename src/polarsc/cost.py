@@ -23,8 +23,6 @@ from .llr import qmax
 PROPOSED = "proposed"
 LINE_REFERENCE = "line_reference"
 
-MUX_TO_XOR_FACTOR = 1
-
 
 @dataclass(frozen=True)
 class CostReport:
@@ -45,7 +43,8 @@ class CostReport:
     other_muxes: int
     latency: int
     normalized_throughput: float
-    mux_to_xor_factor: int = MUX_TO_XOR_FACTOR
+
+    mux_to_xor_factor = 1  # derived, not an option: see the module docstring
 
     @property
     def xor_equivalent_total(self):

@@ -147,10 +147,6 @@ class IgcNetwork:
     control: tuple
 
     @property
-    def n_bits(self):
-        return 1 << (self.n + 1)
-
-    @property
     def xor_elements(self):
         return len(self.elements)
 

@@ -1,6 +1,7 @@
 """Cycle-accurate simulator: cycle counts, equivalence, buffers, traces."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -266,6 +267,27 @@ class TestBatchedRun:
         assert (div["trial"], div["stream"], div["first_bit_index"]) == (2, 1, 6)
         assert [a ^ b for a, b in zip(div["sim"], div["reference"])] == [0] * 5 + [1] + [0] * 10
 
+    @pytest.mark.parametrize("arch", ["lookahead", "parallel2"])
+    def test_decision_llr_divergence_located(self, monkeypatch, arch):
+        # right decisions with one wrong decision LLR still fail the campaign
+        decode = archsim.sc_decode_batch
+        per_trial = 2 if arch == "parallel2" else 1
+
+        def shifted(q_llrs, *args, **kwargs):
+            u_hat, llrs = decode(q_llrs, *args, **kwargs)
+            llrs[1 * per_trial, 6] += 1  # trial 1, stream C1, bit 7
+            return u_hat, llrs
+
+        monkeypatch.setattr(archsim, "sc_decode_batch", shifted)
+        spec = make_code_spec(16, 8)
+        report = verify_equivalence(SimConfig(spec=spec, q=6, architecture=arch),
+                                    trials=3, seed=7)
+        assert (report.matches, report.mismatches) == (2, 1)
+        div = report.first_divergence
+        assert (div["trial"], div["stream"], div["first_bit_index"]) == (1, 0, 7)
+        assert div["sim"] == div["reference"]
+        assert div["reference_llr"] == div["sim_llr"] + 1
+
 
 class TestLockstepStreams:
     """The two 2-parallel streams fire the same sequence, so one run decides
@@ -298,6 +320,28 @@ class TestLockstepStreams:
         run(SimConfig(spec=spec, q=6, architecture=arch),
             [q_llrs[:3], q_llrs[3:]] if arch == "parallel2" else q_llrs)
         assert indices == list(range(1, 17))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_legal_schedules_fire_one_sequence_per_stream(self, monkeypatch, n):
+        # run decides every stream with C1's firings, which is sound only if
+        # no schedule the checker accepts lets C2 fire another sequence
+        cfg = SimConfig(spec=make_code_spec(n, n // 2), q=6, architecture="parallel2")
+        base = archsim._build_schedule(cfg)
+        rng = random.Random(n)
+        schedules = [_drop(c)(base) for c in range(1, len(base) + 1)]
+        schedules += [_swap(c)(base) for c in range(1, len(base))]
+        schedules += [_repack(base, rng) for _ in range(2000)]
+        accepted = 0
+        for sched in schedules:
+            monkeypatch.setattr(archsim, "_build_schedule", lambda cfg, s=sched: s)
+            try:
+                steps, _, _ = archsim.check_schedule(cfg)
+            except SchedulingError:
+                continue
+            accepted += 1
+            c1, c2 = ([step[2:] for step in steps if step[1] == s] for s in (0, 1))
+            assert c1 == c2
+        assert accepted > 100  # the random re-packings reach legal schedules
 
 
 class TestTraceAndValidation:
@@ -377,6 +421,26 @@ def _remove_c1_stall(sched):
     return ([[(0, c1[0])]]
             + [[(0, c1[t]), (1, c2[t - 1])] for t in range(1, len(c1))]
             + [[(1, c2[-1])]])
+
+
+def _repack(sched, rng):
+    """Schedule mutation: move firings a few places or exchange the streams
+    of two nearby firings, then pack the firings into cycles of one or two."""
+    flat = [activation for cycle in sched for activation in cycle]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(flat))
+        j = min(len(flat) - 1, max(0, i + rng.randint(-3, 3)))
+        if rng.random() < 0.5:
+            flat.insert(j, flat.pop(i))
+        else:
+            (si, ei), (sj, ej) = flat[i], flat[j]
+            flat[i], flat[j] = (sj, ei), (si, ej)
+    cycles = []
+    while flat:
+        width = rng.choice((1, 2))
+        cycles.append(flat[:width])
+        flat = flat[width:]
+    return cycles
 
 
 def _merge_first_cycles(sched):

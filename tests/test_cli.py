@@ -201,6 +201,28 @@ class TestContract:
                          "--out", "/dev/null"])
         assert code == 2
 
+    @pytest.mark.parametrize("arch", ["lookahead", "parallel2"])
+    def test_single_run_divergence_exits_2(self, monkeypatch, capsys, arch):
+        # one run (no --trials) checks its own streams against the reference
+        from polarsc import cli, llr
+
+        decode = llr.sc_decode_batch
+
+        def flipped(q_llrs, *args, **kwargs):
+            u_hat, llrs = decode(q_llrs, *args, **kwargs)
+            u_hat[-1, 3] ^= 1  # the last stream's fourth decision
+            return u_hat, llrs
+
+        monkeypatch.setattr(llr, "sc_decode_batch", flipped)
+        code = cli.main(["simulate", "--n", "8", "--k", "4", "--arch", arch,
+                         "--ebn0", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        stream = 2 if arch == "parallel2" else 1
+        assert err == (f"equivalence failure: stream {stream} diverged from the "
+                       f"functional decoder\n")
+        assert out == ""
+
     def test_outputs_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ("ber", "--n", "16", "--k", "8", "--mode", "minsum",

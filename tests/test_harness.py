@@ -292,6 +292,24 @@ class TestSweepChunks:
         self.set_chunk(monkeypatch, 4, len(points), spec)
         assert sweep() == {"trial_rng": 10, "encode": 3}
 
+    @pytest.mark.parametrize("modes, architectures, quantized", [
+        (["minsum_q"], list(ARCHITECTURES), 1),
+        (["exact", "minsum"], [], 0),
+    ])
+    def test_one_quantize_per_chunk(self, monkeypatch, modes, architectures, quantized):
+        # every quantized decoder of a chunk reads one shared quantized array
+        calls = []
+        quantize = channel.quantize
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return quantize(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "quantize", counted)
+        spec = make_code_spec(16, 8)
+        ber_sweep(spec, modes, architectures, [0.0, 2.0], trials=6, seed=3)
+        assert calls == [(2 * 6, 16)] * quantized
+
     @pytest.mark.parametrize("q, scale", [(6, 1.0), (4, 0.6)])
     def test_counts_match_the_full_recursion_oracle(self, q, scale):
         spec = make_code_spec(32, 16)

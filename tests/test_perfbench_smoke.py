@@ -2,9 +2,9 @@
 
 The tracer in ``perfbench/spans.py`` wraps package functions by the names
 their callers look them up under (``archsim.merged_pe`` among them), so a
-renamed or dropped name makes every traced request raise. This runs one
-traced ``gate_crosscheck`` warm-up in a subprocess and reads its result;
-it only reads ``perfbench/``.
+renamed or dropped name makes every traced request raise. This runs
+traced ``gate_crosscheck`` and ``sweep_short`` warm-ups in subprocesses
+and reads their results; it only reads ``perfbench/``.
 """
 
 import json
@@ -15,9 +15,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_gate_crosscheck():
+def traced_warmup(workload):
+    """Metrics of one traced warm-up of ``workload``, after checking that
+    every request it sent succeeded."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "gate_crosscheck",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -27,4 +29,16 @@ def test_traced_gate_crosscheck():
     # failed a check, over requests attempted
     assert last["attempted"] > 0
     assert (last["attempted"] - last["failed"]) / last["attempted"] == 1
-    assert last["metrics"]["gates.merged_pe.calls"]["value"] > 0
+    return last["metrics"]
+
+
+def test_traced_gate_crosscheck():
+    assert traced_warmup("gate_crosscheck")["gates.merged_pe.calls"]["value"] > 0
+
+
+def test_traced_sweep_short():
+    # runs the wrappers the tracer puts on channel (ber_sweep, trial_rng,
+    # encode, quantize)
+    metrics = traced_warmup("sweep_short")
+    assert metrics["channel.trial_rng.calls"]["value"] > 0
+    assert metrics["llr.quantize.self_ms"]["value"] > 0
