@@ -28,11 +28,11 @@ frame, go through one bit-sliced call of the gate-level models instead
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, draw_trials, require_count, BPSK_AWGN
+from .channel import ChannelConfig, require_count, trial_chunks, BPSK_AWGN
 from .code import require_power_of_two
 from .errors import InvalidParameterError, SchedulingError
 from .gates import WordQ, merged_pe
@@ -356,16 +356,32 @@ class EquivalenceReport:
         return self.mismatches == 0
 
     def to_json_dict(self):
-        return {
-            "architecture": self.architecture,
-            "n": self.n,
-            "q": self.q,
-            "trials": self.trials,
-            "matches": self.matches,
-            "mismatches": self.mismatches,
-            "passed": self.passed,
-            "first_divergence": self.first_divergence,
-        }
+        fields = asdict(self)
+        first = fields.pop("first_divergence")
+        return {**fields, "passed": self.passed, "first_divergence": first}
+
+
+def divergence(got, got_llrs, reference, ref_llrs, per_trial):
+    """The equivalence rule: decisions and decision LLRs, (frames, N) with a
+    trial's ``per_trial`` streams in consecutive frames, equal the reference's.
+    Returns wrong[t, s] (stream s of trial t diverged) and the first
+    divergence, or None."""
+    differs = (got != reference) | (got_llrs != ref_llrs)
+    wrong = np.any(differs, axis=1).reshape(-1, per_trial)
+    if not wrong.any():
+        return wrong, None
+    t, s = (int(i) for i in np.argwhere(wrong)[0])
+    frame = t * per_trial + s
+    i = int(np.argmax(differs[frame]))
+    return wrong, {
+        "trial": t,
+        "stream": s,
+        "first_bit_index": i + 1,
+        "sim": got[frame].tolist(),
+        "reference": reference[frame].tolist(),
+        "sim_llr": got_llrs[frame, i].item(),
+        "reference_llr": ref_llrs[frame, i].item(),
+    }
 
 
 def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
@@ -374,36 +390,25 @@ def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
 
     Each trial draws fresh messages and noise (two independent frames per
     trial for the 2-parallel architecture, consecutive frames going to
-    streams C1 and C2), the simulator decodes all trials in one batched
-    run, and each is compared against the functional reference on the very
-    same quantized inputs. Returns a report rather than raising.
+    streams C1 and C2). The trials are walked in ``ber_sweep``'s chunks, so
+    memory does not grow with their count; the simulator decodes a chunk in
+    one batched run, checked by ``divergence`` against the functional
+    reference on the very same quantized inputs. Returns a report.
     """
     trials = require_count(trials, 1)
     spec = config.spec
-    frames_per_trial = 2 if config.architecture == PARALLEL2 else 1
+    per_trial = 2 if config.architecture == PARALLEL2 else 1
     cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=ebn0_db, master_seed=seed)
-    _, llrs = draw_trials(spec, cfg, trials * frames_per_trial)
-    q_llrs = quantize(llrs, config.q, scale)
-    reference, ref_llrs = sc_decode_batch(q_llrs, spec, MODE_MINSUM_Q, q=config.q)
-    got, got_llrs = decode_frames(config, q_llrs)
-    differs = (got != reference) | (got_llrs != ref_llrs)
-    # wrong[t, s]: stream s of trial t diverged
-    wrong = np.any(differs, axis=1).reshape(trials, frames_per_trial)
-    first_divergence = None
-    if wrong.any():
-        t, s = (int(i) for i in np.argwhere(wrong)[0])
-        frame = t * frames_per_trial + s
-        i = int(np.argmax(differs[frame]))
-        first_divergence = {
-            "trial": t,
-            "stream": s,
-            "first_bit_index": i + 1,
-            "sim": got[frame].tolist(),
-            "reference": reference[frame].tolist(),
-            "sim_llr": got_llrs[frame, i].item(),
-            "reference_llr": ref_llrs[frame, i].item(),
-        }
-    mismatches = int(wrong.any(axis=1).sum())
+    mismatches, first_divergence = 0, None
+    for first, _, llrs in trial_chunks(spec, [cfg], trials, per_trial):
+        q_llrs = quantize(llrs, config.q, scale)
+        wrong, found = divergence(*decode_frames(config, q_llrs),
+                                  *sc_decode_batch(q_llrs, spec, MODE_MINSUM_Q, q=config.q),
+                                  per_trial)
+        mismatches += int(wrong.any(axis=1).sum())
+        if found is not None and first_divergence is None:
+            found["trial"] += first
+            first_divergence = found
     return EquivalenceReport(
         architecture=config.architecture, n=spec.n_bits, q=config.q,
         trials=trials, matches=trials - mismatches, mismatches=mismatches,

@@ -4,14 +4,16 @@ Per-trial determinism: the random stream of trial t is derived from
 (master_seed, t) through numpy's SeedSequence spawn mechanism
 (``SeedSequence(master_seed).spawn`` keyed by the trial index), so results
 do not depend on execution order and trials can be split across workers
-without changing aggregate counts. A sweep reads each stream once, maps it
-to every operating point, and decodes a chunk of trials at all points in
-one call per decoder.
+without changing aggregate counts. Campaigns walk the trials in chunks
+(``trial_chunks``), so their memory does not grow with the trial count: a
+sweep reads each stream once, maps it to every operating point, and decodes
+a chunk of trials at all points in one call per decoder, and the
+simulator's equivalence campaign checks a chunk at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .llr import (
     sc_decode_batch,  # unused here; perfbench/spans.py wraps it on this module
     ssc_decode_batch,
 )
-from .schedule import ARCHITECTURES
 
 NOISELESS = "noiseless"
 BPSK_AWGN = "bpsk_awgn"
@@ -74,17 +75,7 @@ class SweepResult:
     architecture: str
 
     def to_json_dict(self):
-        return {
-            "ebn0_db": self.ebn0_db,
-            "trials": self.trials,
-            "bit_errors": self.bit_errors,
-            "frame_errors": self.frame_errors,
-            "ber": self.ber,
-            "fer": self.fer,
-            "mode": self.mode,
-            "q": self.q,
-            "architecture": self.architecture,
-        }
+        return asdict(self)
 
 
 def require_count(value, minimum=0, name="trials"):
@@ -130,32 +121,19 @@ def draw_trials(spec, cfg, trials):
                  [cfg.ebn0_db])
 
 
-def _decode_architecture(q_llrs, spec, architecture, q):
-    # imported here to keep channel usable without the simulator stack
-    from .archsim import SimConfig, decode_frames
-
-    return decode_frames(SimConfig(spec=spec, q=q, architecture=architecture), q_llrs)[0]
-
-
-def _chunk_errors(spec, cfgs, decoders, trials, q, scale):
-    """(points, decoders, 2) bit and frame error counts on the trials in
-    the range ``trials``, every point decoded in one call per decoder and
-    the LLRs quantized once for all the quantized decoders."""
-    msgs, llrs = _draw(spec, cfgs[0].kind, cfgs[0].master_seed, trials,
-                       [c.ebn0_db for c in cfgs])
-    quantized = any(mode == MODE_MINSUM_Q for mode, _ in decoders)
-    q_llrs = quantize(llrs, q, scale) if quantized else None
-    errors = np.zeros((len(cfgs), len(decoders), 2), dtype=np.int64)
-    for d, (mode, arch) in enumerate(decoders):
-        if arch is not None:
-            u_hat = _decode_architecture(q_llrs, spec, arch, q)
-        else:
-            u_hat = ssc_decode_batch(q_llrs if mode == MODE_MINSUM_Q else llrs, spec, mode, q=q)
-        decoded = u_hat[:, ~spec.frozen_mask].reshape(len(cfgs), len(trials), -1)
-        for p, point in enumerate(decoded):
-            wrong = point != msgs
-            errors[p, d] = wrong.sum(), wrong.any(axis=1).sum()
-    return errors
+def trial_chunks(spec, cfgs, trials, per_trial=1):
+    """Walk trials 0..trials-1 in chunks of at most ``_CHUNK_ELEMENTS``
+    values (points x frames x N, at least one trial); yield (first trial,
+    messages, LLRs at each point of ``cfgs`` stacked point after point).
+    Trial t owns ``draw_trials``' frames per_trial*t .. per_trial*(t+1) - 1,
+    in consecutive rows. ``cfgs`` share one channel kind and master seed.
+    """
+    kind, seed = cfgs[0].kind, cfgs[0].master_seed
+    points = [c.ebn0_db for c in cfgs]
+    chunk = max(1, _CHUNK_ELEMENTS // (len(points) * spec.n_bits * per_trial))
+    for first in range(0, trials, chunk):
+        frames = range(per_trial * first, per_trial * min(first + chunk, trials))
+        yield (first, *_draw(spec, kind, seed, frames, points))
 
 
 def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
@@ -168,9 +146,13 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     min-sum arithmetic. Every decoder sees the identical per-trial LLR
     vectors, so matching seeds give matching error counts across decoders
     that are exact re-schedulings of each other. The counts do not depend
-    on how the trials are split into chunks. The seed, q and scale are
-    checked whether or not a decoder or an operating point uses them.
+    on how the trials are split into chunks. The seed, q, scale and
+    architectures are checked whether or not a decoder or an operating
+    point uses them.
     """
+    # imported here to keep channel usable without the simulator stack
+    from .archsim import SimConfig, decode_frames
+
     trials = require_count(trials, 1)
     require_count(seed, name="seed")
     qmax(q)
@@ -178,17 +160,25 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     for mode in modes:
         if mode not in MODES:
             raise InvalidParameterError(f"unknown mode {mode!r}")
-    for arch in architectures:
-        if arch not in ARCHITECTURES:
-            raise InvalidParameterError(f"unknown architecture {arch!r}")
+    decoders = [(m, None) for m in modes] + [
+        (MODE_MINSUM_Q, SimConfig(spec=spec, q=q, architecture=a)) for a in architectures]
     cfgs = [ChannelConfig(kind=channel_kind, ebn0_db=float(e), master_seed=seed)
             for e in ebn0_points]
     if not cfgs:
         return []
-    decoders = [(m, None) for m in modes] + [(MODE_MINSUM_Q, a) for a in architectures]
-    chunk = max(1, _CHUNK_ELEMENTS // (len(cfgs) * spec.n_bits))
-    errors = sum(_chunk_errors(spec, cfgs, decoders, range(t, min(t + chunk, trials)), q, scale)
-                 for t in range(0, trials, chunk))
+    quantized = any(mode == MODE_MINSUM_Q for mode, _ in decoders)
+    errors = np.zeros((len(cfgs), len(decoders), 2), dtype=np.int64)  # bit, frame
+    for _, msgs, llrs in trial_chunks(spec, cfgs, trials):
+        q_llrs = quantize(llrs, q, scale) if quantized else None
+        for d, (mode, sim) in enumerate(decoders):
+            if sim is not None:
+                u_hat = decode_frames(sim, q_llrs)[0]
+            else:
+                u_hat = ssc_decode_batch(q_llrs if mode == MODE_MINSUM_Q else llrs, spec,
+                                         mode, q=q)
+            wrong = u_hat[:, ~spec.frozen_mask].reshape(len(cfgs), len(msgs), -1) != msgs
+            errors[:, d, 0] += wrong.sum(axis=(1, 2))
+            errors[:, d, 1] += wrong.any(axis=2).sum(axis=1)
     return [
         SweepResult(
             ebn0_db=cfg.ebn0_db, trials=trials,
@@ -196,8 +186,8 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
             ber=bit_err / (trials * spec.k_info),
             fer=frame_err / trials,
             mode=mode, q=q if mode == MODE_MINSUM_Q else None,
-            architecture=FUNCTIONAL if arch is None else arch,
+            architecture=FUNCTIONAL if sim is None else sim.architecture,
         )
         for cfg, point in zip(cfgs, errors.tolist())
-        for (mode, arch), (bit_err, frame_err) in zip(decoders, point)
+        for (mode, sim), (bit_err, frame_err) in zip(decoders, point)
     ]

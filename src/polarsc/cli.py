@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -182,10 +183,11 @@ def _cmd_simulate(args):
     _, float_llrs = channel.draw_trials(spec, cfg, frames)
     q_llrs = llr.quantize(float_llrs, args.q, args.scale)
     result = archsim.run(config, list(q_llrs) if frames == 2 else q_llrs[0])
-    reference, _ = llr.sc_decode_batch(q_llrs, spec, llr.MODE_MINSUM_Q, q=args.q)
-    for s in range(frames):
-        if not np.array_equal(result.decisions[s], reference[s]):
-            raise EquivalenceError(f"stream {s + 1} diverged from the functional decoder")
+    reference, ref_llrs = llr.sc_decode_batch(q_llrs, spec, llr.MODE_MINSUM_Q, q=args.q)
+    _, first = archsim.divergence(np.stack(result.decisions), np.stack(result.decision_llrs),
+                                  reference, ref_llrs, frames)
+    if first is not None:
+        raise EquivalenceError(f"stream {first['stream'] + 1} diverged from the functional decoder")
     if args.trace is not None:
         _write_file(args.trace, _csv_text(archsim.TRACE_HEADER, result.trace))
     _emit(args, result.to_json_dict(), None, None)
@@ -348,6 +350,11 @@ def main(argv=None):
         if args.command == "simulate":
             args.ebn0_value = _parse_float(args.ebn0) if args.ebn0 else 0.0
         args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:  # the rest goes to devnull, so exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        return EXIT_INVALID
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

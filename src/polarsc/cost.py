@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .code import require_power_of_two
 from .errors import InvalidParameterError
+from .gates import gate_count
 from .llr import qmax
 
 PROPOSED = "proposed"
@@ -110,26 +111,22 @@ def schedule_figures(design, n):
 
 
 def component_counts(design, n, q):
-    """Exact per-component counts for one design at (N, q)."""
-    qmax(q)  # validates q; schedule_figures validates N
+    """Exact per-component counts for one design at (N, q); the per-PE rows
+    are the gate models' (``gates.gate_count``)."""
     lat, thr = schedule_figures(design, n)
-    if design == PROPOSED:
+    proposed = design == PROPOSED
+    pe = gate_count("merged_pe" if proposed else "reference_pe", q)  # validates q
+    common = dict(design=design, n=n, q=q, n_pes=n // 2, pe_xor=pe.xor, pe_reg=pe.reg_bits,
+                  pe_mux=pe.mux_bits, latency=lat, normalized_throughput=thr)
+    if proposed:
         return CostReport(
-            design=design, n=n, q=q,
-            n_pes=n // 2, pe_xor=9 * q, pe_reg=0, pe_mux=6 * q,
-            n_igcs=2, igc_xor=n // 2 - 1, igc_ram=n // 2 - 2, igc_mux=n // 2 - 2,
+            **common, n_igcs=2, igc_xor=n // 2 - 1, igc_ram=n // 2 - 2, igc_mux=n // 2 - 2,
             other_regs=q * (9 * n // 2 + 4), other_muxes=q * (n + 2),
-            latency=lat, normalized_throughput=thr,
         )
-    if design == LINE_REFERENCE:
-        return CostReport(
-            design=design, n=n, q=q,
-            n_pes=n // 2, pe_xor=11 * q - 3, pe_reg=1, pe_mux=5 * q,
-            n_igcs=0, igc_xor=0, igc_ram=0, igc_mux=0,
-            other_regs=q * (n - 1), other_muxes=3 * q * (n // 2 - 1),
-            latency=lat, normalized_throughput=thr,
-        )
-    raise InvalidParameterError(f"unknown design {design!r}")
+    return CostReport(
+        **common, n_igcs=0, igc_xor=0, igc_ram=0, igc_mux=0,
+        other_regs=q * (n - 1), other_muxes=3 * q * (n // 2 - 1),
+    )
 
 
 def asymptotic_totals(design, n, q):

@@ -201,16 +201,23 @@ class TestContract:
                          "--out", "/dev/null"])
         assert code == 2
 
-    @pytest.mark.parametrize("arch", ["lookahead", "parallel2"])
-    def test_single_run_divergence_exits_2(self, monkeypatch, capsys, arch):
-        # one run (no --trials) checks its own streams against the reference
+    @pytest.mark.parametrize("arch, damaged", [
+        ("lookahead", "decision"), ("parallel2", "decision"),
+        ("lookahead", "decision_llr"), ("parallel2", "decision_llr"),
+    ], ids=["lookahead", "parallel2", "lookahead-llr", "parallel2-llr"])
+    def test_single_run_divergence_exits_2(self, monkeypatch, capsys, arch, damaged):
+        # one run (no --trials) checks its own streams' decisions and decision
+        # LLRs against the reference
         from polarsc import cli, llr
 
         decode = llr.sc_decode_batch
 
         def flipped(q_llrs, *args, **kwargs):
             u_hat, llrs = decode(q_llrs, *args, **kwargs)
-            u_hat[-1, 3] ^= 1  # the last stream's fourth decision
+            if damaged == "decision":
+                u_hat[-1, 3] ^= 1  # the last stream's fourth decision
+            else:
+                llrs[-1, 3] += 1  # its decision LLR; every decision stays right
             return u_hat, llrs
 
         monkeypatch.setattr(llr, "sc_decode_batch", flipped)
@@ -238,6 +245,26 @@ class TestContract:
         data = path.read_bytes()
         assert b"\r" not in data
         assert data.decode("utf-8").startswith("cycle,stage")
+
+
+    @pytest.mark.parametrize("n", [4096, 4], ids=["past-pipe-buffer", "buffered"])
+    def test_closed_stdout_exits_1_without_traceback(self, n):
+        # stdout is a pipe with no reader: ~434 KB of JSON at N=4096 fails in
+        # the write, a small chart only when stdout is flushed
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(CMD + ["timechart", "--n", str(n)], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestBadInput:

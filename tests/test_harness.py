@@ -13,6 +13,7 @@ from polarsc import (
     InvalidParameterError,
     MAX_LLR,
     SimConfig,
+    archsim,
     ber_sweep,
     channel,
     encode,
@@ -343,6 +344,93 @@ class TestSweepChunks:
             tracemalloc.start()
             try:
                 ber_sweep(spec, ["minsum_q"], ["lookahead"], points, trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+
+    def test_one_sim_config_per_architecture(self, monkeypatch):
+        # the sweep builds each simulator configuration once, not per chunk
+        built = Counter()
+        sim_config = archsim.SimConfig
+
+        def counted(*args, **kwargs):
+            built[kwargs["architecture"]] += 1
+            return sim_config(*args, **kwargs)
+
+        monkeypatch.setattr(archsim, "SimConfig", counted)
+        spec = make_code_spec(16, 8)
+        points = [0.0, 1.0]
+        self.set_chunk(monkeypatch, 1, len(points), spec)
+        ber_sweep(spec, ["minsum"], list(ARCHITECTURES), points, trials=4, seed=2)
+        assert built == {arch: 1 for arch in ARCHITECTURES}
+
+    @pytest.mark.parametrize("spec, architecture", [
+        (make_code_spec(8, 4), "systolic"), (make_code_spec(2, 1), "lookahead"),
+    ], ids=["unknown", "n2"])
+    def test_architectures_checked_before_any_draw(self, monkeypatch, spec, architecture):
+        drawn = []
+        monkeypatch.setattr(channel, "trial_rng", lambda *args: drawn.append(args))
+        for points in ([], [0.0]):
+            with pytest.raises(InvalidParameterError):
+                ber_sweep(spec, ["minsum"], [architecture], points, trials=2, seed=0)
+        assert drawn == []
+
+
+class TestEquivalenceChunks:
+    """verify_equivalence walks the sweep's chunks of trials; none of that
+    may show in its report, and its memory does not grow with the count."""
+
+    @staticmethod
+    def set_chunk(monkeypatch, trials_per_chunk, config):
+        per_trial = 2 if config.architecture == "parallel2" else 1
+        monkeypatch.setattr(channel, "_CHUNK_ELEMENTS",
+                            trials_per_chunk * per_trial * config.spec.n_bits)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_report_does_not_depend_on_chunk_size(self, monkeypatch, arch):
+        spec = make_code_spec(16, 8)
+        config = SimConfig(spec, 6, arch)
+        per_trial = 2 if arch == "parallel2" else 1
+        trials, seed, bad = 7, 4, 4  # trial 4 is in a later chunk of 1 or 3 trials
+        _, llrs = draw_trials(spec, ChannelConfig(BPSK_AWGN, 1.0, seed), trials * per_trial)
+        target = quantize(llrs, 6)[bad * per_trial + per_trial - 1]  # its last stream
+        decode = archsim.sc_decode_batch
+        chunks = []  # trials per chunk of the damaged run
+
+        def damaged(q_llrs, *args, **kwargs):
+            # a reference that differs on the target frame, wherever it sits
+            chunks.append(len(q_llrs) // per_trial)
+            u_hat, dec_llrs = decode(q_llrs, *args, **kwargs)
+            u_hat[(q_llrs == target).all(axis=1), 5] ^= 1
+            return u_hat, dec_llrs
+
+        def reports():
+            chunks.clear()
+            clean = verify_equivalence(config, trials, seed)
+            with monkeypatch.context() as patched:
+                patched.setattr(archsim, "sc_decode_batch", damaged)
+                return clean, verify_equivalence(config, trials, seed)
+
+        whole = reports()  # the default budget holds all trials in one chunk
+        assert chunks == [trials]
+        assert whole[0].passed
+        div = whole[1].first_divergence
+        assert (whole[1].mismatches, div["trial"], div["stream"]) == (1, bad, per_trial - 1)
+        for per_chunk in (1, 3):  # 3 divides neither 7 nor 14
+            self.set_chunk(monkeypatch, per_chunk, config)
+            assert reports() == whole, per_chunk
+            assert max(chunks) == per_chunk and sum(chunks) == trials
+
+    def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
+        config = SimConfig(make_code_spec(64, 32), 6, "lookahead")
+        self.set_chunk(monkeypatch, 64, config)
+        verify_equivalence(config, 2, seed=1)  # warm caches
+        peaks = []
+        for trials in (64, 8 * 64):
+            tracemalloc.start()
+            try:
+                assert verify_equivalence(config, trials, seed=1).passed
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

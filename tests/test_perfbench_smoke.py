@@ -3,8 +3,8 @@
 The tracer in ``perfbench/spans.py`` wraps package functions by the names
 their callers look them up under (``archsim.merged_pe`` among them), so a
 renamed or dropped name makes every traced request raise. This runs
-traced ``gate_crosscheck`` and ``sweep_short`` warm-ups in subprocesses
-and reads their results; it only reads ``perfbench/``.
+traced ``gate_crosscheck``, ``sweep_short`` and ``archsim_verify`` warm-ups
+in subprocesses and reads their results; it only reads ``perfbench/``.
 """
 
 import json
@@ -41,4 +41,14 @@ def test_traced_sweep_short():
     # encode, quantize)
     metrics = traced_warmup("sweep_short")
     assert metrics["channel.trial_rng.calls"]["value"] > 0
+    assert metrics["llr.quantize.self_ms"]["value"] > 0
+
+
+def test_traced_archsim_verify():
+    # runs the wrappers the tracer puts on archsim (verify_equivalence, run,
+    # quantize, sc_decode_batch) and on PartialSumState.push
+    metrics = traced_warmup("archsim_verify")
+    assert metrics["archsim.run.calls"]["value"] > 0
+    assert metrics["igc.push.calls"]["value"] > 0
+    assert metrics["archsim.verify_equivalence.self_ms"]["value"] > 0
     assert metrics["llr.quantize.self_ms"]["value"] > 0
