@@ -9,12 +9,12 @@ the producing cycle (the one place same-cycle selection is required);
 every other consumed value must have been produced in a strictly earlier
 cycle, by the parent firing that owns the consumer's block.
 
-None of this depends on the LLRs, so a run has two parts. The legality
-pass (``check_schedule``) walks the schedule once, reading no data, and
-raises SchedulingError on any violation; it also yields the per-cycle PE
-activity and the candidate-buffer peak. The dataflow pass then runs the
-checked steps with no further checks, each step on a whole
-(batch, N) array of frames at once; a single frame is a batch of one.
+None of this depends on the LLRs, so legality is checked once per
+``SimConfig``, when it is built, not once per run: ``check_schedule``
+reads no data, raises SchedulingError on any violation and yields each
+stream's firings, the per-cycle PE activity and the candidate-buffer
+peak. A run fires the checked sequence with no further checks, each
+firing on a whole (batch, N) array of frames; one frame is a batch of one.
 A legal schedule fires one sequence in every stream, so a run is one
 lockstep batch: the frames of all streams (both streams of the
 2-parallel decoder) are stacked and decided together, with one
@@ -76,6 +76,7 @@ class SimConfig:
             raise InvalidParameterError(f"unknown architecture {self.architecture!r}")
         qmax(self.q)  # validates q
         require_power_of_two(self.spec.n_bits, "N", 4)
+        object.__setattr__(self, "schedule", check_schedule(self))  # not a field
 
 
 @dataclass
@@ -117,7 +118,7 @@ def check_schedule(config):
     Raises SchedulingError at the first firing that reads a buffer or
     select bits its producers have not delivered, refires over unresolved
     candidates or overfills the PE pool, and when a stream ends short of N
-    decisions. Returns the steps as (cycle, stream, stage, op, block)
+    decisions. Returns each stream's firings as (cycle, stage, op, block)
     tuples, the ActivityTable and the candidate-buffer peak in pairs.
     """
     n = config.spec.n_bits
@@ -130,7 +131,7 @@ def check_schedule(config):
     unresolved = [set() for _ in labels]  # stages holding live candidate pairs
     decided = [0 for _ in labels]
     counts = [[0] * len(schedule) for _ in labels]
-    steps = []
+    streams = [[] for _ in labels]
     live = peak = 0  # buffered candidate pairs, now and at most
     for cycle, activations in enumerate(schedule, start=1):
         used = 0
@@ -188,7 +189,7 @@ def check_schedule(config):
                         live -= n >> resolved
             counts[s][cycle - 1] = n >> stage
             used += n >> stage
-            steps.append((cycle, s, stage, op, blk))
+            streams[s].append((cycle, stage, op, blk))
         if merged and used > n // 2:
             raise SchedulingError(
                 f"cycle {cycle}: {used} merged PEs requested from a pool of {n // 2}"
@@ -198,7 +199,7 @@ def check_schedule(config):
         if count != n:
             raise SchedulingError(f"stream {label}: {count} of {n} bits decided")
     activity = ActivityTable(n, labels, tuple(map(tuple, counts)))
-    return steps, activity, peak
+    return streams, activity, peak
 
 
 def run(config, channel_llrs):
@@ -207,7 +208,7 @@ def run(config, channel_llrs):
     ``channel_llrs`` is, per stream, one length-N integer vector or a
     (batch, N) array of frames: a single block for the single-stream
     architectures, a pair of blocks (batch sizes may differ) for the
-    2-parallel one. The schedule is checked once, before any arithmetic.
+    2-parallel one. The schedule was checked when the config was built.
     A legal schedule fires the same (stage, op, block) sequence in every
     stream, so all streams run it in lockstep, their frames stacked on one
     batch axis, and each step applies its PE to every frame at once.
@@ -233,26 +234,22 @@ def run(config, channel_llrs):
             raise InvalidParameterError("record_trace needs one LLR vector per stream")
         shapes.append(llrs.shape)
         channels.append(llrs.reshape(-1, n))
-    steps, activity, peak = check_schedule(config)
-
-    # every stream of a legal schedule fires C1's sequence (see above)
-    fired = [[i for i, step in enumerate(steps) if step[1] == s] for s in range(len(channels))]
-    rows = [()] * len(steps)  # trace rows of each step
+    streams, activity, peak = config.schedule
+    rows = []
 
     def record(k, a, b, outs, sel):
         # with record_trace every stream is one frame: row s is stream s
-        for s, indices in enumerate(fired):
-            cycle, _, stage, op, _ = steps[indices[k]]
-            rows[indices[k]] = [
+        for s, firings in enumerate(streams):
+            cycle, stage, op, _ = firings[k]
+            rows.extend(
                 (cycle, STREAM_LABELS[s], stage, i, op, f"{a[s, i]}|{b[s, i]}",
                  "|".join(str(o[s, i]) for o in outs),
                  "" if sel is None else str(sel[s, i]))
-                for i in range(a.shape[1])
-            ]
+                for i in range(a.shape[1]))
 
-    firings = [steps[i][2:] for i in fired[0]]
-    u, llrs = _dataflow(config, firings, np.concatenate(channels),
-                        record if config.record_trace else None)
+    # every stream of a legal schedule fires C1's sequence (see above)
+    u, llrs = _dataflow(config, [firing[1:] for firing in streams[0]],
+                        np.concatenate(channels), record if config.record_trace else None)
     cuts = np.cumsum([len(c) for c in channels])[:-1]
     decisions = [d.reshape(shape) for d, shape in zip(np.split(u, cuts), shapes)]
     dec_llrs = [d.reshape(shape) for d, shape in zip(np.split(llrs, cuts), shapes)]
@@ -262,7 +259,7 @@ def run(config, channel_llrs):
         cycles_elapsed=activity.span,
         activity=activity,
         candidate_buffer_peak=peak,
-        trace=[row for step_rows in rows for row in step_rows],
+        trace=sorted(rows, key=lambda row: row[:2]),  # by cycle, C1 before C2
     )
 
 

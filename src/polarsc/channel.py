@@ -92,6 +92,16 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
     if k < 1:
         raise InvalidParameterError(f"the channel needs K >= 1 message bits, got K = {k}")
     awgn = kind == BPSK_AWGN
+    variances = []
+    for ebn0 in ebn0_points if awgn else ():
+        try:
+            var = 1.0 / (2.0 * (k / n) * 10.0 ** (ebn0 / 10.0))
+        except (OverflowError, ZeroDivisionError):  # 10 ** (Eb/N0 / 10) out of range
+            var = 0.0
+        if not 0.0 < var < np.inf:
+            raise InvalidParameterError(
+                f"Eb/N0 {ebn0} dB puts the noise variance outside the float range")
+        variances.append(var)
     msgs = np.empty((len(trials), k), dtype=np.int64)
     normals = np.empty((len(trials), n)) if awgn else None
     for i, t in enumerate(trials):
@@ -101,10 +111,10 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
             normals[i] = rng.standard_normal(n)
     symbols = 1.0 - 2.0 * encode(msgs, spec)
     llrs = np.empty((len(ebn0_points), len(trials), n))
-    for p, ebn0 in enumerate(ebn0_points):
-        var = 1.0 / (2.0 * (k / n) * 10.0 ** (ebn0 / 10.0))
-        llrs[p] = (clip_llr(2.0 * (symbols + np.sqrt(var) * normals) / var) if awgn
-                   else symbols * MAX_LLR)
+    if not awgn:
+        llrs[:] = symbols * MAX_LLR
+    for p, var in enumerate(variances):
+        llrs[p] = clip_llr(2.0 * (symbols + np.sqrt(var) * normals) / var)
     return msgs, llrs.reshape(-1, n)
 
 

@@ -199,7 +199,9 @@ def _cmd_ber(args):
     archs = args.arch or []
     if not modes and not archs:
         modes = [llr.MODE_MINSUM]
-    points = _parse_floats(args.ebn0) if args.ebn0 else [0.0]
+    points = _parse_floats(args.ebn0)
+    if not points:
+        raise InvalidParameterError(f"--ebn0 needs at least one number, got {args.ebn0!r}")
     kind = channel.NOISELESS if args.noiseless else channel.BPSK_AWGN
     results = channel.ber_sweep(
         spec, modes, archs, points, trials=args.trials, seed=args.seed,

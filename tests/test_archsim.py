@@ -335,11 +335,11 @@ class TestLockstepStreams:
         for sched in schedules:
             monkeypatch.setattr(archsim, "_build_schedule", lambda cfg, s=sched: s)
             try:
-                steps, _, _ = archsim.check_schedule(cfg)
+                streams, _, _ = archsim.check_schedule(cfg)
             except SchedulingError:
                 continue
             accepted += 1
-            c1, c2 = ([step[2:] for step in steps if step[1] == s] for s in (0, 1))
+            c1, c2 = ([firing[1:] for firing in stream] for stream in streams)
             assert c1 == c2
         assert accepted > 100  # the random re-packings reach legal schedules
 
@@ -533,3 +533,15 @@ class TestLegalityChecker:
             except SchedulingError:
                 continue
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("arch,mutate", [
+    ("lookahead", _drop(9)), ("conventional", _swap(16)), ("parallel2", _drop(10)),
+])
+def test_illegal_schedule_rejected_when_config_built(monkeypatch, arch, mutate):
+    # the schedule is checked when its config is built, before any run
+    spec = make_code_spec(16, 8)
+    build = archsim._build_schedule
+    monkeypatch.setattr(archsim, "_build_schedule", lambda cfg: mutate(build(cfg)))
+    with pytest.raises(SchedulingError):
+        SimConfig(spec=spec, q=6, architecture=arch)

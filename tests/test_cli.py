@@ -139,6 +139,13 @@ class TestBer:
         results = json.loads(out.stdout)
         assert all(r["ber"] == 0.0 for r in results)
 
+    def test_noiseless_extreme_ebn0(self):
+        # the noiseless channel has no noise variance to go out of range
+        out = run_cli("ber", "--n", "8", "--trials", "2", "--noiseless", "--ebn0", "4000")
+        assert out.returncode == 0
+        (result,) = json.loads(out.stdout)
+        assert (result["ebn0_db"], result["bit_errors"], result["frame_errors"]) == (4000, 0, 0)
+
     def test_csv_output(self):
         out = run_cli("ber", "--n", "8", "--k", "4", "--mode", "minsum",
                       "--trials", "5", "--ebn0", "0,2", "--format", "csv")
@@ -322,11 +329,18 @@ class TestBadInput:
          "--llrs", "1,2,3,4"),
         ("decode", "--n", "4", "--k", "2", "--mode", "exact", "--q", "55",
          "--llrs", "1,2,3,4"),
+        ("ber", "--n", "8", "--ebn0", ","),
+        ("ber", "--n", "8", "--ebn0", ""),
+        # the noise variance of these points is outside the float range
+        ("ber", "--n", "8", "--trials", "2", "--ebn0", "4000"),
+        ("ber", "--n", "8", "--trials", "2", "--ebn0=-4000"),
+        ("simulate", "--n", "8", "--trials", "2", "--ebn0", "4000"),
     ], ids=["cost-q55", "decode-q55", "ber-ebn0", "simulate-ebn0", "negative-seed",
             "simulate-zero-trials", "simulate-negative-trials", "ber-zero-trials",
             "ber-negative-trials", "ber-negative-scale", "ber-zero-scale",
             "decode-infinite-scale", "ber-exact-negative-scale", "decode-exact-zero-scale",
-            "decode-exact-q55"])
+            "decode-exact-q55", "ber-ebn0-no-number", "ber-ebn0-empty", "ber-ebn0-overflow",
+            "ber-ebn0-underflow", "simulate-ebn0-overflow"])
     def test_bad_numbers_exit_1(self, capsys, argv):
         assert self.main(capsys, *argv)[0] == 1
 

@@ -110,6 +110,14 @@ class TestChannel:
         with pytest.raises(InvalidParameterError):
             ber_sweep(spec, ["minsum"], [], [1.0], trials=2, seed=0)
 
+    @pytest.mark.parametrize("ebn0", [4000.0, -4000.0, -3233.0])
+    def test_noise_variance_out_of_float_range_rejected(self, ebn0):
+        # 10^(Eb/N0/10) overflows, underflows to 0, or leaves an infinite
+        # variance that would turn the LLRs into NaN
+        spec = make_code_spec(8, 4)
+        with pytest.raises(InvalidParameterError, match=f"Eb/N0 {ebn0} dB"):
+            draw_trials(spec, ChannelConfig(BPSK_AWGN, ebn0, 0), 2)
+
     def test_config_validation(self):
         assert [f.name for f in dataclasses.fields(ChannelConfig)] == [
             "kind", "ebn0_db", "master_seed"]
@@ -435,3 +443,39 @@ class TestEquivalenceChunks:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+class TestScheduleCheckedOnce:
+    """A schedule depends on (architecture, N) alone: each SimConfig checks
+    its own when it is built, and no chunk or run checks it again."""
+
+    def test_one_check_per_config(self, monkeypatch):
+        spec = make_code_spec(16, 8)
+        points = [0.0, 2.0]
+        checks, draws = [], []
+        check, draw = archsim.check_schedule, channel._draw
+
+        def counted_check(config):
+            checks.append(config.architecture)
+            return check(config)
+
+        def counted_draw(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(archsim, "check_schedule", counted_check)
+        monkeypatch.setattr(channel, "_draw", counted_draw)
+        # two trials per chunk: in the sweep at two points, and in the
+        # parallel2 campaign at two frames per trial
+        monkeypatch.setattr(channel, "_CHUNK_ELEMENTS", 2 * len(points) * spec.n_bits)
+        ber_sweep(spec, [], list(ARCHITECTURES), points, trials=7, seed=1)
+        assert (checks, len(draws)) == (list(ARCHITECTURES), 4)
+        checks.clear()
+        draws.clear()
+        config = SimConfig(spec, 6, "parallel2")
+        assert verify_equivalence(config, 7, seed=1).passed
+        assert (checks, len(draws)) == (["parallel2"], 4)
+        q_llrs = quantize(draw_trials(spec, ChannelConfig(BPSK_AWGN, 1.0, 2), 2)[1], 6)
+        for _ in range(2):
+            archsim.run(config, list(q_llrs))
+        assert checks == ["parallel2"]
