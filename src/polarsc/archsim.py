@@ -12,13 +12,13 @@ cycle, by the parent firing that owns the consumer's block.
 None of this depends on the LLRs, so legality is checked once per
 ``SimConfig``, when it is built, not once per run: ``check_schedule``
 reads no data, raises SchedulingError on any violation and yields each
-stream's firings, the per-cycle PE activity and the candidate-buffer
-peak. A run fires the checked sequence with no further checks, each
-firing on a whole (batch, N) array of frames; one frame is a batch of one.
-A legal schedule fires one sequence in every stream, so a run is one
-lockstep batch: the frames of all streams (both streams of the
-2-parallel decoder) are stacked and decided together, with one
-partial-sum state, and split apart at the end.
+stream's (cycle, stage, op, select) firings, the per-cycle PE activity and
+the candidate-buffer peak. A run fires the checked sequence with no
+further checks, each firing on a whole (batch, N) array of frames; one
+frame is a batch of one. A legal schedule fires one sequence in every
+stream, so a run is one lockstep batch: the frames of all streams (both
+streams of the 2-parallel decoder) are stacked and decided together, with
+one partial-sum state, and split apart at the end.
 
 Arithmetic is saturating q-bit integer min-sum, bit-identical to the
 functional quantized decoder; optionally all PEs of a firing, in every
@@ -32,8 +32,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, require_count, trial_chunks, BPSK_AWGN
-from .code import require_power_of_two
+from .channel import ChannelConfig, trial_chunks, BPSK_AWGN
+from .code import require_count, require_power_of_two
 from .errors import InvalidParameterError, SchedulingError
 from .gates import WordQ, merged_pe
 from .igc import PartialSumState, refreshed_stage, select_ready
@@ -118,8 +118,8 @@ def check_schedule(config):
     Raises SchedulingError at the first firing that reads a buffer or
     select bits its producers have not delivered, refires over unresolved
     candidates or overfills the PE pool, and when a stream ends short of N
-    decisions. Returns each stream's firings as (cycle, stage, op, block)
-    tuples, the ActivityTable and the candidate-buffer peak in pairs.
+    decisions. Returns each stream's (cycle, stage, op, select) firings, the
+    ActivityTable and the candidate-buffer peak in pairs.
     """
     n = config.spec.n_bits
     m = n.bit_length() - 1
@@ -159,8 +159,8 @@ def check_schedule(config):
                         f"{parent} block {blk // 2 + 1}, but the buffer holds block "
                         f"{parent_blk + 1}"
                     )
-            # a sequential g reads its own stage's select bits; an odd
-            # look-ahead block resolves its parent's g candidates
+            # the stage whose select bits the firing reads: its own for a
+            # sequential g, its parent's for an odd look-ahead block
             if op == "g":
                 select = stage
             elif merged and stage > 1 and blk % 2:
@@ -189,7 +189,7 @@ def check_schedule(config):
                         live -= n >> resolved
             counts[s][cycle - 1] = n >> stage
             used += n >> stage
-            streams[s].append((cycle, stage, op, blk))
+            streams[s].append((cycle, stage, op, select))
         if merged and used > n // 2:
             raise SchedulingError(
                 f"cycle {cycle}: {used} merged PEs requested from a pool of {n // 2}"
@@ -209,7 +209,7 @@ def run(config, channel_llrs):
     (batch, N) array of frames: a single block for the single-stream
     architectures, a pair of blocks (batch sizes may differ) for the
     2-parallel one. The schedule was checked when the config was built.
-    A legal schedule fires the same (stage, op, block) sequence in every
+    A legal schedule fires the same (stage, op, select) sequence in every
     stream, so all streams run it in lockstep, their frames stacked on one
     batch axis, and each step applies its PE to every frame at once.
     Decisions come back in the shape of their input. A trace row has no
@@ -248,8 +248,8 @@ def run(config, channel_llrs):
                 for i in range(a.shape[1]))
 
     # every stream of a legal schedule fires C1's sequence (see above)
-    u, llrs = _dataflow(config, [firing[1:] for firing in streams[0]],
-                        np.concatenate(channels), record if config.record_trace else None)
+    u, llrs = _dataflow(config, streams[0], np.concatenate(channels),
+                        record if config.record_trace else None)
     cuts = np.cumsum([len(c) for c in channels])[:-1]
     decisions = [d.reshape(shape) for d, shape in zip(np.split(u, cuts), shapes)]
     dec_llrs = [d.reshape(shape) for d, shape in zip(np.split(llrs, cuts), shapes)]
@@ -267,10 +267,10 @@ _G_SIGNS = np.array([1, -1]).reshape(2, 1, 1)  # b + a and b - a in one pass
 
 
 def _dataflow(config, firings, frames, record):
-    """Run a checked sequence of (stage, op, block) firings on a (batch, N)
-    stack of frames decided in lockstep; return the decisions and the
-    decision-time LLRs. ``record(k, a, b, outs, sel)``, unless None, sees
-    the inputs, outputs and select bits of firing k."""
+    """Run checked (cycle, stage, op, select) firings on a (batch, N) stack of
+    frames decided in lockstep, reading stage ``select``'s proved-ready select
+    bits; return the decisions and decision-time LLRs. ``record(k, a, b, outs,
+    sel)``, unless None, sees the inputs, outputs and select bits of firing k."""
     spec, q = config.spec, config.q
     n = spec.n_bits
     m = n.bit_length() - 1
@@ -287,13 +287,13 @@ def _dataflow(config, firings, frames, record):
         psums.push(u, k)
         return u
 
-    for k, (stage, op, blk) in enumerate(firings):
+    for k, (_, stage, op, select) in enumerate(firings):
         half = n >> stage
         if stage == 1:
             inp = frames
-        elif op == "fg" and blk % 2:
-            _, g0, g1 = bufs[stage - 1]
-            inp = np.where(psums.selection_bits(stage - 1) == 1, g1, g0)
+        elif op == "fg" and select is not None:
+            _, g0, g1 = bufs[select]
+            inp = np.where(psums.selection_bits(select) == 1, g1, g0)
         else:
             inp = bufs[stage - 1][0]
         a, b = inp[:, :half], inp[:, half:]
@@ -301,7 +301,7 @@ def _dataflow(config, firings, frames, record):
         if op == "f":
             outs = (f_minsum(a, b),)
         elif op == "g":
-            sel = psums.selection_bits(stage)
+            sel = psums.selection_bits(select)
             outs = (g_update(a, b, sel, q=q),)
         elif config.use_gate_pes:
             outs = tuple(w.value for w in merged_pe(WordQ(a, q), WordQ(b, q)))

@@ -13,11 +13,12 @@ simulator's equivalence campaign checks a chunk at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .code import encode
+from .code import encode, require_count
 from .errors import InvalidParameterError
 from .llr import (
     MAX_LLR,
@@ -41,7 +42,7 @@ _CHUNK_ELEMENTS = 1 << 18  # points x trials x N per decode call; bounds a sweep
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Channel kind, operating point, and the master seed."""
+    """Channel kind, operating point (kept as a Python float), and master seed."""
 
     kind: str
     ebn0_db: float
@@ -50,8 +51,15 @@ class ChannelConfig:
     def __post_init__(self):
         if self.kind not in (NOISELESS, BPSK_AWGN):
             raise InvalidParameterError(f"unknown channel kind {self.kind!r}")
-        if not np.isfinite(self.ebn0_db):
-            raise InvalidParameterError("ebn0_db must be finite")
+        e = self.ebn0_db
+        try:
+            real = (isinstance(e, (int, float, np.integer, np.floating))
+                    and not isinstance(e, bool) and math.isfinite(e))
+        except OverflowError:  # an int beyond the float range
+            real = False
+        if not real:
+            raise InvalidParameterError(f"ebn0_db must be a finite real number, got {e!r}")
+        object.__setattr__(self, "ebn0_db", float(e))
 
 
 def trial_rng(master_seed, trial):
@@ -76,13 +84,6 @@ class SweepResult:
 
     def to_json_dict(self):
         return asdict(self)
-
-
-def require_count(value, minimum=0, name="trials"):
-    """``value`` as an int; InvalidParameterError unless an integer >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 def _draw(spec, kind, master_seed, trials, ebn0_points):
@@ -172,7 +173,7 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
             raise InvalidParameterError(f"unknown mode {mode!r}")
     decoders = [(m, None) for m in modes] + [
         (MODE_MINSUM_Q, SimConfig(spec=spec, q=q, architecture=a)) for a in architectures]
-    cfgs = [ChannelConfig(kind=channel_kind, ebn0_db=float(e), master_seed=seed)
+    cfgs = [ChannelConfig(kind=channel_kind, ebn0_db=e, master_seed=seed)
             for e in ebn0_points]
     if not cfgs:
         return []

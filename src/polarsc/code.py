@@ -10,6 +10,7 @@ partial-sum network.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,21 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
+def require_count(value, minimum=0, name="trials"):
+    """``value`` as an int; InvalidParameterError unless an integer (what
+    ``operator.index`` takes, bools aside) >= ``minimum``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool) or count < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
+
+
 def require_power_of_two(n, what="length", minimum=2):
     """Raise InvalidParameterError unless ``n`` is a power of two >= ``minimum``."""
-    if n < minimum or (n & (n - 1)) != 0:
+    if require_count(n, name=what) < minimum or n & (n - 1):
         raise InvalidParameterError(
             f"{what} must be a power of two >= {minimum}, got {n}"
         )
@@ -53,9 +66,9 @@ class CodeSpec:
 
     def __post_init__(self):
         require_power_of_two(self.n_bits, "n_bits")
-        frozen = tuple(int(i) for i in self.frozen_set)
-        values = tuple(int(v) for v in self.frozen_values)
-        if not (0 <= self.k_info <= self.n_bits):
+        frozen = tuple(require_count(i, 1, "frozen index") for i in self.frozen_set)
+        values = tuple(require_count(v, name="frozen value") for v in self.frozen_values)
+        if require_count(self.k_info, name="k_info") > self.n_bits:
             raise InvalidParameterError(f"k_info out of range: {self.k_info}")
         if len(frozen) != self.n_bits - self.k_info:
             raise InvalidParameterError(
@@ -63,7 +76,7 @@ class CodeSpec:
             )
         if list(frozen) != sorted(set(frozen)):
             raise InvalidParameterError("frozen_set must be sorted and duplicate-free")
-        if frozen and (frozen[0] < 1 or frozen[-1] > self.n_bits):
+        if frozen and frozen[-1] > self.n_bits:
             raise InvalidParameterError("frozen indices must lie in 1..N")
         if len(values) != len(frozen):
             raise InvalidParameterError("frozen_values must align with frozen_set")
@@ -90,8 +103,8 @@ class CodeSpec:
     @classmethod
     def from_json_dict(cls, d):
         return cls(
-            n_bits=int(d["n"]),
-            k_info=int(d["k"]),
+            n_bits=d["n"],
+            k_info=d["k"],
             frozen_set=tuple(d["frozen"]),
             frozen_values=tuple(d["frozen_values"]),
         )
@@ -132,7 +145,7 @@ def construct_frozen_set(n_bits, k_info, design_erasure=0.5):
     first. Returns a sorted tuple of 1-based indices.
     """
     require_power_of_two(n_bits, "n_bits")
-    if not (1 <= k_info <= n_bits):
+    if not 1 <= require_count(k_info, name="k_info") <= n_bits:
         raise InvalidParameterError(f"k_info must lie in 1..{n_bits}, got {k_info}")
     if not (0.0 < design_erasure < 1.0):
         raise InvalidParameterError("design_erasure must lie in (0, 1)")
@@ -152,9 +165,12 @@ def make_code_spec(n_bits, k_info, design_erasure=0.5, frozen_values=None):
 def encode(message, spec):
     """Scatter a K-bit message into the information positions and transform.
 
-    Accepts a single message or a 2-D batch (one message per row).
+    Accepts a single message or a 2-D batch (one message per row) of bits.
     """
-    msg = np.array(message, dtype=np.int64) % 2
+    msg = np.asarray(message)
+    if not ((msg == 0) | (msg == 1)).all():
+        raise InvalidParameterError("message entries must be 0 or 1")
+    msg = msg.astype(np.int64)
     if msg.shape[-1] != spec.k_info:
         raise InvalidParameterError(
             f"message length must be {spec.k_info}, got {msg.shape[-1]}"

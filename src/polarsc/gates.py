@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .llr import qmax
+from .llr import MAX_Q, qmax
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class WordQ:
 
 
 # Bit i of a word weighs 2^i, except the sign bit, which weighs -2^(q-1).
-_BIT = 1 << np.arange(54, dtype=np.int64)
-_WEIGHTS = {q: np.append(_BIT[:q - 1], -_BIT[q - 1]) for q in range(2, 55)}
+_BIT = 1 << np.arange(MAX_Q, dtype=np.int64)
+_WEIGHTS = {q: np.append(_BIT[:q - 1], -_BIT[q - 1]) for q in range(2, MAX_Q + 1)}
 
 
 def _planes(*words):

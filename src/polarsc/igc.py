@@ -1,11 +1,11 @@
 """On-the-fly partial-sum generation for the g-candidate selection.
 
-Decided bits stream in one at a time; whenever a size-2^j sub-block
-completes, its re-encoded form is combined with the stored transform of
-the sibling sub-block (XOR on the upper wires, pass on the lower), exactly
-like a streaming real-valued FFT datapath. The transform of the left half
-of a stage-s block is precisely the MUX select vector for that stage's
-precomputed g candidates.
+Decided bits stream in one at a time. Decision i completes right halves of
+sizes 1, 2, .., 2^(t-1), t = trailing_zeros(i) = log2(N) - refreshed_stage(i),
+and each is combined with the stored transform of its left sibling (XOR on
+the upper wires, pass on the lower), exactly like a streaming real-valued
+FFT datapath. The transform of the left half of a stage-s block is
+precisely the MUX select vector for that stage's precomputed g candidates.
 
 Storage is one slot array per combining level, reused block after block.
 Levels 1..log2(N)-2 account for the N/2 - 2 memory slots of the network;
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import require_power_of_two
+from .code import require_count, require_power_of_two
 from .errors import InvalidParameterError, NotReadyError, SequencingError
 
 
@@ -54,35 +54,27 @@ class PartialSumState:
     def push(self, u_hat, index):
         """Fold decision ``u_hat`` (1-based ``index``) into the sums: one bit,
         or a 1-D array of bits, one per codeword of a batch, all with the
-        same index, shaped like the first push."""
+        same index, shaped like the first push. The fold is closed-form:
+        m - ``refreshed_stage`` butterflies with the stored siblings."""
         bits = np.asarray(u_hat)
         shape = self._acc[0].shape[:-1] if self._count else bits.shape  # set by push 1
         if bits.shape != shape or bits.ndim > 1 or not set(bits.ravel().tolist()) <= {0, 1}:
             raise InvalidParameterError(
                 f"u_hat must be a bit or a 1-D array of bits, shaped as in push 1: {u_hat}"
             )
-        if index != self._count + 1:
+        if require_count(index, name="index") != self._count + 1:
             raise SequencingError(
                 f"expected decision index {self._count + 1}, got {index}"
             )
         if index > self.n_bits:
             raise SequencingError("all decisions already pushed")
-        self._count = index
+        self._count += 1
         cur = bits.astype(np.int64)[..., None]
-        j = 0
-        while True:
-            size = 1 << j
-            rem = index % (size << 1)
-            if rem == size:
-                # completed block is the left half of its parent: store it;
-                # it is also the ready selection vector for stage m - j
-                self._acc[j] = cur
-                break
-            # right half completed: butterfly with the stored sibling
+        level = self.m - refreshed_stage(self._count, self.n_bits)
+        for j in range(level):
             cur = np.concatenate([self._acc[j] ^ cur, cur], axis=-1)
-            j += 1
-            if (1 << j) == self.n_bits:
-                break  # whole codeword folded; nothing above to feed
+        if level < self.m:  # a completed codeword feeds nothing above it
+            self._acc[level] = cur  # a completed left half is stage m - level's selection vector
         return self
 
     def stage_ready(self, stage):

@@ -7,7 +7,7 @@ Conventions used throughout:
 * Real-valued LLRs saturate at +/- MAX_LLR = 50.0; values at the rail are
   treated as exact (certainties stay certain through the combine).
 * q-bit integers saturate to the symmetric range [-(2^(q-1)-1), 2^(q-1)-1],
-  for q in 2..54.
+  for q in 2..MAX_Q.
 * NaN is rejected; +/-inf saturates like any other out-of-range value.
 """
 
@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import polar_transform
+from .code import polar_transform, require_count
 from .errors import InvalidParameterError
 
 MAX_LLR = 50.0
+MAX_Q = 54  # the widest q whose rail 2^(q-1) - 1 float64 still holds exactly
 _TINY = np.finfo(float).smallest_normal
 
 MODE_EXACT = "exact"
@@ -32,11 +33,11 @@ MODES = (MODE_EXACT, MODE_MINSUM, MODE_MINSUM_Q)
 def qmax(q):
     """Largest magnitude representable by a symmetric q-bit quantizer.
 
-    This is the toolkit's one check of q: it must lie in 2..54, the widths
-    whose rail 2^(q-1) - 1 float64 still holds exactly.
+    This is the toolkit's one check of q: an integer in 2..MAX_Q.
     """
-    if not 2 <= q <= 54:
-        raise InvalidParameterError(f"q must lie in 2..54, got {q}")
+    q = require_count(q, 2, "q")
+    if q > MAX_Q:
+        raise InvalidParameterError(f"q must lie in 2..{MAX_Q}, got {q}")
     return (1 << (q - 1)) - 1
 
 

@@ -321,6 +321,25 @@ class TestLockstepStreams:
             [q_llrs[:3], q_llrs[3:]] if arch == "parallel2" else q_llrs)
         assert indices == list(range(1, 17))
 
+    @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
+    def test_dataflow_reads_the_checked_select_stages(self, monkeypatch, arch):
+        # the dataflow reads exactly the select bits the checker proved ready,
+        # in C1's order, and no others
+        stages = []
+        selection_bits = PartialSumState.selection_bits
+
+        def spied(self, stage):
+            stages.append(stage)
+            return selection_bits(self, stage)
+
+        monkeypatch.setattr(PartialSumState, "selection_bits", spied)
+        spec = make_code_spec(16, 8)
+        cfg = SimConfig(spec=spec, q=6, architecture=arch)
+        q_llrs = quantize(noisy_llrs(spec, seed=5, frames=4), 6)
+        run(cfg, [q_llrs[:3], q_llrs[3:]] if arch == "parallel2" else q_llrs)
+        checked = [select for *_, select in cfg.schedule[0][0] if select is not None]
+        assert stages and stages == checked
+
     @pytest.mark.parametrize("n", [8, 16])
     def test_legal_schedules_fire_one_sequence_per_stream(self, monkeypatch, n):
         # run decides every stream with C1's firings, which is sound only if
@@ -380,6 +399,7 @@ class TestTraceAndValidation:
         assert SimConfig(spec=spec, q=54, architecture="lookahead").q == 54
         for kwargs in ({"q": 55, "architecture": "lookahead"},
                        {"q": 1, "architecture": "lookahead"},
+                       {"q": 6.0, "architecture": "lookahead"},
                        {"q": 6, "architecture": "lookahead_2parallel"}):
             with pytest.raises(InvalidParameterError):
                 SimConfig(spec=spec, **kwargs)

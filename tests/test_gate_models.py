@@ -162,7 +162,7 @@ class TestWordQ:
 
     def test_q_bounds(self):
         assert WordQ(-(2**53), 54).value == -(2**53)
-        for q in (1, 55):
+        for q in (1, 55, 6.0):
             with pytest.raises(InvalidParameterError):
                 WordQ(0, q)
             with pytest.raises(InvalidParameterError):

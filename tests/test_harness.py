@@ -110,10 +110,13 @@ class TestChannel:
         with pytest.raises(InvalidParameterError):
             ber_sweep(spec, ["minsum"], [], [1.0], trials=2, seed=0)
 
-    @pytest.mark.parametrize("ebn0", [4000.0, -4000.0, -3233.0])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ebn0", [4000.0, -4000.0, -3233.0,
+                                      pytest.param(np.float64(4000), id="numpy-4000.0")])
     def test_noise_variance_out_of_float_range_rejected(self, ebn0):
         # 10^(Eb/N0/10) overflows, underflows to 0, or leaves an infinite
-        # variance that would turn the LLRs into NaN
+        # variance that would turn the LLRs into NaN; a numpy float raises
+        # like a Python float, with no numpy overflow warning first
         spec = make_code_spec(8, 4)
         with pytest.raises(InvalidParameterError, match=f"Eb/N0 {ebn0} dB"):
             draw_trials(spec, ChannelConfig(BPSK_AWGN, ebn0, 0), 2)
@@ -123,8 +126,9 @@ class TestChannel:
             "kind", "ebn0_db", "master_seed"]
         with pytest.raises(InvalidParameterError):
             ChannelConfig(kind="carrier_pigeon", ebn0_db=0.0, master_seed=0)
-        with pytest.raises(InvalidParameterError):
-            ChannelConfig(kind=BPSK_AWGN, ebn0_db=float("inf"), master_seed=0)
+        for bad in (float("inf"), "1", None):
+            with pytest.raises(InvalidParameterError):
+                ChannelConfig(kind=BPSK_AWGN, ebn0_db=bad, master_seed=0)
 
 
 class TestDrawTrials:
@@ -186,8 +190,8 @@ class TestBerSweep:
 
     @pytest.mark.parametrize("kwargs", [
         {"seed": 1.5}, {"seed": 0, "scale": 0.0}, {"seed": 0, "scale": -2.0},
-        {"seed": 0, "q": 99},
-    ], ids=["fractional-seed", "zero-scale", "negative-scale", "q99"])
+        {"seed": 0, "q": 99}, {"seed": 0, "q": 6.0},
+    ], ids=["fractional-seed", "zero-scale", "negative-scale", "q99", "float-q"])
     def test_unused_arguments_checked(self, kwargs):
         # no quantizer runs in minsum mode and no trial is drawn without
         # points, yet every argument is checked

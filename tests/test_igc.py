@@ -99,6 +99,11 @@ class TestSelectionBits:
         with pytest.raises(InvalidParameterError):
             PartialSumState(8).push(bad, 1)
 
+    @pytest.mark.parametrize("index", [1.0, True, "1"])
+    def test_push_rejects_a_non_integer_index(self, index):
+        with pytest.raises(InvalidParameterError):
+            PartialSumState(8).push(0, index)
+
     @pytest.mark.parametrize("first,second", [([0, 1], 1), (1, [0, 1]), ([0, 1], [1, 1, 0])])
     def test_push_keeps_the_shape_of_push_1(self, first, second):
         state = PartialSumState(8).push(first, 1)
@@ -160,8 +165,11 @@ class TestNetwork:
         assert d["n"] == 2
 
     def test_rejects_bad_n(self):
-        with pytest.raises(InvalidParameterError):
-            build_network(6)
+        for bad in (6, 8.0):
+            with pytest.raises(InvalidParameterError):
+                build_network(bad)
+            with pytest.raises(InvalidParameterError):
+                PartialSumState(bad)
 
 
 class TestControlSchedule:

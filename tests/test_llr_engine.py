@@ -194,6 +194,9 @@ class TestQuantize:
     def test_saturate_keeps_dtype_and_clamps_infinity(self):
         ints = saturate(np.array([40, -40, 3], dtype=np.int64), 6)
         assert ints.dtype == np.int64 and list(ints) == [31, -31, 3]
+        # an unsigned q gives the same rail, not one whose negation wraps
+        unsigned = saturate(np.array([40, -40, 3], dtype=np.int64), np.uint64(6))
+        assert unsigned.dtype == np.int64 and list(unsigned) == [31, -31, 3]
         floats = saturate(np.array([np.inf, -np.inf, 2.5]), 6)
         assert floats.dtype == np.float64 and list(floats) == [31.0, -31.0, 2.5]
         rail = clip_llr(np.array([np.inf, -np.inf, -60.0, 7.5]))
@@ -206,8 +209,9 @@ class TestQuantize:
         assert list(quantize([1e30, -1e30], 54)) == [m, -m]
         with pytest.raises(InvalidParameterError):
             quantize(1e30, 55)
-        with pytest.raises(InvalidParameterError):
-            qmax(1)
+        for bad in (1, 6.0):
+            with pytest.raises(InvalidParameterError):
+                qmax(bad)
 
     def test_peak_memory(self):
         # the scaled copy, the magnitude, the rounded magnitude and the

@@ -100,6 +100,9 @@ class TestFrozenSet:
             construct_frozen_set(8, 0, 0.5)
         with pytest.raises(InvalidParameterError):
             construct_frozen_set(8, 9, 0.5)
+        for n, k in ((8.0, 4), (8, 4.0)):
+            with pytest.raises(InvalidParameterError):
+                make_code_spec(n, k)
 
 
 class TestEncode:
@@ -123,6 +126,13 @@ class TestEncode:
         spec = make_code_spec(8, 4)
         with pytest.raises(InvalidParameterError):
             encode([1, 0, 1], spec)
+
+    @pytest.mark.parametrize("message", [[2, 3, 0, 1], [0.5, 1, 0, 1], [-1, 0, 0, 1],
+                                         [[0, 1, 1, 0], [1, 0, 0, 3]]])
+    def test_rejects_non_bits(self, message):
+        # no entry is reduced mod 2 or truncated into a bit
+        with pytest.raises(InvalidParameterError):
+            encode(message, make_code_spec(8, 4))
 
     def test_zero_information_bits_give_the_frozen_codeword(self):
         values = (1, 0, 1, 1, 0, 0, 1, 0)
@@ -152,3 +162,13 @@ class TestCodeSpec:
             CodeSpec(8, 4, (1, 2, 9, 3), (0, 0, 0, 0))  # unsorted / out of range
         with pytest.raises(InvalidParameterError):
             CodeSpec(8, 4, (1, 2, 3, 4), (0, 0, 2, 0))  # non-bit value
+        with pytest.raises(InvalidParameterError):
+            CodeSpec(8, 4.0, (1, 2, 3, 4), (0, 0, 0, 0))  # non-integer K
+        with pytest.raises(InvalidParameterError):
+            CodeSpec(8, 4, (1, 2.7, 3, 4), (0, 0, 0, 0))  # not truncated to 2
+        with pytest.raises(InvalidParameterError):
+            CodeSpec(8, 4, (1, 2, 3, 4), (0, 0.5, 0, 0))  # not truncated to 0
+        d = make_code_spec(8, 4).to_json_dict()
+        for key, bad in (("frozen_values", [0, 0.5, 0, 0]), ("n", 8.5), ("k", 4.0)):
+            with pytest.raises(InvalidParameterError):
+                CodeSpec.from_json_dict({**d, key: bad})

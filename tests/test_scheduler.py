@@ -62,9 +62,11 @@ class TestConventional:
             assert e.active_pes == 16 >> e.stage
 
     def test_rejects_bad_n(self):
-        for bad in (2, 3, 12):
+        for bad in (2, 3, 12, 8.0):
             with pytest.raises(InvalidParameterError):
                 build_conventional(bad)
+            with pytest.raises(InvalidParameterError):
+                build_lookahead(bad)
 
 
 class TestLookahead:
