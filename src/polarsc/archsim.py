@@ -74,6 +74,8 @@ class SimConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise InvalidParameterError(f"unknown architecture {self.architecture!r}")
+        if self.use_gate_pes and self.architecture == CONVENTIONAL:
+            raise InvalidParameterError("use_gate_pes needs merged PEs; conventional has none")
         qmax(self.q)  # validates q
         require_power_of_two(self.spec.n_bits, "N", 4)
         object.__setattr__(self, "schedule", check_schedule(self))  # not a field
@@ -205,22 +207,22 @@ def check_schedule(config):
 def run(config, channel_llrs):
     """Execute the configured architecture on quantized channel LLRs.
 
-    ``channel_llrs`` is, per stream, one length-N integer vector or a
-    (batch, N) array of frames: a single block for the single-stream
-    architectures, a pair of blocks (batch sizes may differ) for the
-    2-parallel one. The schedule was checked when the config was built.
+    ``channel_llrs`` is a list or tuple of blocks, one per stream of the
+    checked schedule (two for the 2-parallel architecture, batch sizes may
+    differ); a bare array is the single block of a one-stream architecture.
+    A block is one length-N integer vector or a (batch, N) array of frames.
+    The schedule was checked when the config was built.
     A legal schedule fires the same (stage, op, select) sequence in every
     stream, so all streams run it in lockstep, their frames stacked on one
     batch axis, and each step applies its PE to every frame at once.
     Decisions come back in the shape of their input. A trace row has no
     frame column, so ``record_trace`` takes one vector per stream.
     """
-    if config.architecture == PARALLEL2:
-        if not isinstance(channel_llrs, (list, tuple)) or len(channel_llrs) != 2:
-            raise InvalidParameterError("parallel2 expects two LLR blocks")
-        blocks = channel_llrs
-    else:
-        blocks = [channel_llrs]
+    streams, activity, peak = config.schedule
+    blocks = channel_llrs if isinstance(channel_llrs, (list, tuple)) else [channel_llrs]
+    if len(blocks) != len(streams):
+        raise InvalidParameterError(
+            f"{config.architecture} expects {len(streams)} LLR block(s), got {len(blocks)}")
     n = config.spec.n_bits
     shapes, channels = [], []
     for label, block in zip(STREAM_LABELS, blocks):
@@ -234,7 +236,6 @@ def run(config, channel_llrs):
             raise InvalidParameterError("record_trace needs one LLR vector per stream")
         shapes.append(llrs.shape)
         channels.append(llrs.reshape(-1, n))
-    streams, activity, peak = config.schedule
     rows = []
 
     def record(k, a, b, outs, sel):
@@ -323,17 +324,15 @@ def _dataflow(config, firings, frames, record):
 def decode_frames(config, q_llrs):
     """Decisions and decision LLRs of a (frames, N) batch of quantized LLRs.
 
-    The 2-parallel architecture decodes even frames on stream C1 and odd
-    frames on stream C2.
+    Frame f runs on stream f mod k of the checked schedule's k streams (odd
+    frames on C2 for the 2-parallel architecture), gathered back in order.
     """
-    if config.architecture != PARALLEL2:
-        result = run(config, q_llrs)
-        return result.decisions[0], result.decision_llrs[0]
-    result = run(config, [q_llrs[0::2], q_llrs[1::2]])
-    out = np.empty((2,) + q_llrs.shape, dtype=np.int64)
-    out[0, 0::2], out[0, 1::2] = result.decisions
-    out[1, 0::2], out[1, 1::2] = result.decision_llrs
-    return out[0], out[1]
+    k = len(config.schedule[0])
+    result = run(config, [q_llrs[s::k] for s in range(k)])
+    u, llrs = np.empty((2,) + q_llrs.shape, dtype=np.int64)
+    for s in range(k):
+        u[s::k], llrs[s::k] = result.decisions[s], result.decision_llrs[s]
+    return u, llrs
 
 
 @dataclass
@@ -394,7 +393,7 @@ def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
     """
     trials = require_count(trials, 1)
     spec = config.spec
-    per_trial = 2 if config.architecture == PARALLEL2 else 1
+    per_trial = len(config.schedule[0])  # one frame per stream
     cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=ebn0_db, master_seed=seed)
     mismatches, first_divergence = 0, None
     for first, _, llrs in trial_chunks(spec, [cfg], trials, per_trial):

@@ -13,12 +13,11 @@ simulator's equivalence campaign checks a chunk at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .code import encode, require_count
+from .code import encode, require_count, require_real
 from .errors import InvalidParameterError
 from .llr import (
     MAX_LLR,
@@ -51,21 +50,14 @@ class ChannelConfig:
     def __post_init__(self):
         if self.kind not in (NOISELESS, BPSK_AWGN):
             raise InvalidParameterError(f"unknown channel kind {self.kind!r}")
-        e = self.ebn0_db
-        try:
-            real = (isinstance(e, (int, float, np.integer, np.floating))
-                    and not isinstance(e, bool) and math.isfinite(e))
-        except OverflowError:  # an int beyond the float range
-            real = False
-        if not real:
-            raise InvalidParameterError(f"ebn0_db must be a finite real number, got {e!r}")
-        object.__setattr__(self, "ebn0_db", float(e))
+        object.__setattr__(self, "ebn0_db", require_real(self.ebn0_db, "ebn0_db"))
 
 
 def trial_rng(master_seed, trial):
     """Deterministic per-trial generator, independent of execution order."""
     seed = require_count(master_seed, name="seed")
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(trial),)))
+    key = require_count(trial, name="trial")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
 @dataclass(frozen=True)

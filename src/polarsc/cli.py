@@ -179,10 +179,10 @@ def _cmd_simulate(args):
         kind=channel.BPSK_AWGN if args.ebn0 else channel.NOISELESS,
         ebn0_db=args.ebn0_value, master_seed=args.seed,
     )
-    frames = 2 if config.architecture == archsim.PARALLEL2 else 1
+    frames = len(config.schedule[0])  # one per stream
     _, float_llrs = channel.draw_trials(spec, cfg, frames)
     q_llrs = llr.quantize(float_llrs, args.q, args.scale)
-    result = archsim.run(config, list(q_llrs) if frames == 2 else q_llrs[0])
+    result = archsim.run(config, list(q_llrs))
     reference, ref_llrs = llr.sc_decode_batch(q_llrs, spec, llr.MODE_MINSUM_Q, q=args.q)
     _, first = archsim.divergence(np.stack(result.decisions), np.stack(result.decision_llrs),
                                   reference, ref_llrs, frames)

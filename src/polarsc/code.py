@@ -30,12 +30,27 @@ def require_count(value, minimum=0, name="trials"):
     return count
 
 
+def require_real(value, name):
+    """``value`` as a float; InvalidParameterError unless a finite real number
+    (not a bool or a string, and not an int beyond the float range)."""
+    try:
+        real = (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        real = False
+    if not real:
+        raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def require_power_of_two(n, what="length", minimum=2):
-    """Raise InvalidParameterError unless ``n`` is a power of two >= ``minimum``."""
-    if require_count(n, name=what) < minimum or n & (n - 1):
+    """``n`` as an int; InvalidParameterError unless a power of two >= ``minimum``."""
+    count = require_count(n, name=what)
+    if count < minimum or count & (count - 1):
         raise InvalidParameterError(
             f"{what} must be a power of two >= {minimum}, got {n}"
         )
+    return count
 
 
 @dataclass(frozen=True)
@@ -65,27 +80,27 @@ class CodeSpec:
     frozen_values: tuple
 
     def __post_init__(self):
-        require_power_of_two(self.n_bits, "n_bits")
+        n = require_power_of_two(self.n_bits, "n_bits")
+        k = require_count(self.k_info, name="k_info")
         frozen = tuple(require_count(i, 1, "frozen index") for i in self.frozen_set)
         values = tuple(require_count(v, name="frozen value") for v in self.frozen_values)
-        if require_count(self.k_info, name="k_info") > self.n_bits:
-            raise InvalidParameterError(f"k_info out of range: {self.k_info}")
-        if len(frozen) != self.n_bits - self.k_info:
-            raise InvalidParameterError(
-                f"expected {self.n_bits - self.k_info} frozen indices, got {len(frozen)}"
-            )
+        if k > n:
+            raise InvalidParameterError(f"k_info out of range: {k}")
+        if len(frozen) != n - k:
+            raise InvalidParameterError(f"expected {n - k} frozen indices, got {len(frozen)}")
         if list(frozen) != sorted(set(frozen)):
             raise InvalidParameterError("frozen_set must be sorted and duplicate-free")
-        if frozen and frozen[-1] > self.n_bits:
+        if frozen and frozen[-1] > n:
             raise InvalidParameterError("frozen indices must lie in 1..N")
         if len(values) != len(frozen):
             raise InvalidParameterError("frozen_values must align with frozen_set")
         if any(v not in (0, 1) for v in values):
             raise InvalidParameterError("frozen_values must be bits")
-        object.__setattr__(self, "frozen_set", frozen)
-        object.__setattr__(self, "frozen_values", values)
-        mask = np.zeros(self.n_bits, dtype=bool)
-        vals = np.zeros(self.n_bits, dtype=np.int64)
+        for name, value in zip(("n_bits", "k_info", "frozen_set", "frozen_values"),
+                               (n, k, frozen, values)):
+            object.__setattr__(self, name, value)  # plain Python ints throughout
+        mask = np.zeros(n, dtype=bool)
+        vals = np.zeros(n, dtype=np.int64)
         for idx, val in zip(frozen, values):
             mask[idx - 1] = True
             vals[idx - 1] = val
@@ -171,9 +186,9 @@ def encode(message, spec):
     if not ((msg == 0) | (msg == 1)).all():
         raise InvalidParameterError("message entries must be 0 or 1")
     msg = msg.astype(np.int64)
-    if msg.shape[-1] != spec.k_info:
+    if msg.ndim == 0 or msg.shape[-1] != spec.k_info:
         raise InvalidParameterError(
-            f"message length must be {spec.k_info}, got {msg.shape[-1]}"
+            f"message length must be {spec.k_info}, got shape {msg.shape}"
         )
     batch_shape = msg.shape[:-1]
     msg = msg.reshape(math.prod(batch_shape), spec.k_info)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .code import require_power_of_two
 from .errors import InvalidParameterError
 from .gates import gate_count
+from .igc import build_network
 from .llr import qmax
 
 PROPOSED = "proposed"
@@ -119,8 +120,10 @@ def component_counts(design, n, q):
     common = dict(design=design, n=n, q=q, n_pes=n // 2, pe_xor=pe.xor, pe_reg=pe.reg_bits,
                   pe_mux=pe.mux_bits, latency=lat, normalized_throughput=thr)
     if proposed:
+        net = build_network(n)
         return CostReport(
-            **common, n_igcs=2, igc_xor=n // 2 - 1, igc_ram=n // 2 - 2, igc_mux=n // 2 - 2,
+            **common, n_igcs=2, igc_xor=net.xor_elements, igc_ram=net.storage_slots,
+            igc_mux=n // 2 - 2,
             other_regs=q * (9 * n // 2 + 4), other_muxes=q * (n + 2),
         )
     return CostReport(

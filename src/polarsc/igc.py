@@ -47,9 +47,9 @@ class PartialSumState:
 
     @property
     def storage_slots(self):
-        """Persistent memory bits held between decision pairs (levels
-        1..log2(N)-2), matching the per-network slot budget N/2 - 2."""
-        return sum(1 << j for j in range(1, self.m - 1))
+        """Persistent memory bits held between decision pairs: the widths of
+        the slot arrays at levels 1..log2(N)-2."""
+        return sum(acc.shape[-1] for acc in self._acc[1:self.m - 1])
 
     def push(self, u_hat, index):
         """Fold decision ``u_hat`` (1-based ``index``) into the sums: one bit,
@@ -117,34 +117,25 @@ class ControlSignal:
 
 
 @dataclass(frozen=True)
-class IgcElement:
-    """One XOR-pass node, labelled by its combining level."""
-
-    level: int
-    index: int
-
-
-@dataclass(frozen=True)
 class IgcNetwork:
     """Structural description of the partial-sum network for one decoder.
 
     ``n`` counts combining levels (log2(N) - 1). Level 1 is a single
-    XOR-pass element; each further level j adds 2^(j-1) elements, so the
-    top level contributes N/4 and the whole network has N/2 - 1 elements
-    with N/2 - 2 storage slots.
+    XOR-pass element and each further level j adds 2^(j-1) elements and
+    as many storage slots, so the top level contributes N/4 and the network
+    has 2^n - 1 = N/2 - 1 elements and 2^n - 2 = N/2 - 2 slots.
     """
 
     n: int
-    elements: tuple
     control: tuple
 
     @property
     def xor_elements(self):
-        return len(self.elements)
+        return (1 << self.n) - 1
 
     @property
     def storage_slots(self):
-        return sum(1 << (j - 1) for j in range(2, self.n + 1))
+        return (1 << self.n) - 2
 
     def to_json_dict(self):
         return {
@@ -164,11 +155,7 @@ def control_schedule(n_bits):
 
 
 def build_network(n_bits):
-    """Construct the network recursively: start from the single-element
-    unit and add 2^(j-1) XOR-pass elements (N/4 at the top) per level."""
-    require_power_of_two(n_bits, "N", 4)
-    levels = n_bits.bit_length() - 2
-    elements = []
-    for j in range(1, levels + 1):
-        elements.extend(IgcElement(level=j, index=i) for i in range(1 << (j - 1)))
-    return IgcNetwork(n=levels, elements=tuple(elements), control=control_schedule(n_bits))
+    """The network of an N-bit decoder: one combining level per control
+    signal, N/4 XOR-pass elements at the top."""
+    control = control_schedule(n_bits)  # validates N
+    return IgcNetwork(n=len(control), control=control)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import polar_transform, require_count
+from .code import polar_transform, require_count, require_real
 from .errors import InvalidParameterError
 
 MAX_LLR = 50.0
@@ -42,8 +42,8 @@ def qmax(q):
 
 
 def require_scale(scale):
-    """The toolkit's one check of a quantizer scale: finite and > 0."""
-    if not 0 < scale < np.inf:
+    """The toolkit's one check of a quantizer scale: a finite real > 0."""
+    if require_real(scale, "scale") <= 0:
         raise InvalidParameterError(f"scale must be finite and > 0, got {scale!r}")
 
 

@@ -400,7 +400,8 @@ class TestTraceAndValidation:
         for kwargs in ({"q": 55, "architecture": "lookahead"},
                        {"q": 1, "architecture": "lookahead"},
                        {"q": 6.0, "architecture": "lookahead"},
-                       {"q": 6, "architecture": "lookahead_2parallel"}):
+                       {"q": 6, "architecture": "lookahead_2parallel"},
+                       {"q": 6, "architecture": "conventional", "use_gate_pes": True}):
             with pytest.raises(InvalidParameterError):
                 SimConfig(spec=spec, **kwargs)
         with pytest.raises(InvalidParameterError):

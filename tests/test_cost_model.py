@@ -43,6 +43,8 @@ class TestComponentCounts:
             component_counts(PROPOSED, 8, 1)
         with pytest.raises(InvalidParameterError):
             component_counts("imaginary", 8, 6)
+        with pytest.raises(InvalidParameterError):
+            asymptotic_totals("imaginary", 8, 6)
 
     def test_q_bounds(self):
         assert component_counts(PROPOSED, 8, 54).pe_xor == 9 * 54

@@ -78,6 +78,12 @@ class TestChannel:
         with pytest.raises(InvalidParameterError):
             trial_rng(-1, 0)
 
+    @pytest.mark.parametrize("trial", [-1, 1.5, True, "3", None])
+    def test_bad_trial_index_rejected(self, trial):
+        # none of these is read as some other trial's stream
+        with pytest.raises(InvalidParameterError):
+            trial_rng(0, trial)
+
     def test_draw_order_message_then_noise(self):
         # every row against its own trial's stream, at rate 1/2 and others
         for n, k in [(16, 8), (64, 32), (64, 16), (32, 20)]:
@@ -126,7 +132,7 @@ class TestChannel:
             "kind", "ebn0_db", "master_seed"]
         with pytest.raises(InvalidParameterError):
             ChannelConfig(kind="carrier_pigeon", ebn0_db=0.0, master_seed=0)
-        for bad in (float("inf"), "1", None):
+        for bad in (float("inf"), "1", None, True, 10**400):
             with pytest.raises(InvalidParameterError):
                 ChannelConfig(kind=BPSK_AWGN, ebn0_db=bad, master_seed=0)
 

@@ -12,6 +12,7 @@ from polarsc import (
     control_schedule,
     polar_transform,
 )
+from polarsc.cost import PROPOSED, component_counts
 from polarsc.igc import refreshed_stage
 
 
@@ -156,8 +157,13 @@ class TestNetwork:
             bigger = build_network(n)
             smaller = build_network(n // 2)
             assert bigger.xor_elements - smaller.xor_elements == n // 4
-            top = [e for e in bigger.elements if e.level == bigger.n]
-            assert len(top) == n // 4
+
+    @pytest.mark.parametrize("n", [4, 8, 64, 1024])
+    def test_one_slot_count(self, n):
+        # the partial-sum state, the network model and the cost table agree
+        slots = build_network(n).storage_slots
+        assert PartialSumState(n).storage_slots == slots
+        assert component_counts(PROPOSED, n, 6).igc_ram == slots
 
     def test_json_shape(self):
         d = build_network(8).to_json_dict()
@@ -170,6 +176,9 @@ class TestNetwork:
                 build_network(bad)
             with pytest.raises(InvalidParameterError):
                 PartialSumState(bad)
+        for stage in (0, 4):  # N=8 has stages 1..3
+            with pytest.raises(InvalidParameterError):
+                PartialSumState(8).stage_ready(stage)
 
 
 class TestControlSchedule:

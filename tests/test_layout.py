@@ -2,7 +2,9 @@
 
 Library modules return data (``to_json_dict``, ``to_rows``); ``cli.py`` alone
 decides how it is written, so a second JSON renderer fails here. Imports sit
-at the top of a module; the one lazy import left is pinned by name.
+at the top of a module; the one lazy import left is pinned by name. The
+2-parallel architecture is named only where its schedule is built and
+checked; everything else reads the stream count off the checked schedule.
 """
 
 import ast
@@ -51,3 +53,21 @@ def test_function_level_imports():
         for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
     }
     assert found == {("channel.py", "ber_sweep")}
+
+
+
+def test_parallel2_is_read_only_where_the_schedule_is_built():
+    readers = set()
+    for name, tree in _trees().items():
+        owner = {}  # node -> name of the outermost function around it
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        readers |= {
+            (name, owner.get(node))
+            for node in ast.walk(tree)
+            if "PARALLEL2" in (getattr(node, "id", None), getattr(node, "attr", None))
+        }
+    assert {r for r in readers if r[0] != "schedule.py"} == {
+        ("archsim.py", "_build_schedule"), ("archsim.py", "check_schedule")}

@@ -182,7 +182,8 @@ class TestQuantize:
         with pytest.raises(InvalidParameterError):
             quantize(1.0, 6, scale=np.nan)
 
-    @pytest.mark.parametrize("scale", [0.0, -2.0, -0.0, np.inf, -np.inf])
+    @pytest.mark.parametrize("scale", [0.0, -2.0, -0.0, np.inf, -np.inf, True, "2", None,
+                                       pytest.param(10**400, id="10**400")])
     def test_scale_must_be_finite_and_positive(self, scale):
         with pytest.raises(InvalidParameterError):
             quantize([1.0, -2.0], 6, scale=scale)
@@ -428,6 +429,8 @@ class TestLrRecursionProb:
         spec = make_code_spec(8, 4)
         with pytest.raises(InvalidParameterError):
             lr_recursion_prob(np.array([1.0, -0.5, 1, 1, 1, 1, 1, 1]), spec)
+        with pytest.raises(InvalidParameterError):
+            lr_recursion_prob(np.ones(4), spec)  # wrong length
 
     def test_rejects_large_n(self):
         spec = make_code_spec(128, 64)

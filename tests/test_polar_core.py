@@ -100,6 +100,8 @@ class TestFrozenSet:
             construct_frozen_set(8, 0, 0.5)
         with pytest.raises(InvalidParameterError):
             construct_frozen_set(8, 9, 0.5)
+        with pytest.raises(InvalidParameterError):
+            construct_frozen_set(8, 4, 1.0)  # design erasure outside (0, 1)
         for n, k in ((8.0, 4), (8, 4.0)):
             with pytest.raises(InvalidParameterError):
                 make_code_spec(n, k)
@@ -126,6 +128,8 @@ class TestEncode:
         spec = make_code_spec(8, 4)
         with pytest.raises(InvalidParameterError):
             encode([1, 0, 1], spec)
+        with pytest.raises(InvalidParameterError):
+            encode(np.array(1), spec)  # 0-d: no length at all
 
     @pytest.mark.parametrize("message", [[2, 3, 0, 1], [0.5, 1, 0, 1], [-1, 0, 0, 1],
                                          [[0, 1, 1, 0], [1, 0, 0, 3]]])
@@ -152,6 +156,9 @@ class TestCodeSpec:
         assert d["frozen"] == sorted(d["frozen"])
         again = CodeSpec.from_json_dict(d)
         assert again == spec
+        # numpy ints are stored as Python ints, so the dict stays serialisable
+        wide = make_code_spec(np.int64(8), np.int64(4))
+        assert json.loads(json.dumps(wide.to_json_dict())) == make_code_spec(8, 4).to_json_dict()
 
     def test_invariants_enforced(self):
         with pytest.raises(InvalidParameterError):
@@ -168,6 +175,12 @@ class TestCodeSpec:
             CodeSpec(8, 4, (1, 2.7, 3, 4), (0, 0, 0, 0))  # not truncated to 2
         with pytest.raises(InvalidParameterError):
             CodeSpec(8, 4, (1, 2, 3, 4), (0, 0.5, 0, 0))  # not truncated to 0
+        with pytest.raises(InvalidParameterError):
+            CodeSpec(4, 5, (), ())  # K > N
+        with pytest.raises(InvalidParameterError):
+            CodeSpec(8, 4, (1, 2, 3, 9), (0, 0, 0, 0))  # frozen index > N
+        with pytest.raises(InvalidParameterError):
+            CodeSpec(8, 4, (1, 2, 3, 4), (0, 0, 0))  # values misaligned
         d = make_code_spec(8, 4).to_json_dict()
         for key, bad in (("frozen_values", [0, 0.5, 0, 0]), ("n", 8.5), ("k", 4.0)):
             with pytest.raises(InvalidParameterError):

@@ -126,6 +126,8 @@ class TestUtilization:
         assert peak_conv == pytest.approx(4 / 7)
         _, peak_la = utilization(build_lookahead(8))
         assert peak_la == pytest.approx(1.0)
+        with pytest.raises(InvalidParameterError):
+            utilization(build_lookahead(8), pe_budget=0)
 
 
 class TestParallelActivity:
