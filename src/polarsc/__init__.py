@@ -34,7 +34,6 @@ from .schedule import (
     build_conventional,
     build_lookahead,
     latency,
-    parallel_activity_table,
     utilization,
 )
 from .gates import GateCount, WordQ, addsub_q, full_addsub_1bit, gate_count, merged_pe, minsum_pe
@@ -45,7 +44,8 @@ from .igc import (
     build_network,
     control_schedule,
 )
-from .archsim import EquivalenceReport, SimConfig, SimResult, run, verify_equivalence
+from .archsim import (EquivalenceReport, SimConfig, SimResult, parallel_activity_table, run,
+                      verify_equivalence)
 from .cost import CostReport, component_counts, schedule_figures
 from .channel import (
     ChannelConfig,

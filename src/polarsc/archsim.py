@@ -57,7 +57,6 @@ from .schedule import (
     STREAM_LABELS,
     build_conventional,
     build_lookahead,
-    interleave_two_streams,
 )
 
 
@@ -72,13 +71,11 @@ class SimConfig:
     use_gate_pes: bool = False
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise InvalidParameterError(f"unknown architecture {self.architecture!r}")
         if self.use_gate_pes and self.architecture == CONVENTIONAL:
             raise InvalidParameterError("use_gate_pes needs merged PEs; conventional has none")
         qmax(self.q)  # validates q
-        require_power_of_two(self.spec.n_bits, "N", 4)
-        object.__setattr__(self, "schedule", check_schedule(self))  # not a field
+        schedule = check_schedule(self.architecture, self.spec.n_bits)
+        object.__setattr__(self, "schedule", schedule)  # not a field
 
 
 @dataclass
@@ -105,17 +102,20 @@ TRACE_HEADER = ("cycle", "stream", "stage", "pe_index", "op", "inputs", "outputs
                 "select_bit")
 
 
-def _build_schedule(config):
+def _build_schedule(architecture, n):
     """Per-cycle list of (stream_index, chart_entry) activations."""
-    build = build_conventional if config.architecture == CONVENTIONAL else build_lookahead
-    chart = build(config.spec.n_bits)
-    if config.architecture == PARALLEL2:
-        return interleave_two_streams(chart)
-    return [[(0, cycle[0])] for cycle in chart.cycles]
+    build = build_conventional if architecture == CONVENTIONAL else build_lookahead
+    entries = [cycle[0] for cycle in build(n).cycles]
+    if architecture == PARALLEL2:
+        # two look-ahead streams on one N/2-PE pool: C1 stalls for one cycle after
+        # its channel-stage cycle and C2 runs the unstalled chart one cycle later,
+        # so the pair spans N cycles and no cycle holds more than N/2 active PEs
+        return [[(0, entries[0])], [(1, entries[0])]] + [[(0, e), (1, e)] for e in entries[1:]]
+    return [[(0, e)] for e in entries]
 
 
-def check_schedule(config):
-    """Legality pass over the configured schedule; it reads no LLRs.
+def check_schedule(architecture, n):
+    """Legality pass over the schedule of ``architecture`` at N; it reads no LLRs.
 
     Raises SchedulingError at the first firing that reads a buffer or
     select bits its producers have not delivered, refires over unresolved
@@ -123,11 +123,13 @@ def check_schedule(config):
     decisions. Returns each stream's (cycle, stage, op, select) firings, the
     ActivityTable and the candidate-buffer peak in pairs.
     """
-    n = config.spec.n_bits
+    if architecture not in ARCHITECTURES:
+        raise InvalidParameterError(f"unknown architecture {architecture!r}")
+    n = require_power_of_two(n, "N", 4)
     m = n.bit_length() - 1
-    merged = config.architecture != CONVENTIONAL
-    schedule = _build_schedule(config)
-    labels = STREAM_LABELS if config.architecture == PARALLEL2 else STREAM_LABELS[:1]
+    merged = architecture != CONVENTIONAL
+    schedule = _build_schedule(architecture, n)
+    labels = STREAM_LABELS if architecture == PARALLEL2 else STREAM_LABELS[:1]
     fired = [[0] * (m + 1) for _ in labels]  # firings so far, per stage
     buffered = [{} for _ in labels]  # stage -> (producing cycle, producing block)
     unresolved = [set() for _ in labels]  # stages holding live candidate pairs
@@ -202,6 +204,11 @@ def check_schedule(config):
             raise SchedulingError(f"stream {label}: {count} of {n} bits decided")
     activity = ActivityTable(n, labels, tuple(map(tuple, counts)))
     return streams, activity, peak
+
+
+def parallel_activity_table(n):
+    """Per-cycle active PEs of the two interleaved look-ahead streams, as checked."""
+    return check_schedule(PARALLEL2, n)[1]
 
 
 def run(config, channel_llrs):

@@ -152,7 +152,7 @@ def _cmd_timechart(args):
 
 
 def _cmd_activity(args):
-    table = schedule.parallel_activity_table(args.n)
+    table = archsim.parallel_activity_table(args.n)
     _emit(args, table.to_json_dict(), ("stream", "cycle", "active_pes"), table.to_rows())
 
 
@@ -229,6 +229,7 @@ def _cmd_cost(args):
 
 
 def _cmd_igc_trace(args):
+    state = igc.PartialSumState(args.n)  # validates N before any bit is drawn
     if args.bits:
         bits = _parse_bits(args.bits)
     else:
@@ -236,7 +237,6 @@ def _cmd_igc_trace(args):
         bits = rng.integers(0, 2, size=args.n).tolist()
     if len(bits) != args.n:
         raise InvalidParameterError(f"need exactly {args.n} decision bits")
-    state = igc.PartialSumState(args.n)
     rows = []
     for k, bit in enumerate(bits, start=1):
         state.push(int(bit), k)

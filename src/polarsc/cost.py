@@ -1,10 +1,10 @@
 """Hardware consumption and schedule comparison for the two decoder designs.
 
-``proposed`` is the two-stream look-ahead decoder built from merged PEs and
-two partial-sum networks; ``line_reference`` is the sequential line-decoder
-baseline it is compared against. Every row is an exact expression in
-(N, q); the headline totals drop lower-order terms, so the exact sums land
-within a few percent of them.
+``proposed`` is the two-stream look-ahead decoder (``parallel2``) with merged
+PEs and a partial-sum network per stream; ``line_reference`` is the line
+decoder of Leroux et al. (ICASSP 2011; ``conventional``) it is compared against.
+The PE pool, IGC count and latency are read off the checked schedule; the other
+rows are exact in (N, q), and the headline totals drop lower-order terms.
 
 MUX bits convert to XOR-class units with factor 1 per bit. That factor is
 derived, not assumed: it is the unique integer under which the component
@@ -16,14 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .archsim import check_schedule
 from .code import require_power_of_two
 from .errors import InvalidParameterError
 from .gates import gate_count
 from .igc import build_network
 from .llr import qmax
+from .schedule import CONVENTIONAL, PARALLEL2
 
 PROPOSED = "proposed"
 LINE_REFERENCE = "line_reference"
+_DESIGNS = {PROPOSED: (PARALLEL2, 2.0), LINE_REFERENCE: (CONVENTIONAL, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -101,29 +104,38 @@ class CostReport:
         ]
 
 
+def _checked_schedule(design, n):
+    """The checked schedule of the architecture a design runs, and its throughput."""
+    if design not in _DESIGNS:
+        raise InvalidParameterError(f"unknown design {design!r}")
+    architecture, throughput = _DESIGNS[design]
+    return check_schedule(architecture, n), throughput
+
+
 def schedule_figures(design, n):
-    """(latency in cycles, normalized throughput) for one design."""
-    require_power_of_two(n, "N", 4)
-    if design == PROPOSED:
-        return n, 2.0
-    if design == LINE_REFERENCE:
-        return 2 * (n - 1), 1.0
-    raise InvalidParameterError(f"unknown design {design!r}")
+    """(latency in cycles, normalized throughput) for one design. The latency
+    is the checked span; the throughput is one look-ahead stream's frame rate
+    against the conventional decoder's, 2(N-1)/(N-1) = 2 for the proposed design
+    (the two-stream pair's frame rate against it is 4(N-1)/N)."""
+    (_, activity, _), throughput = _checked_schedule(design, n)
+    return activity.span, throughput
 
 
 def component_counts(design, n, q):
-    """Exact per-component counts for one design at (N, q); the per-PE rows
-    are the gate models' (``gates.gate_count``)."""
-    lat, thr = schedule_figures(design, n)
+    """Exact per-component counts for one design at (N, q); the PE pool, IGC
+    count and latency are the checked schedule's peak column sum, stream count
+    and span, and the per-PE rows are the gate models' (``gates.gate_count``)."""
     proposed = design == PROPOSED
-    pe = gate_count("merged_pe" if proposed else "reference_pe", q)  # validates q
-    common = dict(design=design, n=n, q=q, n_pes=n // 2, pe_xor=pe.xor, pe_reg=pe.reg_bits,
-                  pe_mux=pe.mux_bits, latency=lat, normalized_throughput=thr)
+    pe = gate_count("merged_pe" if proposed else "reference_pe", q)  # before the O(N) walk
+    (streams, activity, _), throughput = _checked_schedule(design, n)
+    common = dict(design=design, n=n, q=q, n_pes=max(activity.column_sums()), pe_xor=pe.xor,
+                  pe_reg=pe.reg_bits, pe_mux=pe.mux_bits, latency=activity.span,
+                  normalized_throughput=throughput)
     if proposed:
         net = build_network(n)
         return CostReport(
-            **common, n_igcs=2, igc_xor=net.xor_elements, igc_ram=net.storage_slots,
-            igc_mux=n // 2 - 2,
+            **common, n_igcs=len(streams), igc_xor=net.xor_elements,
+            igc_ram=net.storage_slots, igc_mux=n // 2 - 2,
             other_regs=q * (9 * n // 2 + 4), other_muxes=q * (n + 2),
         )
     return CostReport(

@@ -178,24 +178,3 @@ class ActivityTable:
             "streams": list(self.streams),
             "counts": [list(row) for row in self.counts],
         }
-
-
-def interleave_two_streams(chart):
-    """Two-stream interleaving of a look-ahead chart onto one N/2-PE pool.
-
-    Stream C1 stalls for one cycle right after its channel-stage cycle;
-    stream C2 runs the unstalled chart offset by one cycle. Returns, per
-    cycle, the list of (stream index, chart entry) activations; the joint
-    span is N cycles and no cycle ever holds more than N/2 active PEs.
-    """
-    first, *rest = [cycle[0] for cycle in chart.cycles]
-    return [[(0, first)], [(1, first)]] + [[(0, e), (1, e)] for e in rest]
-
-
-def parallel_activity_table(n_bits):
-    """Per-cycle active PEs of the two interleaved look-ahead streams."""
-    counts = [[0] * n_bits, [0] * n_bits]
-    for t, cycle in enumerate(interleave_two_streams(build_lookahead(n_bits))):
-        for s, entry in cycle:
-            counts[s][t] = entry.active_pes
-    return ActivityTable(n_bits, STREAM_LABELS, tuple(map(tuple, counts)))

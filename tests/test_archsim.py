@@ -344,17 +344,16 @@ class TestLockstepStreams:
     def test_legal_schedules_fire_one_sequence_per_stream(self, monkeypatch, n):
         # run decides every stream with C1's firings, which is sound only if
         # no schedule the checker accepts lets C2 fire another sequence
-        cfg = SimConfig(spec=make_code_spec(n, n // 2), q=6, architecture="parallel2")
-        base = archsim._build_schedule(cfg)
+        base = archsim._build_schedule("parallel2", n)
         rng = random.Random(n)
         schedules = [_drop(c)(base) for c in range(1, len(base) + 1)]
         schedules += [_swap(c)(base) for c in range(1, len(base))]
         schedules += [_repack(base, rng) for _ in range(2000)]
         accepted = 0
         for sched in schedules:
-            monkeypatch.setattr(archsim, "_build_schedule", lambda cfg, s=sched: s)
+            monkeypatch.setattr(archsim, "_build_schedule", lambda arch, n, s=sched: s)
             try:
-                streams, _, _ = archsim.check_schedule(cfg)
+                streams, _, _ = archsim.check_schedule("parallel2", n)
             except SchedulingError:
                 continue
             accepted += 1
@@ -489,7 +488,7 @@ class TestLegalityChecker:
         spec = make_code_spec(self.N, self.N // 2)
         q_llrs = quantize(noisy_llrs(spec, seed=3, frames=frames), 6)
         build = archsim._build_schedule
-        monkeypatch.setattr(archsim, "_build_schedule", lambda cfg: mutate(build(cfg)))
+        monkeypatch.setattr(archsim, "_build_schedule", lambda a, n: mutate(build(a, n)))
         cfg = SimConfig(spec=spec, q=6, architecture=arch)
         if arch == "parallel2":
             return [run(cfg, [q_llrs[t], q_llrs[t + 1]]) for t in range(0, frames, 2)]
@@ -533,7 +532,7 @@ class TestLegalityChecker:
         # an empty batch carries no LLRs, yet the illegal schedule is rejected
         spec = make_code_spec(self.N, self.N // 2)
         build = archsim._build_schedule
-        monkeypatch.setattr(archsim, "_build_schedule", lambda cfg: _drop(9)(build(cfg)))
+        monkeypatch.setattr(archsim, "_build_schedule", lambda a, n: _drop(9)(build(a, n)))
         with pytest.raises(SchedulingError, match="buffer holds block"):
             run(SimConfig(spec=spec, q=6, architecture="lookahead"),
                 np.zeros((0, self.N), dtype=np.int64))
@@ -542,8 +541,7 @@ class TestLegalityChecker:
     def test_every_drop_and_adjacent_swap(self, monkeypatch, arch):
         # either the mutation is rejected or it is a legal reordering (such
         # as exchanging two identical firings) that decodes identically
-        spec = make_code_spec(self.N, self.N // 2)
-        length = len(archsim._build_schedule(SimConfig(spec=spec, q=6, architecture=arch)))
+        length = len(archsim._build_schedule(arch, self.N))
         want = [r.decisions for r in self.run_mutated(monkeypatch, arch, list, frames=4)]
         mutations = [_drop(c) for c in range(1, length + 1)]
         mutations += [_swap(c) for c in range(1, length)]
@@ -563,6 +561,6 @@ def test_illegal_schedule_rejected_when_config_built(monkeypatch, arch, mutate):
     # the schedule is checked when its config is built, before any run
     spec = make_code_spec(16, 8)
     build = archsim._build_schedule
-    monkeypatch.setattr(archsim, "_build_schedule", lambda cfg: mutate(build(cfg)))
+    monkeypatch.setattr(archsim, "_build_schedule", lambda a, n: mutate(build(a, n)))
     with pytest.raises(SchedulingError):
         SimConfig(spec=spec, q=6, architecture=arch)

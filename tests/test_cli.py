@@ -335,12 +335,17 @@ class TestBadInput:
         ("ber", "--n", "8", "--trials", "2", "--ebn0", "4000"),
         ("ber", "--n", "8", "--trials", "2", "--ebn0=-4000"),
         ("simulate", "--n", "8", "--trials", "2", "--ebn0", "4000"),
+        # N is checked before anything is built or drawn from it
+        ("igc-trace", "--n", "-8"),
+        ("activity", "--n", "6"),
+        ("cost", "--n", "6"),
     ], ids=["cost-q55", "decode-q55", "ber-ebn0", "simulate-ebn0", "negative-seed",
             "simulate-zero-trials", "simulate-negative-trials", "ber-zero-trials",
             "ber-negative-trials", "ber-negative-scale", "ber-zero-scale",
             "decode-infinite-scale", "ber-exact-negative-scale", "decode-exact-zero-scale",
             "decode-exact-q55", "ber-ebn0-no-number", "ber-ebn0-empty", "ber-ebn0-overflow",
-            "ber-ebn0-underflow", "simulate-ebn0-overflow"])
+            "ber-ebn0-underflow", "simulate-ebn0-overflow", "igc-trace-negative-n",
+            "activity-n6", "cost-n6"])
     def test_bad_numbers_exit_1(self, capsys, argv):
         assert self.main(capsys, *argv)[0] == 1
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from polarsc import InvalidParameterError, component_counts, schedule_figures
+from polarsc import InvalidParameterError, component_counts, cost, schedule_figures
+from polarsc.archsim import check_schedule
 from polarsc.cost import LINE_REFERENCE, PROPOSED, asymptotic_totals
 
 
@@ -53,6 +54,14 @@ class TestComponentCounts:
         with pytest.raises(InvalidParameterError):
             asymptotic_totals(PROPOSED, 8, 55)
 
+    def test_q_checked_before_the_schedule_walk(self, monkeypatch):
+        # the walk is O(N), so a bad q must fail before it at large N
+        walks = []
+        monkeypatch.setattr(cost, "check_schedule", lambda *args: walks.append(args))
+        with pytest.raises(InvalidParameterError):
+            component_counts(PROPOSED, 2**20, 55)
+        assert walks == []
+
 
 class TestTotals:
     def test_headline_values_at_n1024_q6(self):
@@ -89,6 +98,11 @@ class TestScheduleFigures:
         lat_r, _ = schedule_figures(LINE_REFERENCE, n)
         assert lat_p / lat_r == pytest.approx(n / (2 * n - 2))
         assert abs(lat_p / lat_r - 0.5) < 1.0 / n
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
+    def test_throughput_is_one_lookahead_stream_against_conventional(self, n):
+        spans = {arch: check_schedule(arch, n)[1].span for arch in ("conventional", "lookahead")}
+        assert schedule_figures(PROPOSED, n)[1] == 2.0 == spans["conventional"] / spans["lookahead"]
 
 
 class TestSerialization:

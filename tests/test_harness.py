@@ -465,9 +465,9 @@ class TestScheduleCheckedOnce:
         checks, draws = [], []
         check, draw = archsim.check_schedule, channel._draw
 
-        def counted_check(config):
-            checks.append(config.architecture)
-            return check(config)
+        def counted_check(architecture, n):
+            checks.append(architecture)
+            return check(architecture, n)
 
         def counted_draw(*args):
             draws.append(args)

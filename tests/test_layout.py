@@ -3,8 +3,11 @@
 Library modules return data (``to_json_dict``, ``to_rows``); ``cli.py`` alone
 decides how it is written, so a second JSON renderer fails here. Imports sit
 at the top of a module; the one lazy import left is pinned by name. The
-2-parallel architecture is named only where its schedule is built and
-checked; everything else reads the stream count off the checked schedule.
+legality pass is the one source of architecture facts: outside ``schedule.py``
+the 2-parallel architecture is named only where its schedule is built and
+checked, or to choose which checked schedule to read, and no count is derived
+from the name; the cost model reads its PE pool, IGC count and latency off the
+checked schedule, and only that pass builds an activity table.
 """
 
 import ast
@@ -55,19 +58,50 @@ def test_function_level_imports():
     assert found == {("channel.py", "ber_sweep")}
 
 
+def _owners(tree):
+    """node -> name of the top-level def, class or assignment that holds it"""
+    owner = {}
+    for stmt in tree.body:
+        name = getattr(stmt, "name", None)
+        if isinstance(stmt, ast.Assign):
+            name = getattr(stmt.targets[0], "id", None)
+        owner.update((node, name) for node in ast.walk(stmt))
+    return owner
+
 
 def test_parallel2_is_read_only_where_the_schedule_is_built():
+    # outside schedule.py, PARALLEL2 is read only where the schedule is built
+    # and checked, or to choose which checked schedule to read
     readers = set()
     for name, tree in _trees().items():
-        owner = {}  # node -> name of the outermost function around it
-        for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef):
-                for node in ast.walk(func):
-                    owner.setdefault(node, func.name)
+        owner = _owners(tree)
         readers |= {
             (name, owner.get(node))
             for node in ast.walk(tree)
             if "PARALLEL2" in (getattr(node, "id", None), getattr(node, "attr", None))
         }
     assert {r for r in readers if r[0] != "schedule.py"} == {
-        ("archsim.py", "_build_schedule"), ("archsim.py", "check_schedule")}
+        ("archsim.py", "_build_schedule"), ("archsim.py", "check_schedule"),
+        ("archsim.py", "parallel_activity_table"), ("cost.py", "_DESIGNS")}
+
+
+def test_architecture_facts_come_from_the_checked_schedule():
+    # the line reference has no IGC, so its count may stay the literal 0
+    seen = set()
+    for node in ast.walk(_trees()["cost.py"]):
+        if isinstance(node, ast.keyword) and node.arg in ("n_pes", "n_igcs", "latency"):
+            seen.add(node.arg)
+            value = node.value
+            assert not isinstance(value, (ast.BinOp, ast.UnaryOp)), ast.unparse(node)
+            if isinstance(value, ast.Constant):
+                assert node.arg == "n_igcs" and value.value == 0, ast.unparse(node)
+    assert seen == {"n_pes", "n_igcs", "latency"}
+    constructors = {
+        (name, owner.get(node))
+        for name, tree in _trees().items()
+        for owner in [_owners(tree)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "ActivityTable" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert constructors == {("archsim.py", "check_schedule")}
