@@ -4,7 +4,10 @@ Per-trial determinism: the random stream of trial t is derived from
 (master_seed, t) through numpy's SeedSequence spawn mechanism
 (``SeedSequence(master_seed).spawn`` keyed by the trial index), so results
 do not depend on execution order and trials can be split across workers
-without changing aggregate counts. Campaigns walk the trials in chunks
+without changing aggregate counts. ``trial_rng`` defines that stream. The
+sweeps compute the same PCG64 states for a whole chunk of trials in one
+pass, load them into one generator in turn, and check the chunk's first
+trial against ``trial_rng``. Campaigns walk the trials in chunks
 (``trial_chunks``), so their memory does not grow with the trial count: a
 sweep reads each stream once, maps it to every operating point, and decodes
 a chunk of trials at all points in one call per decoder, and the
@@ -60,6 +63,57 @@ def trial_rng(master_seed, trial):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
+# numpy's SeedSequence hashing (a hash step i xors h_i = init * mult**i mod 2**32,
+# then multiplies by h_{i+1}; _hashmix and _mix take Python ints or uint64
+# arrays of uint32 words) and PCG64's 128-bit LCG multiplier
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_HASH_B = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(9)], dtype=np.uint64)
+
+
+def _hashmix(value, xor, mul):
+    value = (value ^ xor) * mul & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return value ^ value >> 16
+
+
+def _trial_states(seed, trials):
+    """PCG64 (state, inc) of ``trial_rng(seed, t)`` for each t in ``trials``.
+
+    The seed words fill SeedSequence's pool of 4 once, in Python ints. The
+    words past the pool (a long seed's, then the spawn key's) and the 8
+    ``generate_state`` words hash as columns over the chunk; key word j
+    mixes only into the trials whose index has that word.
+    """
+    seed = require_count(seed, name="seed")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 128), 32)]
+    bits = np.maximum([t.bit_length() for t in trials], 1)
+    shifts = range(0, int(bits.max()), 32)
+    extra = np.array([[w] * len(trials) for w in words[4:]]
+                     + [[t >> s & _M32 for t in trials] for s in shifts], dtype=np.uint64)
+    h = [_INIT_A * pow(_MULT_A, i, 1 << 32) & _M32 for i in range(17 + 4 * len(extra))]
+    pool = [_hashmix(w, h[i], h[i + 1]) for i, w in enumerate(words[:4])]
+    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    for i, (src, dst) in enumerate(pairs, start=4):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[i], h[i + 1]))
+    pool = np.array(pool, dtype=np.uint64)  # one row, broadcast over the trials
+    h = np.array(h, dtype=np.uint64)
+    for c, column in enumerate(extra):  # seed words, then key word j = c + 4 - len(words)
+        hc = h[16 + 4 * c:21 + 4 * c]
+        mixed = _mix(pool, _hashmix(column[:, None], hc[:-1], hc[1:]))
+        pool = np.where((bits > 32 * (c + 4 - len(words)))[:, None], mixed, pool)
+    out = _hashmix(pool[:, [0, 1, 2, 3] * 2], _HASH_B[:-1], _HASH_B[1:])
+    seeds = (out[:, 0::2] | out[:, 1::2] << 32).tolist()  # (state hi, lo, seq hi, lo) words
+    incs = [(w[2] << 65 | w[3] << 1 | 1) & _M128 for w in seeds]
+    return [(((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _M128, inc)
+            for w, inc in zip(seeds, incs)]
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Error counts for one (mode, architecture, Eb/N0) operating point."""
@@ -95,13 +149,29 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
             raise InvalidParameterError(
                 f"Eb/N0 {ebn0} dB puts the noise variance outside the float range")
         variances.append(var)
-    msgs = np.empty((len(trials), k), dtype=np.int64)
+    if not trials:
+        return np.empty((0, k), dtype=np.int64), np.empty((0, n))
+    # one generator takes each trial's state in turn, after drawing the
+    # chunk's first trial as trial_rng defines it, to check the pass
+    rng = trial_rng(master_seed, trials[0])
+    fresh = rng.bit_generator.state
+    first = rng.integers(0, 2, size=k), rng.standard_normal(n) if awgn else None
+    states = _trial_states(master_seed, trials)
+    raw = np.empty((len(trials), (k + 1) // 2), dtype=np.uint64)
     normals = np.empty((len(trials), n)) if awgn else None
-    for i, t in enumerate(trials):
-        rng = trial_rng(master_seed, t)
-        msgs[i] = rng.integers(0, 2, size=k)
+    for i, (state, inc) in enumerate(states):
+        rng.bit_generator.state = {**fresh, "state": {"state": state, "inc": inc}}
+        raw[i] = rng.bit_generator.random_raw(raw.shape[1])
         if awgn:
             normals[i] = rng.standard_normal(n)
+    # integers(0, 2) takes the top bit of each 32-bit half, low half first
+    msgs = (raw[:, :, None] >> np.array([31, 63], np.uint64) & 1).reshape(
+        len(trials), -1)[:, :k].astype(np.int64)
+    if (states[0] != (fresh["state"]["state"], fresh["state"]["inc"])
+            or not np.array_equal(msgs[0], first[0])
+            or awgn and not np.array_equal(normals[0], first[1])):
+        raise RuntimeError("numpy's SeedSequence, PCG64 seeding or integers() changed: "
+                           "the chunk's first trial no longer matches trial_rng")
     symbols = 1.0 - 2.0 * encode(msgs, spec)
     llrs = np.empty((len(ebn0_points), len(trials), n))
     if not awgn:
@@ -112,13 +182,15 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
 
 
 def draw_trials(spec, cfg, trials):
-    """Messages and channel LLRs for trials 0..trials-1, one rng per trial.
+    """Messages and channel LLRs for trials 0..trials-1.
 
-    Trial t's stream draws its K message bits, then N standard normals z
-    (AWGN only). Bit 0 maps to +1 and bit 1 to -1. The AWGN LLR is
-    2(x + sigma z)/sigma^2, sigma^2 = 1 / (2 (K/N) Eb/N0), clipped to the
-    rail (sigma z equals numpy's ``normal(0, sigma)`` on that stream); the
-    noiseless channel gives +/- MAX_LLR certainties.
+    Trial t's stream is ``trial_rng(seed, t)``: it draws its K message bits
+    (``integers(0, 2)``), then N standard normals z (AWGN only). The states
+    of all the trials come out of one seeding pass, checked against
+    ``trial_rng`` on the first trial. Bit 0 maps to +1 and bit 1 to -1. The
+    AWGN LLR is 2(x + sigma z)/sigma^2, sigma^2 = 1 / (2 (K/N) Eb/N0),
+    clipped to the rail (sigma z equals numpy's ``normal(0, sigma)`` on that
+    stream); the noiseless channel gives +/- MAX_LLR certainties.
     """
     return _draw(spec, cfg.kind, cfg.master_seed, range(require_count(trials)),
                  [cfg.ebn0_db])

@@ -3,9 +3,12 @@
 import dataclasses
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polarsc import (
     ChannelConfig,
@@ -23,7 +26,7 @@ from polarsc import (
     trial_rng,
     verify_equivalence,
 )
-from polarsc.channel import BPSK_AWGN, NOISELESS, draw_trials
+from polarsc.channel import BPSK_AWGN, NOISELESS, draw_trials, trial_chunks
 from polarsc.llr import MODES
 from polarsc.schedule import ARCHITECTURES
 
@@ -135,6 +138,86 @@ class TestChannel:
         for bad in (float("inf"), "1", None, True, 10**400):
             with pytest.raises(InvalidParameterError):
                 ChannelConfig(kind=BPSK_AWGN, ebn0_db=bad, master_seed=0)
+
+
+def documented_rows(spec, kind, seed, trials, points):
+    """Trials' messages and LLRs as trial_rng defines them: integers(0, 2,
+    size=K), then standard_normal(N) (AWGN only), mapped to LLRs at each
+    point, stacked point after point."""
+    n, k = spec.n_bits, spec.k_info
+    msgs = np.zeros((len(trials), k), dtype=np.int64)
+    normals = np.zeros((len(trials), n))
+    for i, t in enumerate(trials):
+        rng = trial_rng(seed, t)
+        msgs[i] = rng.integers(0, 2, size=k)
+        if kind == BPSK_AWGN:
+            normals[i] = rng.standard_normal(n)
+    symbols = 1.0 - 2.0 * encode(msgs, spec)
+    llrs = []
+    for ebn0 in points:
+        var = 1.0 / (2.0 * (k / n) * 10.0 ** (ebn0 / 10.0))
+        llrs.append(symbols * MAX_LLR if kind == NOISELESS else
+                    np.clip(2.0 * (symbols + np.sqrt(var) * normals) / var, -MAX_LLR, MAX_LLR))
+    return msgs, np.concatenate(llrs).reshape(-1, n)
+
+
+seed_values = st.one_of(st.integers(0, 2**130 - 1), st.integers(0, 2**63 - 1).map(np.int64),
+                        st.integers(0, 2**64 - 1).map(np.uint64))
+code_shapes = st.sampled_from([2, 4, 16, 64]).flatmap(
+    lambda n: st.tuples(st.just(n), st.one_of(st.sampled_from([1, n]), st.integers(1, n))))
+channel_kinds = st.sampled_from([BPSK_AWGN, NOISELESS])
+point_lists = st.lists(st.sampled_from([-2.0, 0.0, 1.5, 4.0]), min_size=1, max_size=3)
+
+
+class TestSeedingPass:
+    """A chunk's trial states come out of one hashing pass and its message
+    bits off the raw stream; every row must still be trial_rng's."""
+
+    @given(seed_values, code_shapes, channel_kinds, point_lists,
+           st.sampled_from([0, 2**32, 2**64]), st.integers(-3, 2), st.integers(0, 5))
+    def test_rows_and_states_equal_trial_rng(self, seed, code, kind, points, base, offset,
+                                             count):
+        # trial ranges around 2**32 and 2**64 mix one-, two- and three-word keys
+        spec = make_code_spec(*code)
+        start = max(base + offset, 0)
+        trials = range(start, start + count)
+        msgs, llrs = channel._draw(spec, kind, seed, trials, points)
+        want_msgs, want_llrs = documented_rows(spec, kind, seed, trials, points)
+        assert msgs.shape == (count, spec.k_info)
+        assert llrs.shape == (len(points) * count, spec.n_bits)
+        assert np.array_equal(msgs, want_msgs) and np.array_equal(llrs, want_llrs)
+        if count:
+            want = [trial_rng(seed, t).bit_generator.state["state"] for t in trials]
+            assert channel._trial_states(seed, trials) == [(w["state"], w["inc"]) for w in want]
+
+    @given(seed_values, code_shapes, channel_kinds, point_lists, st.integers(0, 7),
+           st.integers(1, 3))
+    def test_draw_trials_and_chunks_equal_trial_rng(self, seed, code, kind, points, count,
+                                                    per_chunk):
+        spec = make_code_spec(*code)
+        cfgs = [ChannelConfig(kind=kind, ebn0_db=e, master_seed=seed) for e in points]
+        msgs, llrs = draw_trials(spec, cfgs[0], count)
+        want_msgs, want_llrs = documented_rows(spec, kind, seed, range(count), points[:1])
+        assert msgs.shape == (count, spec.k_info) and llrs.shape == (count, spec.n_bits)
+        assert np.array_equal(msgs, want_msgs) and np.array_equal(llrs, want_llrs)
+        budget = per_chunk * len(points) * spec.n_bits
+        with mock.patch.object(channel, "_CHUNK_ELEMENTS", budget):
+            chunks = list(trial_chunks(spec, cfgs, count))
+        assert [first for first, *_ in chunks] == list(range(0, count, per_chunk))
+        for first, msgs, llrs in chunks:
+            trials = range(first, first + len(msgs))
+            want_msgs, want_llrs = documented_rows(spec, kind, seed, trials, points)
+            assert np.array_equal(msgs, want_msgs) and np.array_equal(llrs, want_llrs)
+
+    @pytest.mark.parametrize("kind", [BPSK_AWGN, NOISELESS])
+    def test_shifted_states_are_caught(self, monkeypatch, kind):
+        # states one trial off give other trials' rows; the check against
+        # trial_rng on the chunk's first trial must refuse them
+        states = channel._trial_states
+        monkeypatch.setattr(channel, "_trial_states",
+                            lambda seed, trials: states(seed, [t + 1 for t in trials]))
+        with pytest.raises(RuntimeError, match="trial_rng"):
+            channel._draw(make_code_spec(16, 8), kind, 3, range(4), [1.0])
 
 
 class TestDrawTrials:
@@ -289,7 +372,9 @@ class TestSweepChunks:
             assert sweep() == whole, per_chunk
 
     def test_each_trial_drawn_once_and_encoded_once_per_chunk(self, monkeypatch):
-        calls = Counter()
+        # one trial_rng (the chunk's generator and its check) and one encode
+        # per chunk; the seeding pass covers every trial exactly once
+        calls, seeded = Counter(), []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -297,19 +382,28 @@ class TestSweepChunks:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def spied_states(seed, trials):
+            seeded.append(trials)
+            return states(seed, trials)
+
+        states = channel._trial_states
         monkeypatch.setattr(channel, "trial_rng", counted("trial_rng", channel.trial_rng))
         monkeypatch.setattr(channel, "encode", counted("encode", channel.encode))
+        monkeypatch.setattr(channel, "_trial_states", spied_states)
         spec = make_code_spec(16, 8)
         points = [0.0, 1.0, 2.0]
 
         def sweep():
             calls.clear()
+            seeded.clear()
             ber_sweep(spec, ["minsum"], ["lookahead"], points, trials=10, seed=1)
+            seen = [t for trials in seeded for t in trials]
+            assert sorted(seen) == list(range(10))  # disjoint, and all of them
             return dict(calls)
 
-        assert sweep() == {"trial_rng": 10, "encode": 1}
+        assert sweep() == {"trial_rng": 1, "encode": 1}
         self.set_chunk(monkeypatch, 4, len(points), spec)
-        assert sweep() == {"trial_rng": 10, "encode": 3}
+        assert sweep() == {"trial_rng": 3, "encode": 3}
 
     @pytest.mark.parametrize("modes, architectures, quantized", [
         (["minsum_q"], list(ARCHITECTURES), 1),

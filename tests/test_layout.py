@@ -7,7 +7,9 @@ legality pass is the one source of architecture facts: outside ``schedule.py``
 the 2-parallel architecture is named only where its schedule is built and
 checked, or to choose which checked schedule to read, and no count is derived
 from the name; the cost model reads its PE pool, IGC count and latency off the
-checked schedule, and only that pass builds an activity table.
+checked schedule, and only that pass builds an activity table. A trial's
+random stream has one definition, ``channel.trial_rng``; the sweeps' seeding
+pass that recomputes a chunk's states is called from the channel draw alone.
 """
 
 import ast
@@ -105,3 +107,21 @@ def test_architecture_facts_come_from_the_checked_schedule():
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert constructors == {("archsim.py", "check_schedule")}
+
+
+def _readers(names):
+    """(file, top-level owner) of every node in src/ that names one of ``names``"""
+    return {
+        (name, owner.get(node))
+        for name, tree in _trees().items()
+        for owner in [_owners(tree)]
+        for node in ast.walk(tree)
+        if {getattr(node, "id", None), getattr(node, "attr", None)} & set(names)
+    }
+
+
+def test_trial_streams_have_one_definition():
+    # trial_rng alone builds a stream; the chunk's seeding pass only
+    # recomputes its states, and _draw checks them against trial_rng
+    assert _readers(["SeedSequence", "default_rng"]) == {("channel.py", "trial_rng")}
+    assert _readers(["_trial_states"]) == {("channel.py", "_draw")}
