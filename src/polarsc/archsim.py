@@ -21,9 +21,15 @@ streams of the 2-parallel decoder) are stacked and decided together, with
 one partial-sum state, and split apart at the end.
 
 Arithmetic is saturating q-bit integer min-sum, bit-identical to the
-functional quantized decoder; optionally all PEs of a firing, in every
-frame, go through one bit-sliced call of the gate-level models instead
-(slower, used for cross-checks).
+functional quantized decoder, on one shared-adder datapath like the paper's
+merged PE: a PE forms s0 = b + a and s1 = b - a once, its g candidates are
+s0 and s1 clamped to the q-bit rail, and its f output is (|s0| - |s1|) / 2,
+since sgn(a) * sgn(b) * min(|a|, |b|) = (|a + b| - |a - b|) / 2 for integers
+with sgn(0) = +1. The numerator is always even, and nothing overflows for
+q <= MAX_Q, where |a| + |b| <= 2^54 - 2. The functional decoder computes f
+as sign times minimum, so the equivalence check compares two formulas.
+Optionally all PEs of a firing, in every frame, go through one bit-sliced
+call of the gate-level models instead (slower, used for cross-checks).
 """
 
 from __future__ import annotations
@@ -40,12 +46,10 @@ from .igc import PartialSumState, refreshed_stage, select_ready
 from .llr import (
     MODE_MINSUM_Q,
     as_quantized,
+    clamp,
     decide,
-    f_minsum,
-    g_update,
     qmax,
     quantize,
-    saturate,
     sc_decode_batch,
 )
 from .schedule import (
@@ -271,26 +275,28 @@ def run(config, channel_llrs):
     )
 
 
-_G_SIGNS = np.array([1, -1]).reshape(2, 1, 1)  # b + a and b - a in one pass
-
-
 def _dataflow(config, firings, frames, record):
     """Run checked (cycle, stage, op, select) firings on a (batch, N) stack of
     frames decided in lockstep, reading stage ``select``'s proved-ready select
     bits; return the decisions and decision-time LLRs. ``record(k, a, b, outs,
-    sel)``, unless None, sees the inputs, outputs and select bits of firing k."""
+    sel)``, unless None, sees the inputs, outputs and select bits of firing k.
+
+    Values are held wire-major, one row per wire and one column per frame,
+    so each PE input is a contiguous block of rows."""
     spec, q = config.spec, config.q
     n = spec.n_bits
     m = n.bit_length() - 1
+    rail = np.int64(qmax(q))  # read once; a Python int would be converted by every ufunc
     psums = PartialSumState(n)
     bufs = {}  # stage -> outputs: (f, g0, g1) or (f,) or (g,)
-    decisions = np.zeros(frames.shape, dtype=np.int64)
-    dec_llrs = np.zeros(frames.shape, dtype=np.int64)
+    wires = np.ascontiguousarray(frames.T)
+    decisions = np.zeros(wires.shape, dtype=np.int64)
+    dec_llrs = np.zeros(wires.shape, dtype=np.int64)
 
     def leaf(llrs):
         k = psums.decided + 1
-        dec_llrs[:, k - 1] = llrs
-        u = decisions[:, k - 1]
+        dec_llrs[k - 1] = llrs
+        u = decisions[k - 1]
         u[:] = decide(llrs, k, spec)
         psums.push(u, k)
         return u
@@ -298,34 +304,33 @@ def _dataflow(config, firings, frames, record):
     for k, (_, stage, op, select) in enumerate(firings):
         half = n >> stage
         if stage == 1:
-            inp = frames
+            inp = wires
         elif op == "fg" and select is not None:
             _, g0, g1 = bufs[select]
-            inp = np.where(psums.selection_bits(select) == 1, g1, g0)
+            inp = np.where(psums.selection_bits(select).T, g1, g0)
         else:
             inp = bufs[stage - 1][0]
-        a, b = inp[:, :half], inp[:, half:]
+        a, b = inp[:half], inp[half:]
         sel = None
-        if op == "f":
-            outs = (f_minsum(a, b),)
-        elif op == "g":
+        if op == "g":
             sel = psums.selection_bits(select)
-            outs = (g_update(a, b, sel, q=q),)
+            outs = (clamp(np.where(sel.T, b - a, b + a), rail),)
         elif config.use_gate_pes:
             outs = tuple(w.value for w in merged_pe(WordQ(a, q), WordQ(b, q)))
         else:
-            g = saturate(b + _G_SIGNS * a, q)
-            outs = (f_minsum(a, b), g[0], g[1])
+            s0, s1 = b + a, b - a
+            f = (np.abs(s0) - np.abs(s1)) >> 1
+            outs = (f,) if op == "f" else (f, clamp(s0, rail), clamp(s1, rail))
         bufs[stage] = outs
         if stage == m:
-            u = leaf(outs[0][:, 0])
+            u = leaf(outs[0][0])
             if op == "fg":
                 # same-cycle select: the fresh decision resolves this PE's pair
                 sel = u[:, None]
-                leaf(np.where(u == 1, outs[2][:, 0], outs[1][:, 0]))
+                leaf(np.where(u, outs[2][0], outs[1][0]))
         if record is not None:
-            record(k, a, b, outs, sel)
-    return decisions, dec_llrs
+            record(k, a.T, b.T, [o.T for o in outs], sel)
+    return decisions.T, dec_llrs.T
 
 
 def decode_frames(config, q_llrs):

@@ -47,7 +47,8 @@ def require_scale(scale):
         raise InvalidParameterError(f"scale must be finite and > 0, got {scale!r}")
 
 
-def _clamp(x, m):
+def clamp(x, m):
+    """Clip ``x`` to [-m, m]: the toolkit's one saturation formula."""
     # np.minimum/np.maximum keep the dtype and +/-inf handling of np.clip at a
     # fraction of its call overhead on small arrays
     return np.minimum(np.maximum(x, -m), m)
@@ -55,12 +56,12 @@ def _clamp(x, m):
 
 def saturate(x, q):
     """Clip values to the symmetric q-bit range [-qmax(q), qmax(q)]."""
-    return _clamp(x, qmax(q))
+    return clamp(x, qmax(q))
 
 
 def clip_llr(x):
     """Clip real LLRs to the rail [-MAX_LLR, MAX_LLR]."""
-    return _clamp(x, MAX_LLR)
+    return clamp(x, MAX_LLR)
 
 
 def as_quantized(llrs, q):

@@ -5,8 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarsc import (
+    CodeSpec,
     InvalidParameterError,
     MAX_LLR,
     PartialSumState,
@@ -23,6 +26,9 @@ from polarsc import (
 )
 from polarsc import archsim
 from polarsc.channel import ChannelConfig, draw_trials
+from polarsc.llr import qmax
+
+ARCHS = ("conventional", "lookahead", "parallel2")
 
 
 def noisy_llrs(spec, seed, ebn0_db=1.0, frames=1):
@@ -360,6 +366,65 @@ class TestLockstepStreams:
             c1, c2 = ([firing[1:] for firing in stream] for stream in streams)
             assert c1 == c2
         assert accepted > 100  # the random re-packings reach legal schedules
+
+
+def assert_matches_oracle(spec, q, q_llrs):
+    """decode_frames on every architecture, and through the gate-level merged
+    PEs for q <= 16, gives the decisions and decision LLRs of the oracle."""
+    ref, ref_llrs = sc_decode_batch(q_llrs, spec, "minsum_q", q=q)
+    configs = [SimConfig(spec=spec, q=q, architecture=arch) for arch in ARCHS]
+    if q <= 16:
+        configs += [SimConfig(spec=spec, q=q, architecture=arch, use_gate_pes=True)
+                    for arch in ARCHS[1:]]
+    for cfg in configs:
+        u, llrs = archsim.decode_frames(cfg, q_llrs)
+        assert np.array_equal(u, ref), (cfg.architecture, cfg.use_gate_pes)
+        assert np.array_equal(llrs, ref_llrs), (cfg.architecture, cfg.use_gate_pes)
+
+
+@st.composite
+def random_codes(draw):
+    """N in 4..64, K in 0..N, a random frozen set with random frozen values."""
+    n = 1 << draw(st.integers(2, 6))
+    k = draw(st.integers(0, n))
+    frozen = sorted(draw(st.permutations(range(1, n + 1)))[:n - k])
+    values = draw(st.lists(st.integers(0, 1), min_size=n - k, max_size=n - k))
+    return CodeSpec(n, k, tuple(frozen), tuple(values))
+
+
+class TestSimulatorAgainstOracle:
+    """The simulator's shared-adder arithmetic computes f as (|b + a| - |b - a|) / 2;
+    the oracle computes it as sign times minimum. Both must agree everywhere."""
+
+    @settings(max_examples=150)
+    @given(spec=random_codes(), q=st.sampled_from([2, 3, 4, 6, 8, 16, 31, 32, 53, 54]),
+           kind=st.sampled_from(["unit", "full", "rails"]), frames=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_codes(self, spec, q, kind, frames, seed):
+        rng = np.random.default_rng(seed)
+        top = qmax(q)
+        shape = (frames, spec.n_bits)
+        if kind == "unit":
+            q_llrs = rng.integers(-1, 2, size=shape)
+        elif kind == "full":
+            q_llrs = rng.integers(-top, top + 1, size=shape)
+        else:  # rails mixed with zeros
+            q_llrs = rng.choice(np.array([-top, 0, top]), size=shape)
+        assert_matches_oracle(spec, q, q_llrs)
+
+    @pytest.mark.parametrize("q", [2, 3, 6, 31, 32, 53, 54])
+    def test_every_pe_input_pair_at_n4(self, q):
+        # every pair of q-bit values at both stage-1 PEs; for wide q the rails,
+        # zero and their neighbours, where |b +/- a| reaches 2^q - 2
+        top = qmax(q)
+        if q <= 6:
+            values = np.arange(-top, top + 1)
+        else:
+            values = np.array([-top, 1 - top, -1, 0, 1, top - 1, top])
+        a, b = (v.ravel() for v in np.meshgrid(values, values))
+        # PE 1 reads wires (1, 3) and PE 2 wires (2, 4)
+        q_llrs = np.stack([a, b[::-1], b, a[::-1]], axis=1)
+        assert_matches_oracle(CodeSpec(4, 4, (), ()), q, q_llrs)
 
 
 class TestTraceAndValidation:

@@ -126,6 +126,17 @@ class TestSelectionBits:
                     want = np.stack([state.selection_bits(stage) for state in single])
                     assert np.array_equal(shared.selection_bits(stage), want)
 
+    def test_push_keeps_its_own_copy_of_the_bits(self):
+        # the simulator pushes a row of its decision array; a state that kept
+        # a view of it would change when the caller's array does
+        state = PartialSumState(8)
+        bits = np.array([1, 0, 1])
+        for index, stage in ((1, 3), (2, 2)):  # an odd push, then an even one
+            state.push(bits, index)
+            before = state.selection_bits(stage)
+            bits[:] = 1 - bits
+            assert np.array_equal(state.selection_bits(stage), before)
+
     def test_refreshed_stage(self):
         # push k completes the select bits of stage log2(N) - trailing_zeros(k)
         assert [refreshed_stage(k, 8) for k in range(1, 9)] == [3, 2, 3, 1, 3, 2, 3, 0]

@@ -2,7 +2,8 @@
 
 Library modules return data (``to_json_dict``, ``to_rows``); ``cli.py`` alone
 decides how it is written, so a second JSON renderer fails here. Imports sit
-at the top of a module; the one lazy import left is pinned by name. The
+at the top of a module and each is read there; the one lazy import and the
+one unread import left are pinned by name. The
 legality pass is the one source of architecture facts: outside ``schedule.py``
 the 2-parallel architecture is named only where its schedule is built and
 checked, or to choose which checked schedule to read, and no count is derived
@@ -58,6 +59,30 @@ def test_function_level_imports():
         for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
     }
     assert found == {("channel.py", "ber_sweep")}
+
+
+def test_no_unused_imports():
+    # a module-level import that nothing in its module reads is dead code;
+    # channel keeps sc_decode_batch only because perfbench/spans.py patches
+    # that name there, until the campaigns share one module
+    unused = set()
+    for name, tree in _trees().items():
+        bound = {
+            alias.asname or alias.name.split(".")[0]
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Import, ast.ImportFrom))
+            and getattr(stmt, "module", None) != "__future__"
+            for alias in stmt.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {  # re-exports named in __all__
+            elt.value
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "__all__"
+            for elt in stmt.value.elts
+        }
+        unused |= {(name, b) for b in bound - read}
+    assert unused == {("channel.py", "sc_decode_batch")}
 
 
 def _owners(tree):
