@@ -89,35 +89,39 @@ def _parse_floats(text):
     return [_parse_float(tok) for tok in text.replace(",", " ").split()]
 
 
-def _load_values(args, parse):
-    if getattr(args, "values", None):
-        return parse(args.values)
-    if getattr(args, "infile", None):
-        try:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                text = fh.read().strip()
-        except (OSError, UnicodeError) as exc:
-            raise InvalidParameterError(f"cannot read {args.infile}: {exc}") from exc
-        if not text.startswith("["):
-            return parse(text)
-        try:
-            return [float(v) for v in json.loads(text)]
-        except (ValueError, TypeError) as exc:
-            raise InvalidParameterError(f"bad JSON number list in {args.infile}: {exc}") from exc
-    raise InvalidParameterError("provide values inline or with --in")
+def _bits_or_random(text, seed, size):
+    """The bits of ``text``, or else trial 0's ``size`` random bits of ``seed``."""
+    rng = channel.trial_rng(seed, 0)  # checks the seed even when bits are given
+    if text is None:
+        return rng.integers(0, 2, size=size).tolist()
+    return _parse_bits(text)
+
+
+def _load_llrs(args):
+    """The LLRs of --llrs, or else of the file that --in names."""
+    if args.llrs is not None:
+        return _parse_floats(args.llrs)
+    try:
+        with open(args.infile, "r", encoding="utf-8") as fh:
+            text = fh.read().strip()
+    except (OSError, UnicodeError) as exc:
+        raise InvalidParameterError(f"cannot read {args.infile}: {exc}") from exc
+    if not text.startswith("["):
+        return _parse_floats(text)
+    try:
+        return [float(v) for v in json.loads(text)]
+    except (ValueError, TypeError) as exc:
+        raise InvalidParameterError(f"bad JSON number list in {args.infile}: {exc}") from exc
 
 
 def _spec_from_args(args):
-    return make_code_spec(args.n, args.k, design_erasure=args.erasure)
+    k = args.n // 2 if args.k is None else args.k
+    return make_code_spec(args.n, k, design_erasure=args.erasure)
 
 
 def _cmd_encode(args):
     spec = _spec_from_args(args)
-    if args.message:
-        message = _parse_bits(args.message)
-    else:
-        rng = channel.trial_rng(args.seed, 0)
-        message = rng.integers(0, 2, size=spec.k_info).tolist()
+    message = _bits_or_random(args.message, args.seed, spec.k_info)
     codeword = encode_bits(message, spec)
     payload = {
         "spec": spec.to_json_dict(),
@@ -129,7 +133,7 @@ def _cmd_encode(args):
 
 def _cmd_decode(args):
     spec = _spec_from_args(args)
-    llrs = np.asarray(_load_values(args, _parse_floats))
+    llrs = np.asarray(_load_llrs(args))
     mode = _MODE_MAP[args.mode]
     llr.qmax(args.q)
     llr.require_scale(args.scale)
@@ -157,6 +161,8 @@ def _cmd_activity(args):
 
 
 def _cmd_simulate(args):
+    noisy = args.ebn0 is not None  # a single run without --ebn0 is noiseless
+    ebn0_db = _parse_float(args.ebn0) if noisy else 0.0
     if args.trace is not None and args.trials > 1:
         raise InvalidParameterError("--trace records a single run; use it with --trials 1")
     spec = _spec_from_args(args)
@@ -167,7 +173,7 @@ def _cmd_simulate(args):
     if args.trials != 1:  # verify_equivalence rejects a count below 1
         report = archsim.verify_equivalence(
             config, trials=args.trials, seed=args.seed,
-            ebn0_db=args.ebn0_value, scale=args.scale,
+            ebn0_db=ebn0_db, scale=args.scale,
         )
         _emit(args, report.to_json_dict(), None, None)
         if not report.passed:
@@ -176,8 +182,8 @@ def _cmd_simulate(args):
             )
         return
     cfg = channel.ChannelConfig(
-        kind=channel.BPSK_AWGN if args.ebn0 else channel.NOISELESS,
-        ebn0_db=args.ebn0_value, master_seed=args.seed,
+        kind=channel.BPSK_AWGN if noisy else channel.NOISELESS,
+        ebn0_db=ebn0_db, master_seed=args.seed,
     )
     frames = len(config.schedule[0])  # one per stream
     _, float_llrs = channel.draw_trials(spec, cfg, frames)
@@ -230,11 +236,7 @@ def _cmd_cost(args):
 
 def _cmd_igc_trace(args):
     state = igc.PartialSumState(args.n)  # validates N before any bit is drawn
-    if args.bits:
-        bits = _parse_bits(args.bits)
-    else:
-        rng = channel.trial_rng(args.seed, 0)
-        bits = rng.integers(0, 2, size=args.n).tolist()
+    bits = _bits_or_random(args.bits, args.seed, args.n)
     if len(bits) != args.n:
         raise InvalidParameterError(f"need exactly {args.n} decision bits")
     rows = []
@@ -284,10 +286,10 @@ def build_parser():
     _add_code(p)
     _add_quant(p)
     p.add_argument("--mode", choices=tuple(_MODE_MAP), default="minsum")
-    p.add_argument("--llrs", dest="values", type=str, default=None,
-                   help="comma-separated channel LLRs")
-    p.add_argument("--in", dest="infile", type=str, default=None,
-                   help="file with LLRs (JSON array or whitespace separated)")
+    llrs = p.add_mutually_exclusive_group(required=True)
+    llrs.add_argument("--llrs", type=str, default=None, help="comma-separated channel LLRs")
+    llrs.add_argument("--in", dest="infile", type=str, default=None,
+                      help="file with LLRs (JSON array or whitespace separated)")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("timechart", help="emit a decoding time chart")
@@ -347,10 +349,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "k") and args.k is None:
-            args.k = args.n // 2
-        if args.command == "simulate":
-            args.ebn0_value = _parse_float(args.ebn0) if args.ebn0 else 0.0
         args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     except BrokenPipeError:  # the rest goes to devnull, so exit cannot fail again

@@ -131,7 +131,8 @@ def quantize(x, q, scale=1.0):
     particular choice. NaN raises InvalidParameterError; +/-inf saturates.
     """
     require_scale(scale)
-    y = np.asarray(x, dtype=float) * scale
+    with np.errstate(over="ignore"):  # an overflowing product is +/-inf, which saturates
+        y = np.asarray(x, dtype=float) * scale
     if np.isnan(y).any():
         raise InvalidParameterError("cannot quantize NaN")
     a = np.asarray(np.abs(y))  # an array even for one value, for the in-place steps
@@ -147,7 +148,8 @@ def decide(llr, index, spec):
     a frozen position gives its frozen value, otherwise LLR >= 0 decides 0
     and LLR < 0 decides 1. Returns int64 values; at a frozen position a
     single value, which broadcasts against ``llr``."""
-    if not (1 <= index <= spec.n_bits):
+    index = require_count(index, 1, "index")
+    if index > spec.n_bits:
         raise InvalidParameterError(f"index must lie in 1..{spec.n_bits}, got {index}")
     if spec.frozen_mask[index - 1]:
         return spec.frozen_value_array[index - 1]

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import require_power_of_two
-from .errors import InvalidParameterError
+from .code import require_count, require_power_of_two
 
 PE_F = "TypeII_f"
 PE_G = "TypeI_g"
@@ -141,8 +140,7 @@ def utilization(chart, pe_budget=None):
     """
     if pe_budget is None:
         pe_budget = default_pe_budget(chart)
-    if pe_budget <= 0:
-        raise InvalidParameterError("pe_budget must be positive")
+    pe_budget = require_count(pe_budget, 1, "pe_budget")
     fractions = np.array(
         [sum(e.active_pes for e in cycle) / pe_budget for cycle in chart.cycles]
     )

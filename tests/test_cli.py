@@ -339,13 +339,25 @@ class TestBadInput:
         ("igc-trace", "--n", "-8"),
         ("activity", "--n", "6"),
         ("cost", "--n", "6"),
+        # an empty value is a value, and --seed is checked even when unused
+        ("encode", "--n", "8", "--message", ""),
+        ("igc-trace", "--n", "8", "--bits", ""),
+        ("simulate", "--n", "8", "--ebn0", ""),
+        ("simulate", "--n", "8", "--trials", "3", "--ebn0", ""),
+        ("decode", "--n", "4", "--k", "2", "--llrs", ""),
+        ("decode", "--n", "4", "--k", "2", "--llrs", "1,2,3,4", "--in", "no-such-llrs.txt"),
+        ("encode", "--n", "4", "--k", "2", "--message", "1,0", "--seed", "-1"),
+        ("igc-trace", "--n", "4", "--bits", "1,0,1,1", "--seed", "-1"),
     ], ids=["cost-q55", "decode-q55", "ber-ebn0", "simulate-ebn0", "negative-seed",
             "simulate-zero-trials", "simulate-negative-trials", "ber-zero-trials",
             "ber-negative-trials", "ber-negative-scale", "ber-zero-scale",
             "decode-infinite-scale", "ber-exact-negative-scale", "decode-exact-zero-scale",
             "decode-exact-q55", "ber-ebn0-no-number", "ber-ebn0-empty", "ber-ebn0-overflow",
             "ber-ebn0-underflow", "simulate-ebn0-overflow", "igc-trace-negative-n",
-            "activity-n6", "cost-n6"])
+            "activity-n6", "cost-n6", "encode-empty-message", "igc-trace-empty-bits",
+            "simulate-ebn0-empty", "simulate-campaign-ebn0-empty", "decode-empty-llrs",
+            "decode-llrs-and-in", "encode-message-negative-seed",
+            "igc-trace-bits-negative-seed"])
     def test_bad_numbers_exit_1(self, capsys, argv):
         assert self.main(capsys, *argv)[0] == 1
 

@@ -11,6 +11,7 @@ from the name; the cost model reads its PE pool, IGC count and latency off the
 checked schedule, and only that pass builds an activity table. A trial's
 random stream has one definition, ``channel.trial_rng``; the sweeps' seeding
 pass that recomputes a chunk's states is called from the channel draw alone.
+``cli.main`` only dispatches: each flag is read by the subcommand that uses it.
 """
 
 import ast
@@ -150,3 +151,15 @@ def test_trial_streams_have_one_definition():
     # recomputes its states, and _draw checks them against trial_rng
     assert _readers(["SeedSequence", "default_rng"]) == {("channel.py", "trial_rng")}
     assert _readers(["_trial_states"]) == {("channel.py", "_draw")}
+
+
+def test_cli_main_reads_no_flag():
+    # a default or a parse done in main would be a second reader of a flag
+    main = next(node for node in _trees()["cli.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    read = {node.attr for node in ast.walk(main)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"}
+    read |= {node.args[1].value for node in ast.walk(main)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "hasattr")
+             and getattr(node.args[0], "id", None) == "args"}
+    assert read == {"func"}

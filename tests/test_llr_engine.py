@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -157,6 +158,11 @@ class TestDecide:
         with pytest.raises(InvalidParameterError):
             decide(1.0, 5, spec)
 
+    @pytest.mark.parametrize("index", [3.0, True, "3"])
+    def test_index_must_be_an_integer(self, index):
+        with pytest.raises(InvalidParameterError):
+            decide(1.0, index, CodeSpec(4, 4, (), ()))
+
 
 class TestQuantize:
     @pytest.mark.parametrize("x,q,want", [
@@ -191,6 +197,12 @@ class TestQuantize:
     def test_infinity_saturates(self):
         out = quantize([np.inf, -np.inf], 6)
         assert out.dtype == np.int64 and list(out) == [31, -31]
+
+    def test_overflowing_product_saturates_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = quantize([1e300, -1e300, 2e-10], 6, scale=1e10)
+        assert list(out) == [31, -31, 2]
 
     def test_saturate_keeps_dtype_and_clamps_infinity(self):
         ints = saturate(np.array([40, -40, 3], dtype=np.int64), 6)

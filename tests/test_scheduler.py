@@ -129,6 +129,11 @@ class TestUtilization:
         with pytest.raises(InvalidParameterError):
             utilization(build_lookahead(8), pe_budget=0)
 
+    @pytest.mark.parametrize("budget", [2.5, float("nan")])
+    def test_budget_must_be_an_integer(self, budget):
+        with pytest.raises(InvalidParameterError):
+            utilization(build_lookahead(8), pe_budget=budget)
+
 
 class TestParallelActivity:
     def test_n8_reference_table(self):
