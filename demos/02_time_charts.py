@@ -12,7 +12,7 @@ N = 8
 
 def render(chart):
     """One line per cycle: stage, type, and a bar of active PEs."""
-    for t, (entry,) in enumerate(chart.cycles, start=1):
+    for t, entry in enumerate(chart.cycles, start=1):
         bar = "#" * entry.active_pes
         print(f"  cycle {t:2d}: stage {entry.stage}  {entry.pe_type:9s} {bar}")
 

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import ChannelConfig, trial_chunks, BPSK_AWGN
-from .code import require_count, require_power_of_two
+from .code import CodeSpec, require_count, require_power_of_two
 from .errors import InvalidParameterError, SchedulingError
 from .gates import WordQ, merged_pe
 from .igc import PartialSumState, refreshed_stage, select_ready
@@ -68,13 +68,15 @@ from .schedule import (
 class SimConfig:
     """Simulation parameters: code, quantizer width, architecture."""
 
-    spec: object
+    spec: CodeSpec
     q: int
     architecture: str
     record_trace: bool = False
     use_gate_pes: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.spec, CodeSpec):
+            raise InvalidParameterError(f"spec must be a CodeSpec, got {self.spec!r}")
         if self.use_gate_pes and self.architecture == CONVENTIONAL:
             raise InvalidParameterError("use_gate_pes needs merged PEs; conventional has none")
         qmax(self.q)  # validates q
@@ -109,7 +111,7 @@ TRACE_HEADER = ("cycle", "stream", "stage", "pe_index", "op", "inputs", "outputs
 def _build_schedule(architecture, n):
     """Per-cycle list of (stream_index, chart_entry) activations."""
     build = build_conventional if architecture == CONVENTIONAL else build_lookahead
-    entries = [cycle[0] for cycle in build(n).cycles]
+    entries = build(n).cycles
     if architecture == PARALLEL2:
         # two look-ahead streams on one N/2-PE pool: C1 stalls for one cycle after
         # its channel-stage cycle and C2 runs the unstalled chart one cycle later,

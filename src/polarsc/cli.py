@@ -161,8 +161,7 @@ def _cmd_activity(args):
 
 
 def _cmd_simulate(args):
-    noisy = args.ebn0 is not None  # a single run without --ebn0 is noiseless
-    ebn0_db = _parse_float(args.ebn0) if noisy else 0.0
+    ebn0_db = _parse_float(args.ebn0)
     if args.trace is not None and args.trials > 1:
         raise InvalidParameterError("--trace records a single run; use it with --trials 1")
     spec = _spec_from_args(args)
@@ -181,11 +180,8 @@ def _cmd_simulate(args):
                 f"{report.mismatches} of {report.trials} trials diverged"
             )
         return
-    cfg = channel.ChannelConfig(
-        kind=channel.BPSK_AWGN if noisy else channel.NOISELESS,
-        ebn0_db=ebn0_db, master_seed=args.seed,
-    )
-    frames = len(config.schedule[0])  # one per stream
+    cfg = channel.ChannelConfig(kind=channel.BPSK_AWGN, ebn0_db=ebn0_db, master_seed=args.seed)
+    frames = len(config.schedule[0])  # one per stream: the campaign's trial 0
     _, float_llrs = channel.draw_trials(spec, cfg, frames)
     q_llrs = llr.quantize(float_llrs, args.q, args.scale)
     result = archsim.run(config, list(q_llrs))
@@ -310,9 +306,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1,
                    help="> 1 runs a randomized equivalence campaign")
-    p.add_argument("--ebn0", type=str, default=None,
-                   help="Eb/N0 in dB (default noiseless for a single run, "
-                        "0 dB for a campaign)")
+    p.add_argument("--ebn0", type=str, default="0",
+                   help="Eb/N0 in dB of the BPSK/AWGN channel for any --trials "
+                        "(300 or more reproduces a noiseless channel)")
     p.add_argument("--trace", type=str, default=None,
                    help="write a trace CSV here (needs --trials 1)")
     p.set_defaults(func=_cmd_simulate)

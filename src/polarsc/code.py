@@ -128,20 +128,29 @@ class CodeSpec:
 def polar_transform(u):
     """Apply the kernel-power transform over GF(2) in natural bit order.
 
-    The transform is its own inverse. Accepts a 1-D bit vector or a 2-D
-    batch with one vector per row; the last axis must be a power of two.
+    The transform is its own inverse. Accepts a 1-D bit vector or a batch
+    with one vector per row (bools count as bits); the last axis must be a
+    power of two. Returns a new int64 array.
     """
-    x = np.array(u, dtype=np.int64) % 2
-    n = x.shape[-1]
-    require_power_of_two(n, minimum=1)  # the length-1 transform is the identity
-    batch_shape = x.shape[:-1]
-    x = x.reshape(-1, n)
+    bits = np.asarray(u)
+    if bits.ndim == 0 or not ((bits == 0) | (bits == 1)).all():
+        raise InvalidParameterError("u must be a vector or a batch of bits (0 or 1)")
+    n = require_power_of_two(bits.shape[-1], minimum=1)  # the length-1 transform is the identity
+    x = np.array(bits, dtype=np.int64, order="C")
+    transform_rows(x.reshape(math.prod(x.shape[:-1]), n))
+    return x
+
+
+def transform_rows(x):
+    """``polar_transform`` of each row of ``x``, in place and unchecked:
+    ``x`` is a C-contiguous (rows, n) int64 array of bits, n a power of two."""
+    rows, n = x.shape
     size = 2
     while size <= n:
-        v = x.reshape(x.shape[0], n // size, size)
+        v = x.reshape(rows, n // size, size)
         v[:, :, : size // 2] ^= v[:, :, size // 2 :]
         size *= 2
-    return x.reshape(batch_shape + (n,))
+    return x
 
 
 def _bec_bhattacharyya(n, erasure):
@@ -195,5 +204,4 @@ def encode(message, spec):
     u = np.zeros((msg.shape[0], spec.n_bits), dtype=np.int64)
     u[:, ~spec.frozen_mask] = msg
     u[:, spec.frozen_mask] = spec.frozen_value_array[spec.frozen_mask]
-    x = polar_transform(u)
-    return x.reshape(batch_shape + (spec.n_bits,))
+    return transform_rows(u).reshape(batch_shape + (spec.n_bits,))

@@ -32,7 +32,7 @@ class PartialSumState:
     """
 
     def __init__(self, n_bits):
-        require_power_of_two(n_bits, "N", 4)
+        n_bits = require_power_of_two(n_bits, "N", 4)
         self.n_bits = n_bits
         self.m = n_bits.bit_length() - 1
         # _acc[j] holds the transform of the most recent completed size-2^j
@@ -127,7 +127,11 @@ class IgcNetwork:
     """
 
     n: int
-    control: tuple
+
+    @property
+    def control(self):
+        """One ControlSignal per level 1..n, periods doubling from 1."""
+        return tuple(ControlSignal(stage=s, period=1 << (s - 1)) for s in range(1, self.n + 1))
 
     @property
     def xor_elements(self):
@@ -147,15 +151,12 @@ class IgcNetwork:
 
 
 def control_schedule(n_bits):
-    """Toggle periods for all combining levels: level 1 toggles every
-    decision pair, level s every 2^(s-1) pairs (strictly doubling)."""
-    require_power_of_two(n_bits, "N", 4)
-    levels = n_bits.bit_length() - 2
-    return tuple(ControlSignal(stage=s, period=1 << (s - 1)) for s in range(1, levels + 1))
+    """Toggle periods for all combining levels of an N-bit decoder."""
+    return build_network(n_bits).control
 
 
 def build_network(n_bits):
-    """The network of an N-bit decoder: one combining level per control
-    signal, N/4 XOR-pass elements at the top."""
-    control = control_schedule(n_bits)  # validates N
-    return IgcNetwork(n=len(control), control=control)
+    """The network of an N-bit decoder: log2(N) - 1 combining levels, N/4
+    XOR-pass elements at the top."""
+    n_bits = require_power_of_two(n_bits, "N", 4)
+    return IgcNetwork(n_bits.bit_length() - 2)

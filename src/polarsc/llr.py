@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import polar_transform, require_count, require_real
+from .code import require_count, require_real, transform_rows
 from .errors import InvalidParameterError
 
 MAX_LLR = 50.0
@@ -257,9 +257,9 @@ def ssc_decode_batch(channel_llrs, spec, mode, q=None):
         frozen = frozen_before[start + n] - frozen_before[start]
         if frozen == n:
             u[:] = frozen_values[start:start + n]
-            return np.broadcast_to(polar_transform(u[:1]), u.shape)
+            return np.broadcast_to(transform_rows(u[:1].copy()), u.shape)
         if n == 1:
-            u[:, 0] = llrs[:, 0] < 0
+            u[:, 0] = decide(llrs[:, 0], start + 1, spec)
             return u
         if frozen == 0:
             x = (llrs < 0).astype(np.int64)
@@ -269,7 +269,7 @@ def ssc_decode_batch(channel_llrs, spec, mode, q=None):
                 # only they are kept and u comes from x for every row
                 scratch = np.empty((int(unsafe.sum()), n), dtype=np.int64)
                 x[unsafe] = split(llrs[unsafe], start, scratch)
-            u[:] = polar_transform(x)
+            u[:] = transform_rows(x.copy())  # x itself is returned as the partial sums
             return x
         return split(llrs, start, u)
 

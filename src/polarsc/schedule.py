@@ -40,42 +40,36 @@ class ChartEntry:
 
 @dataclass(frozen=True)
 class TimeChart:
-    """Ordered clock cycles; each cycle holds the entries active in it."""
+    """Ordered clock cycles, each the one ChartEntry active in it."""
 
     n_bits: int
     kind: str
-    cycles: tuple  # tuple of tuples of ChartEntry
+    cycles: tuple  # one ChartEntry per cycle
 
     def stage_sequence(self):
-        """Stage index of the single entry in each cycle."""
-        return [c[0].stage for c in self.cycles]
+        """Stage index of each cycle's entry."""
+        return [e.stage for e in self.cycles]
 
     def type_sequence(self):
-        """PE type of the single entry in each cycle."""
-        return [c[0].pe_type for c in self.cycles]
+        """PE type of each cycle's entry."""
+        return [e.pe_type for e in self.cycles]
 
     def active_sequence(self):
-        """Active-PE count of the single entry in each cycle."""
-        return [c[0].active_pes for c in self.cycles]
+        """Active-PE count of each cycle's entry."""
+        return [e.active_pes for e in self.cycles]
 
     def to_rows(self):
         """CSV rows: (cycle, stage, pe_type, active_pes), cycle 1-based."""
-        rows = []
-        for t, cycle in enumerate(self.cycles, start=1):
-            for e in cycle:
-                rows.append((t, e.stage, e.pe_type, e.active_pes))
-        return rows
+        return [(t, e.stage, e.pe_type, e.active_pes) for t, e in enumerate(self.cycles, start=1)]
 
     def to_json_dict(self):
+        """Each cycle is written as the list of its entries, here always one."""
         return {
             "n": self.n_bits,
             "kind": self.kind,
             "cycles": [
-                [
-                    {"stage": e.stage, "pe_type": e.pe_type, "active_pes": e.active_pes}
-                    for e in cycle
-                ]
-                for cycle in self.cycles
+                [{"stage": e.stage, "pe_type": e.pe_type, "active_pes": e.active_pes}]
+                for e in self.cycles
             ],
         }
 
@@ -86,7 +80,7 @@ def build_conventional(n_bits):
     Stage i fires 2^i times (alternating f and g per block) with N/2^i
     active PEs per firing.
     """
-    require_power_of_two(n_bits, "N", 4)
+    n_bits = require_power_of_two(n_bits, "N", 4)
     m = n_bits.bit_length() - 1
     cycles = []
     for stage in range(m, 0, -1):
@@ -94,7 +88,7 @@ def build_conventional(n_bits):
         cycles = [ChartEntry(stage, PE_G, count)] + cycles
         cycles = cycles + list(cycles)
         cycles[0] = ChartEntry(stage, PE_F, count)
-    return TimeChart(n_bits, CONVENTIONAL, tuple((e,) for e in cycles))
+    return TimeChart(n_bits, CONVENTIONAL, tuple(cycles))
 
 
 def build_lookahead(n_bits):
@@ -104,7 +98,7 @@ def build_lookahead(n_bits):
     once, so stage i fires only 2^(i-1) times; the channel stage appears
     exactly once.
     """
-    require_power_of_two(n_bits, "N", 4)
+    n_bits = require_power_of_two(n_bits, "N", 4)
     m = n_bits.bit_length() - 1
     cycles = []
     for stage in range(m, 0, -1):
@@ -112,7 +106,7 @@ def build_lookahead(n_bits):
         if stage == 1:
             break
         cycles = cycles + list(cycles)
-    return TimeChart(n_bits, LOOKAHEAD, tuple((e,) for e in cycles))
+    return TimeChart(n_bits, LOOKAHEAD, tuple(cycles))
 
 
 def latency(chart):
@@ -120,16 +114,12 @@ def latency(chart):
     return len(chart.cycles)
 
 
-def default_pe_budget(chart):
-    """PE pool the chart is normally folded onto: N-1 for the sequential
-    full tree, N/2 merged PEs for the look-ahead decoder."""
-    if chart.kind == LOOKAHEAD:
-        return chart.n_bits // 2
-    return chart.n_bits - 1
-
-
 def utilization(chart, pe_budget=None):
     """Per-cycle fraction of the PE budget that is active, plus the maximum.
+
+    The budget defaults to the PE pool the chart is normally folded onto:
+    N/2 merged PEs for the look-ahead decoder, the full N-1 tree for the
+    sequential one.
 
     Returns
     -------
@@ -139,11 +129,9 @@ def utilization(chart, pe_budget=None):
         max(fractions).
     """
     if pe_budget is None:
-        pe_budget = default_pe_budget(chart)
+        pe_budget = chart.n_bits // 2 if chart.kind == LOOKAHEAD else chart.n_bits - 1
     pe_budget = require_count(pe_budget, 1, "pe_budget")
-    fractions = np.array(
-        [sum(e.active_pes for e in cycle) / pe_budget for cycle in chart.cycles]
-    )
+    fractions = np.array(chart.active_sequence()) / pe_budget
     return fractions, float(fractions.max())
 
 

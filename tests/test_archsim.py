@@ -470,6 +470,9 @@ class TestTraceAndValidation:
                 SimConfig(spec=spec, **kwargs)
         with pytest.raises(InvalidParameterError):
             SimConfig(spec=make_code_spec(2, 1), q=6, architecture="lookahead")
+        for not_a_spec in (None, spec.to_json_dict(), 8):
+            with pytest.raises(InvalidParameterError, match="CodeSpec"):
+                SimConfig(spec=not_a_spec, q=6, architecture="lookahead")
 
     @pytest.mark.parametrize("shape", [(7,), (2, 7), (2, 2, 8), ()])
     def test_rejects_bad_shapes(self, shape):

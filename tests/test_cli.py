@@ -123,6 +123,25 @@ class TestSimulate:
         assert out.returncode == 0
         assert json.loads(out.stdout)["cycles"] == 7
 
+    @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
+    @pytest.mark.parametrize("seed, ebn0", [(0, None), (7, "0"), (3, "1.5"), (11, "-2")])
+    def test_single_run_is_the_campaigns_trial_0(self, capsys, arch, seed, ebn0):
+        # one channel rule: a single run decodes the frames of a campaign's
+        # first trial, at 0 dB when --ebn0 is not given
+        from polarsc import cli, make_code_spec, quantize
+        from polarsc.archsim import SimConfig, decode_frames
+        from polarsc.channel import BPSK_AWGN, ChannelConfig, trial_chunks
+
+        argv = ["simulate", "--n", "16", "--k", "8", "--arch", arch, "--seed", str(seed)]
+        assert cli.main(argv + ([] if ebn0 is None else ["--ebn0", ebn0])) == cli.EXIT_OK
+        u_hat = json.loads(capsys.readouterr().out)["u_hat"]
+        spec = make_code_spec(16, 8)
+        config = SimConfig(spec=spec, q=6, architecture=arch)
+        streams = len(config.schedule[0])
+        cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=float(ebn0 or 0), master_seed=seed)
+        _, _, llrs = next(trial_chunks(spec, [cfg], 1, per_trial=streams))
+        assert u_hat == decode_frames(config, quantize(llrs, 6))[0].tolist()
+
     def test_trace_with_a_campaign_rejected(self, tmp_path):
         trace = tmp_path / "trace.csv"
         out = run_cli("simulate", "--n", "16", "--trials", "3", "--trace", str(trace))

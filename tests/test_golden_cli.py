@@ -119,6 +119,30 @@ CASES = {
         ["igc-trace", "--n", "16", "--seed", "1", "--format", "csv"],
         "e24baee8cfa346550d1cb7e7f84988eb48475aebb68dc978bcec71a6566eb8e6",
     ),
+    "timechart-lookahead-32": (
+        ["timechart", "--n", "32", "--arch", "lookahead"],
+        "aa2862d678a0f5f0ac502c08dede279cd3b098a3c4e5d1a8591e250c9fd2dcda",
+    ),
+    "timechart-conventional-32-csv": (
+        ["timechart", "--n", "32", "--arch", "conventional", "--format", "csv"],
+        "07d1e4b4303677867d7507e11071a5f54c8dd4eb2f7efaac16b6ef70f769d0e2",
+    ),
+    "activity-32": (
+        ["activity", "--n", "32"],
+        "709254d8b70c4bb9b2d3f988bcb7b82a8ac8a43f49e3033e1d8cf29760facfe4",
+    ),
+    "igc-trace-64": (
+        ["igc-trace", "--n", "64", "--seed", "2"],
+        "879e447e9f53dfd2a92ca375c243e89e37ec979b32b2847784dbba7a316ba7c5",
+    ),
+    "simulate-ebn0-300": (  # every LLR clips to the rail: a noiseless channel's bytes
+        ["simulate", "--n", "8", "--arch", "parallel2", "--seed", "4", "--ebn0", "300"],
+        "b7e8990a35ad0b1fa6e6038645653c89759c348d0689bd27d94b55d6ff881f72",
+    ),
+    "simulate-default-ebn0": (  # without --ebn0 a single run is at 0 dB, like a campaign
+        ["simulate", "--n", "8", "--arch", "parallel2", "--seed", "4"],
+        "f62dfdff5e2e023c5f6cee4551bf61894948aca6c3ffc2ba3a1214e509d5f75c",
+    ),
 }
 
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from polarsc import (
+    ControlSignal,
     InvalidParameterError,
     NotReadyError,
     PartialSumState,
     SequencingError,
+    build_conventional,
+    build_lookahead,
     build_network,
     control_schedule,
     polar_transform,
@@ -181,6 +184,14 @@ class TestNetwork:
         assert set(d) == {"n", "xor_elements", "storage_slots", "control"}
         assert d["n"] == 2
 
+    def test_numpy_integer_n(self):
+        # every N that the checks accept builds the same objects as a Python int
+        n = np.int64(16)
+        assert build_network(n) == build_network(16)
+        assert PartialSumState(n).storage_slots == PartialSumState(16).storage_slots
+        assert build_lookahead(n) == build_lookahead(16)
+        assert build_conventional(n) == build_conventional(16)
+
     def test_rejects_bad_n(self):
         for bad in (6, 8.0):
             with pytest.raises(InvalidParameterError):
@@ -205,6 +216,17 @@ class TestControlSchedule:
         sched = control_schedule(256)
         periods = [c.period for c in sched]
         assert periods == [2**i for i in range(len(periods))]
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_network_control_per_level(self, m):
+        # one combining level per stage 1..log2(N)-1, periods doubling from 1
+        want, period = [], 1
+        for stage in range(1, m):
+            want.append(ControlSignal(stage=stage, period=period))
+            period *= 2
+        network = build_network(1 << m)
+        assert network.n == m - 1
+        assert network.control == tuple(want) == control_schedule(1 << m)
 
     def test_update_times_match_declared_periods(self):
         # the level-j feed refreshes once per 2^j decision pairs, offset by

@@ -74,6 +74,33 @@ class TestPolarTransform:
         with pytest.raises(InvalidParameterError):
             polar_transform([1, 0, 1])
 
+    @pytest.mark.parametrize("u", [[0.5, 1.5], [2, 3], [-1, 0], 1, [np.nan, 0]],
+                             ids=["fractions", "above-one", "negative", "scalar", "nan"])
+    def test_rejects_non_bits(self, u):
+        with pytest.raises(InvalidParameterError):
+            polar_transform(u)
+
+    def test_fortran_ordered_batch(self):
+        rng = np.random.default_rng(12)
+        batch = rng.integers(0, 2, size=(16, 6)).T
+        assert batch.flags.f_contiguous and not batch.flags.c_contiguous
+        want = polar_transform(np.ascontiguousarray(batch))
+        assert np.array_equal(polar_transform(batch), want)
+        assert np.array_equal(want, [polar_transform(row) for row in batch])
+
+    def test_output_never_aliases_input(self):
+        for u in (np.array([1, 0, 1, 1]), np.array([[1, 1], [0, 1]]),
+                  np.ones((3, 8), dtype=np.int64)):
+            before = u.copy()
+            out = polar_transform(u)
+            assert not np.shares_memory(out, u)
+            assert np.array_equal(u, before)
+
+    def test_empty_batch(self):
+        assert polar_transform(np.zeros((0, 8), dtype=np.int64)).shape == (0, 8)
+        spec = make_code_spec(8, 4)
+        assert encode(np.zeros((0, 4), dtype=np.int64), spec).shape == (0, 8)
+
 
 class TestFrozenSet:
     def test_n2_first_channel_always_degraded(self):

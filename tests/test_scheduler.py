@@ -34,7 +34,7 @@ class TestConventional:
             (1, PE_F, 2), (2, PE_F, 1), (2, PE_G, 1),
             (1, PE_G, 2), (2, PE_F, 1), (2, PE_G, 1),
         ]
-        got = [(e.stage, e.pe_type, e.active_pes) for (e,) in chart.cycles]
+        got = [(e.stage, e.pe_type, e.active_pes) for e in chart.cycles]
         assert got == want
 
     @pytest.mark.parametrize("n", POWERS)
@@ -53,12 +53,12 @@ class TestConventional:
     def test_total_pe_activations_cover_graph(self, n):
         # every node of the decoding graph is computed exactly once
         chart = build_conventional(n)
-        total = sum(e.active_pes for (e,) in chart.cycles)
+        total = sum(e.active_pes for e in chart.cycles)
         assert total == n * (n.bit_length() - 1)
 
     def test_pe_counts_per_stage(self):
         chart = build_conventional(16)
-        for (e,) in chart.cycles:
+        for e in chart.cycles:
             assert e.active_pes == 16 >> e.stage
 
     def test_rejects_bad_n(self):
@@ -95,7 +95,7 @@ class TestLookahead:
     @pytest.mark.parametrize("n", [4, 8, 64])
     def test_merged_activations_halve(self, n):
         chart = build_lookahead(n)
-        total = sum(e.active_pes for (e,) in chart.cycles)
+        total = sum(e.active_pes for e in chart.cycles)
         assert total == (n // 2) * (n.bit_length() - 1)
 
     def test_channel_stage_appears_once(self):
@@ -117,7 +117,7 @@ class TestUtilization:
 
     def test_budget_equal_to_peak_gives_one(self):
         chart = build_conventional(32)
-        peak_active = max(e.active_pes for (e,) in chart.cycles)
+        peak_active = max(e.active_pes for e in chart.cycles)
         _, peak = utilization(chart, pe_budget=peak_active)
         assert peak == pytest.approx(1.0)
 
