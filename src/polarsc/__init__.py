@@ -36,7 +36,7 @@ from .schedule import (
     latency,
     utilization,
 )
-from .gates import GateCount, WordQ, addsub_q, full_addsub_1bit, gate_count, merged_pe, minsum_pe
+from .gates import GateCount, WordQ, addsub_q, full_addsub_1bit, gate_count, merged_pe
 from .igc import (
     ControlSignal,
     IgcNetwork,
@@ -46,7 +46,7 @@ from .igc import (
 )
 from .archsim import (EquivalenceReport, SimConfig, SimResult, parallel_activity_table, run,
                       verify_equivalence)
-from .cost import CostReport, component_counts, schedule_figures
+from .cost import CostReport, component_counts
 from .channel import (
     ChannelConfig,
     SweepResult,
@@ -67,8 +67,8 @@ __all__ = [
     "build_network", "component_counts", "construct_frozen_set",
     "control_schedule", "decide", "draw_trials", "encode", "f_exact", "f_minsum",
     "full_addsub_1bit", "g_update", "gate_count", "latency",
-    "lr_recursion_prob", "make_code_spec", "merged_pe", "minsum_pe",
+    "lr_recursion_prob", "make_code_spec", "merged_pe",
     "parallel_activity_table", "polar_transform", "quantize",
-    "run", "sc_decode", "sc_decode_batch", "schedule_figures",
+    "run", "sc_decode", "sc_decode_batch",
     "ssc_decode_batch", "trial_rng", "utilization", "verify_equivalence",
 ]

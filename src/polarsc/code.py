@@ -115,15 +115,6 @@ class CodeSpec:
             "frozen_values": list(self.frozen_values),
         }
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(
-            n_bits=d["n"],
-            k_info=d["k"],
-            frozen_set=tuple(d["frozen"]),
-            frozen_values=tuple(d["frozen_values"]),
-        )
-
 
 def polar_transform(u):
     """Apply the kernel-power transform over GF(2) in natural bit order.
@@ -171,7 +162,7 @@ def construct_frozen_set(n_bits, k_info, design_erasure=0.5):
     require_power_of_two(n_bits, "n_bits")
     if not 1 <= require_count(k_info, name="k_info") <= n_bits:
         raise InvalidParameterError(f"k_info must lie in 1..{n_bits}, got {k_info}")
-    if not (0.0 < design_erasure < 1.0):
+    if not 0.0 < require_real(design_erasure, "design_erasure") < 1.0:
         raise InvalidParameterError("design_erasure must lie in (0, 1)")
     z = _bec_bhattacharyya(n_bits, design_erasure)
     order = sorted(range(n_bits), key=lambda i: (-z[i], i))

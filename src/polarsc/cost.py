@@ -104,30 +104,19 @@ class CostReport:
         ]
 
 
-def _checked_schedule(design, n):
-    """The checked schedule of the architecture a design runs, and its throughput."""
-    if design not in _DESIGNS:
-        raise InvalidParameterError(f"unknown design {design!r}")
-    architecture, throughput = _DESIGNS[design]
-    return check_schedule(architecture, n), throughput
-
-
-def schedule_figures(design, n):
-    """(latency in cycles, normalized throughput) for one design. The latency
-    is the checked span; the throughput is one look-ahead stream's frame rate
-    against the conventional decoder's, 2(N-1)/(N-1) = 2 for the proposed design
-    (the two-stream pair's frame rate against it is 4(N-1)/N)."""
-    (_, activity, _), throughput = _checked_schedule(design, n)
-    return activity.span, throughput
-
-
 def component_counts(design, n, q):
     """Exact per-component counts for one design at (N, q); the PE pool, IGC
     count and latency are the checked schedule's peak column sum, stream count
-    and span, and the per-PE rows are the gate models' (``gates.gate_count``)."""
+    and span, and the per-PE rows are the gate models' (``gates.gate_count``).
+    The normalized throughput is one look-ahead stream's frame rate against the
+    conventional decoder's, 2(N-1)/(N-1) = 2 for the proposed design (the
+    two-stream pair's frame rate against it is 4(N-1)/N)."""
+    if design not in _DESIGNS:
+        raise InvalidParameterError(f"unknown design {design!r}")
+    architecture, throughput = _DESIGNS[design]
     proposed = design == PROPOSED
     pe = gate_count("merged_pe" if proposed else "reference_pe", q)  # before the O(N) walk
-    (streams, activity, _), throughput = _checked_schedule(design, n)
+    streams, activity, _ = check_schedule(architecture, n)
     common = dict(design=design, n=n, q=q, n_pes=max(activity.column_sums()), pe_xor=pe.xor,
                   pe_reg=pe.reg_bits, pe_mux=pe.mux_bits, latency=activity.span,
                   normalized_throughput=throughput)

@@ -11,7 +11,7 @@ bit i of element j, in row-major order. The cells use only AND, OR and XOR,
 with each NOT ANDed with a non-negative operand (``~x & y``), so no width
 mask is needed and the same logic evaluates one PE or a whole array.
 
-Two accounting schemes coexist in ``gate_count``:
+``gate_count`` knows four cells, under two accounting schemes:
 
 * ``merged_pe`` / ``reference_pe`` return the published per-PE rows of the
   hardware comparison table (XOR-class units, MUX bits, register bits).
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .code import require_count
 from .errors import InvalidParameterError
 from .llr import MAX_Q, qmax
 
@@ -46,6 +47,8 @@ class WordQ:
                 raise InvalidParameterError(f"array words must be int64, got {v.dtype}")
             # in range iff v + 2^(q-1) lies in [0, 2^q); a wrapped sum is negative
             v = v[(v < -hi - 1) | (v > hi)][0] if np.count_nonzero((v + (hi + 1)) >> self.q) else 0
+        else:
+            require_count(v, -hi - 1, "value")
         if not -hi - 1 <= v <= hi:
             raise InvalidParameterError(f"value {v} outside q={self.q} range [{-hi - 1}, {hi}]")
 
@@ -57,15 +60,6 @@ class WordQ:
     def bits(self):
         """LSB-first list of the q bit-planes of the two's-complement pattern."""
         return _planes(self)[0][0]
-
-    @classmethod
-    def from_bits(cls, bits):
-        """Inverse of ``bits`` for an int word."""
-        return cls(_words([bits], None)[0].value, len(bits))
-
-    def to_llrq(self):
-        """Clamp the one non-symmetric pattern -2^(q-1) to -(2^(q-1)-1)."""
-        return WordQ(np.maximum(self.value, -qmax(self.q)), self.q)
 
 
 # Bit i of a word weighs 2^i, except the sign bit, which weighs -2^(q-1).
@@ -183,16 +177,6 @@ def addsub_q(x, y):
     return tuple(_words(_addsub(xb, yb), shape))
 
 
-def minsum_pe(a, b):
-    """Type II PE: sign(a) XOR sign(b) on min(|a|, |b|), bit-true.
-
-    The magnitude comparison is the borrow-out of the shared subtractor
-    running |a| - |b|: borrow set means |a| < |b|.
-    """
-    (ab, bb), shape = _planes(a, b)
-    return _words([_minsum(ab, bb)], shape)[0]
-
-
 def merged_pe(a, b):
     """Merged PE: one evaluation yields (f, g0, g1).
 
@@ -221,17 +205,6 @@ class GateCount:
     def unit_total(self):
         return self.xor + self.and_or + self.mux_bits + self.reg_bits
 
-    def to_json_dict(self):
-        return {
-            "cell": self.cell,
-            "q": self.q,
-            "xor": self.xor,
-            "and_or": self.and_or,
-            "mux_bits": self.mux_bits,
-            "reg_bits": self.reg_bits,
-            "unit_total": self.unit_total,
-        }
-
 
 # AND/OR-network sizes for the sharing-ratio comparison. The fused cell
 # builds each XOR as (a OR b) AND NOT(a AND b), which exposes x*y and
@@ -247,13 +220,12 @@ _DISCRETE_FA_FS_GATES = 18
 
 
 def gate_count(cell, q=2):
-    """Unit-gate tally for one cell type.
+    """Unit-gate tally for one of four cells.
 
     ``merged_pe`` and ``reference_pe`` reproduce the published per-PE rows
     (the reference row is the line-decoder baseline PE). ``full_addsub``
-    and ``separate_add_plus_sub`` are per-bit AND/OR network counts used by
-    the sharing-ratio check; ``addsub_q`` and ``minsum_pe`` are the
-    corresponding model-derived q-bit tallies.
+    and ``separate_add_plus_sub`` are the per-bit AND/OR network counts of
+    the sharing-ratio check.
     """
     qmax(q)  # validates q
     if cell == "full_addsub":
@@ -262,13 +234,6 @@ def gate_count(cell, q=2):
         return GateCount(
             cell, q, xor=0, and_or=_DISCRETE_FA_FS_GATES, mux_bits=0, reg_bits=0
         )
-    if cell == "addsub_q":
-        # q fused cells with both chains sharing one parity network per bit,
-        # plus the two q-bit saturation clamps.
-        return GateCount(cell, q, xor=0, and_or=13 * q, mux_bits=2 * q, reg_bits=0)
-    if cell == "minsum_pe":
-        # magnitude-compare subtract chain, sign combine, min-select mux
-        return GateCount(cell, q, xor=1, and_or=9 * q, mux_bits=q, reg_bits=0)
     if cell == "merged_pe":
         return GateCount(cell, q, xor=9 * q, and_or=0, mux_bits=6 * q, reg_bits=0)
     if cell == "reference_pe":

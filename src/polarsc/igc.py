@@ -128,6 +128,9 @@ class IgcNetwork:
 
     n: int
 
+    def __post_init__(self):
+        require_count(self.n, 1, "n")
+
     @property
     def control(self):
         """One ControlSignal per level 1..n, periods doubling from 1."""

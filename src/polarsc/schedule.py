@@ -46,18 +46,6 @@ class TimeChart:
     kind: str
     cycles: tuple  # one ChartEntry per cycle
 
-    def stage_sequence(self):
-        """Stage index of each cycle's entry."""
-        return [e.stage for e in self.cycles]
-
-    def type_sequence(self):
-        """PE type of each cycle's entry."""
-        return [e.pe_type for e in self.cycles]
-
-    def active_sequence(self):
-        """Active-PE count of each cycle's entry."""
-        return [e.active_pes for e in self.cycles]
-
     def to_rows(self):
         """CSV rows: (cycle, stage, pe_type, active_pes), cycle 1-based."""
         return [(t, e.stage, e.pe_type, e.active_pes) for t, e in enumerate(self.cycles, start=1)]
@@ -131,7 +119,7 @@ def utilization(chart, pe_budget=None):
     if pe_budget is None:
         pe_budget = chart.n_bits // 2 if chart.kind == LOOKAHEAD else chart.n_bits - 1
     pe_budget = require_count(pe_budget, 1, "pe_budget")
-    fractions = np.array(chart.active_sequence()) / pe_budget
+    fractions = np.array([e.active_pes for e in chart.cycles]) / pe_budget
     return fractions, float(fractions.max())
 
 

@@ -26,7 +26,6 @@ from polarsc import (
     lr_recursion_prob,
     make_code_spec,
     merged_pe,
-    minsum_pe,
     parallel_activity_table,
     polar_transform,
     quantize,
@@ -59,14 +58,14 @@ def test_c01_latency_closed_forms():
 def test_c02_n8_chart_sequences():
     t0 = time.time()
     conv = build_conventional(8)
-    assert conv.stage_sequence() == [1, 2, 3, 3, 2, 3, 3, 1, 2, 3, 3, 2, 3, 3]
-    assert conv.type_sequence() == [
+    assert [e.stage for e in conv.cycles] == [1, 2, 3, 3, 2, 3, 3, 1, 2, 3, 3, 2, 3, 3]
+    assert [e.pe_type for e in conv.cycles] == [
         PE_F, PE_F, PE_F, PE_G, PE_G, PE_F, PE_G,
         PE_G, PE_F, PE_F, PE_G, PE_G, PE_F, PE_G,
     ]
     la = build_lookahead(8)
-    assert la.stage_sequence() == [1, 2, 3, 3, 2, 3, 3]
-    assert la.active_sequence() == [4, 2, 1, 1, 2, 1, 1]
+    assert [e.stage for e in la.cycles] == [1, 2, 3, 3, 2, 3, 3]
+    assert [e.active_pes for e in la.cycles] == [4, 2, 1, 1, 2, 1, 1]
     _report("criterion 2: N=8 chart stage/type sequences", t0, 1)
 
 
@@ -119,7 +118,6 @@ def test_c05_bit_true_gate_models():
             assert d.value == max(-m, min(m, y - x))
         for a, b in itertools.product(range(-m, m + 1), repeat=2):
             f, g0, g1 = merged_pe(WordQ(a, q), WordQ(b, q))
-            assert minsum_pe(WordQ(a, q), WordQ(b, q)).value == f_minsum(a, b)
             assert f.value == f_minsum(a, b)
             assert g0.value == max(-m, min(m, a + b))
             assert g1.value == max(-m, min(m, b - a))
@@ -149,7 +147,6 @@ def test_c05_bit_true_gate_models():
         a, b = WordQ(x[sym], q), WordQ(y[sym], q)
         assert a.value.size == (2 * m + 1) ** 2
         f, g0, g1 = merged_pe(a, b)
-        assert np.array_equal(minsum_pe(a, b).value, f_minsum(a.value, b.value))
         assert np.array_equal(f.value, f_minsum(a.value, b.value))
         assert np.array_equal(g0.value, saturate(a.value + b.value, q))
         assert np.array_equal(g1.value, saturate(b.value - a.value, q))

@@ -153,6 +153,10 @@ class TestActivityAndBuffers:
         assert res.candidate_buffer_peak <= 2 * (n - 2)
         # two words per buffered pair still fit the "other registers" budget
         assert 2 * res.candidate_buffer_peak <= 9 * n // 2 + 4
+        # the checked schedule's peak in closed form: N - 2 pairs per stream
+        for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024):
+            assert archsim.check_schedule("parallel2", n)[2] == 2 * n - 4
+            assert archsim.check_schedule("lookahead", n)[2] == n - 2
 
     def test_conventional_has_no_candidate_buffer(self):
         spec = make_code_spec(16, 8)

@@ -13,7 +13,6 @@ from polarsc import (
     full_addsub_1bit,
     gate_count,
     merged_pe,
-    minsum_pe,
 )
 from polarsc.gates import sharing_ratio
 from polarsc.llr import qmax, saturate
@@ -77,17 +76,19 @@ class TestAddsubQ:
 
 
 class TestMinsumPE:
+    """The merged PE's f output, the min-sum combine."""
+
     def test_small_example(self):
-        assert minsum_pe(WordQ(2, 6), WordQ(-3, 6)).value == -2
+        assert merged_pe(WordQ(2, 6), WordQ(-3, 6))[0].value == -2
 
     def test_zero_input_positive_sign(self):
         for x in (-9, -1, 0, 5):
-            assert minsum_pe(WordQ(0, 6), WordQ(x, 6)).value == 0
+            assert merged_pe(WordQ(0, 6), WordQ(x, 6))[0].value == 0
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
     def test_exhaustive_against_functional(self, q):
         for a, b in itertools.product(llrq_range(q), repeat=2):
-            got = minsum_pe(WordQ(a, q), WordQ(b, q)).value
+            got = merged_pe(WordQ(a, q), WordQ(b, q))[0].value
             assert got == f_minsum(a, b), (a, b, q)
 
 
@@ -138,16 +139,16 @@ class TestWordQ:
     def test_bits_round_trip(self):
         for q in (2, 4, 7):
             for v in word_range(q):
-                w = WordQ(v, q)
-                assert WordQ.from_bits(w.bits()).value == v
-
-    def test_llrq_clamps_asymmetric_pattern(self):
-        assert WordQ(-8, 4).to_llrq().value == -7
-        assert WordQ(np.array([-8, -7, 3]), 4).to_llrq().value.tolist() == [-7, -7, 3]
+                bits = WordQ(v, q).bits()
+                # bit i weighs 2^i, the sign bit -2^(q-1)
+                assert sum(b << i for i, b in enumerate(bits)) - (bits[-1] << q) == v
 
     def test_range_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            WordQ(8, 4)
+        # a scalar word is an integer in the q-bit range
+        for value in (8, -9, 1.5, True, "3", None, np.float64(2.0)):
+            with pytest.raises(InvalidParameterError):
+                WordQ(value, 4)
+        assert WordQ(np.int64(-8), 4).value == -8
 
     def test_equality(self):
         words = np.array([1, -2])
@@ -189,8 +190,7 @@ class TestArrayWords:
         for q in (2, 6, 54):
             outs = merged_pe(WordQ(empty, q), WordQ(empty, q))
             outs += addsub_q(WordQ(empty, q), WordQ(empty, q))
-            outs += (minsum_pe(WordQ(empty, q), WordQ(empty, q)),)
-            assert [w.value.shape for w in outs] == [shape] * 6
+            assert [w.value.shape for w in outs] == [shape] * 5
             assert all(w.value.dtype == np.int64 for w in outs)
 
     def test_q54_extremes(self):
@@ -222,7 +222,7 @@ class TestArrayWords:
         three = WordQ(zeros, 6)
         for other in (WordQ(zeros[:2], 6), WordQ(zeros[None], 6), WordQ(0, 6),
                       WordQ(zeros, 5)):
-            for pe in (addsub_q, minsum_pe, merged_pe):
+            for pe in (addsub_q, merged_pe):
                 with pytest.raises(InvalidParameterError):
                     pe(three, other)
 
@@ -234,6 +234,7 @@ class TestGateCounts:
             assert gc.xor == 9 * q
             assert gc.mux_bits == 6 * q
             assert gc.reg_bits == 0
+            assert gc.unit_total == gc.xor + gc.and_or + gc.mux_bits + gc.reg_bits
 
     def test_reference_pe_published_rows(self):
         for q in (4, 5, 6, 8):
@@ -249,15 +250,11 @@ class TestGateCounts:
         assert sharing_ratio() == pytest.approx(fused / separate)
 
     def test_counts_deterministic_in_q(self):
-        assert gate_count("addsub_q", 6) == gate_count("addsub_q", 6)
-        assert gate_count("minsum_pe", 4).unit_total != gate_count("minsum_pe", 8).unit_total
-
-    def test_json_shape(self):
-        d = gate_count("merged_pe", 6).to_json_dict()
-        assert set(d) == {"cell", "q", "xor", "and_or", "mux_bits", "reg_bits",
-                          "unit_total"}
-        assert d["unit_total"] == d["xor"] + d["and_or"] + d["mux_bits"] + d["reg_bits"]
+        assert gate_count("reference_pe", 6) == gate_count("reference_pe", 6)
+        assert gate_count("merged_pe", 4).unit_total != gate_count("merged_pe", 8).unit_total
 
     def test_unknown_cell_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            gate_count("nand_forest", 4)
+        # addsub_q and minsum_pe have no tally: no model traces to one
+        for cell in ("nand_forest", "addsub_q", "minsum_pe"):
+            with pytest.raises(InvalidParameterError):
+                gate_count(cell, 4)

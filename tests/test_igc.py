@@ -5,6 +5,7 @@ import pytest
 
 from polarsc import (
     ControlSignal,
+    IgcNetwork,
     InvalidParameterError,
     NotReadyError,
     PartialSumState,
@@ -198,6 +199,10 @@ class TestNetwork:
                 build_network(bad)
             with pytest.raises(InvalidParameterError):
                 PartialSumState(bad)
+        for bad in (0, -1, True, 1.5):  # a network has at least one combining level
+            with pytest.raises(InvalidParameterError):
+                IgcNetwork(bad)
+        assert IgcNetwork(1) == build_network(4) and build_network(4).n == 1
         for stage in (0, 4):  # N=8 has stages 1..3
             with pytest.raises(InvalidParameterError):
                 PartialSumState(8).stage_ready(stage)

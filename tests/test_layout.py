@@ -12,12 +12,17 @@ checked schedule, and only that pass builds an activity table. A trial's
 random stream has one definition, ``channel.trial_rng``; the sweeps' seeding
 pass that recomputes a chunk's states is called from the channel draw alone.
 ``cli.main`` only dispatches: each flag is read by the subcommand that uses it.
+Every public name has a reader outside the tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "polarsc"
+import polarsc
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "polarsc"
 
 
 def _trees():
@@ -163,3 +168,15 @@ def test_cli_main_reads_no_flag():
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "hasattr")
              and getattr(node.args[0], "id", None) == "args"}
     assert read == {"func"}
+
+
+def test_every_export_has_a_non_test_reader():
+    # a name that only tests read is API that every refactor has to carry
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    read = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            read.add(getattr(node, "id", None) if isinstance(node, ast.Name)
+                     else getattr(node, "attr", None))
+    assert sorted(set(polarsc.__all__) - read) == []

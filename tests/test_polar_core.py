@@ -129,6 +129,9 @@ class TestFrozenSet:
             construct_frozen_set(8, 9, 0.5)
         with pytest.raises(InvalidParameterError):
             construct_frozen_set(8, 4, 1.0)  # design erasure outside (0, 1)
+        for bad in ("0.5", None, float("nan"), float("inf"), True):
+            with pytest.raises(InvalidParameterError):
+                make_code_spec(8, 4, design_erasure=bad)
         for n, k in ((8.0, 4), (8, 4.0)):
             with pytest.raises(InvalidParameterError):
                 make_code_spec(n, k)
@@ -181,7 +184,7 @@ class TestCodeSpec:
         d = json.loads(json.dumps(spec.to_json_dict(), indent=2))
         assert set(d) == {"n", "k", "frozen", "frozen_values"}
         assert d["frozen"] == sorted(d["frozen"])
-        again = CodeSpec.from_json_dict(d)
+        again = CodeSpec(d["n"], d["k"], tuple(d["frozen"]), tuple(d["frozen_values"]))
         assert again == spec
         # numpy ints are stored as Python ints, so the dict stays serialisable
         wide = make_code_spec(np.int64(8), np.int64(4))
@@ -208,7 +211,9 @@ class TestCodeSpec:
             CodeSpec(8, 4, (1, 2, 3, 9), (0, 0, 0, 0))  # frozen index > N
         with pytest.raises(InvalidParameterError):
             CodeSpec(8, 4, (1, 2, 3, 4), (0, 0, 0))  # values misaligned
-        d = make_code_spec(8, 4).to_json_dict()
-        for key, bad in (("frozen_values", [0, 0.5, 0, 0]), ("n", 8.5), ("k", 4.0)):
+        spec = make_code_spec(8, 4)
+        fields = dict(n_bits=8, k_info=4, frozen_set=spec.frozen_set,
+                      frozen_values=spec.frozen_values)
+        for key, bad in (("frozen_values", (0, 0.5, 0, 0)), ("n_bits", 8.5), ("k_info", 4.0)):
             with pytest.raises(InvalidParameterError):
-                CodeSpec.from_json_dict({**d, key: bad})
+                CodeSpec(**{**fields, key: bad})

@@ -20,7 +20,6 @@ from polarsc import (
     g_update,
     make_code_spec,
     merged_pe,
-    minsum_pe,
     polar_transform,
     quantize,
     sc_decode,
@@ -241,10 +240,9 @@ def test_gate_models_on_arrays_equal_elementwise_calls(data):
     words = st.one_of(st.integers(lo, hi), st.sampled_from([lo, -hi, -1, 0, 1, hi]))
     shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5))
     a, b = (data.draw(hnp.arrays(np.int64, shape, elements=words)) for _ in range(2))
-    outs = (*merged_pe(WordQ(a, q), WordQ(b, q)), *addsub_q(WordQ(a, q), WordQ(b, q)),
-            minsum_pe(WordQ(a, q), WordQ(b, q)))
+    outs = (*merged_pe(WordQ(a, q), WordQ(b, q)), *addsub_q(WordQ(a, q), WordQ(b, q)))
     assert all(w.value.shape == shape and w.value.dtype == np.int64 for w in outs)
     for i in np.ndindex(shape):
         x, y = WordQ(int(a[i]), q), WordQ(int(b[i]), q)
-        want = (*merged_pe(x, y), *addsub_q(x, y), minsum_pe(x, y))
+        want = (*merged_pe(x, y), *addsub_q(x, y))
         assert [w.value[i] for w in outs] == [w.value for w in want]

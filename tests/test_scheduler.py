@@ -25,8 +25,8 @@ N8_CONV_TYPES = [
 class TestConventional:
     def test_n8_reference_sequence(self):
         chart = build_conventional(8)
-        assert chart.stage_sequence() == N8_CONV_STAGES
-        assert chart.type_sequence() == N8_CONV_TYPES
+        assert [e.stage for e in chart.cycles] == N8_CONV_STAGES
+        assert [e.pe_type for e in chart.cycles] == N8_CONV_TYPES
 
     def test_n4_hand_execution(self):
         chart = build_conventional(4)
@@ -45,7 +45,7 @@ class TestConventional:
     def test_stage_appearance_counts(self, n):
         chart = build_conventional(n)
         m = n.bit_length() - 1
-        stages = chart.stage_sequence()
+        stages = [e.stage for e in chart.cycles]
         for s in range(1, m + 1):
             assert stages.count(s) == 2**s
 
@@ -72,14 +72,14 @@ class TestConventional:
 class TestLookahead:
     def test_n8_reference_sequence(self):
         chart = build_lookahead(8)
-        assert chart.stage_sequence() == [1, 2, 3, 3, 2, 3, 3]
-        assert chart.active_sequence() == [4, 2, 1, 1, 2, 1, 1]
-        assert all(t == PE_MERGED for t in chart.type_sequence())
+        assert [e.stage for e in chart.cycles] == [1, 2, 3, 3, 2, 3, 3]
+        assert [e.active_pes for e in chart.cycles] == [4, 2, 1, 1, 2, 1, 1]
+        assert all(e.pe_type == PE_MERGED for e in chart.cycles)
 
     def test_n4_hand_execution(self):
         chart = build_lookahead(4)
-        assert chart.stage_sequence() == [1, 2, 2]
-        assert chart.active_sequence() == [2, 1, 1]
+        assert [e.stage for e in chart.cycles] == [1, 2, 2]
+        assert [e.active_pes for e in chart.cycles] == [2, 1, 1]
 
     @pytest.mark.parametrize("n", POWERS)
     def test_closed_form_latency(self, n):
@@ -88,7 +88,7 @@ class TestLookahead:
     @pytest.mark.parametrize("n", [4, 8, 16, 64, 256, 1024])
     def test_stage_appearance_counts(self, n):
         chart = build_lookahead(n)
-        stages = chart.stage_sequence()
+        stages = [e.stage for e in chart.cycles]
         for s in range(1, n.bit_length()):
             assert stages.count(s) == 2 ** (s - 1)
 
@@ -100,7 +100,7 @@ class TestLookahead:
 
     def test_channel_stage_appears_once(self):
         for n in (4, 16, 256):
-            assert build_lookahead(n).stage_sequence().count(1) == 1
+            assert [e.stage for e in build_lookahead(n).cycles].count(1) == 1
 
 
 class TestUtilization:
@@ -150,7 +150,7 @@ class TestParallelActivity:
     @pytest.mark.parametrize("n", [4, 8, 64])
     def test_each_stream_runs_whole_chart(self, n):
         table = parallel_activity_table(n)
-        chart_work = sum(build_lookahead(n).active_sequence())
+        chart_work = sum(e.active_pes for e in build_lookahead(n).cycles)
         for row in table.counts:
             assert sum(row) == chart_work
 
