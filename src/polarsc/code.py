@@ -133,12 +133,13 @@ def polar_transform(u):
 
 
 def transform_rows(x):
-    """``polar_transform`` of each row of ``x``, in place and unchecked:
-    ``x`` is a C-contiguous (rows, n) int64 array of bits, n a power of two."""
-    rows, n = x.shape
+    """``polar_transform`` along axis 1 of ``x``, in place and unchecked:
+    ``x`` is a C-contiguous (rows, n) or (rows, n, cols) integer array of
+    bits, n a power of two. The butterflies run fastest with many columns."""
+    rows, n, *cols = x.shape
     size = 2
     while size <= n:
-        v = x.reshape(rows, n // size, size)
+        v = x.reshape(rows, n // size, size, *cols)
         v[:, :, : size // 2] ^= v[:, :, size // 2 :]
         size *= 2
     return x

@@ -47,11 +47,12 @@ def require_scale(scale):
         raise InvalidParameterError(f"scale must be finite and > 0, got {scale!r}")
 
 
-def clamp(x, m):
-    """Clip ``x`` to [-m, m]: the toolkit's one saturation formula."""
+def clamp(x, m, out=None):
+    """Clip ``x`` to [-m, m] (into ``out`` if given): the toolkit's one
+    saturation formula."""
     # np.minimum/np.maximum keep the dtype and +/-inf handling of np.clip at a
     # fraction of its call overhead on small arrays
-    return np.minimum(np.maximum(x, -m), m)
+    return np.minimum(np.maximum(x, -m, out=out), m, out=out)
 
 
 def saturate(x, q):
@@ -64,11 +65,20 @@ def clip_llr(x):
     return clamp(x, MAX_LLR)
 
 
+def _real_array(llrs):
+    """``llrs`` as an array; InvalidParameterError unless its dtype is bool,
+    integer or float (complex, strings and objects are not LLRs)."""
+    arr = np.asarray(llrs)
+    if arr.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"LLRs must be real numbers, got dtype {arr.dtype}")
+    return arr
+
+
 def as_quantized(llrs, q):
     """Return ``llrs`` as int64 after checking that every value is an integer
     within +/-qmax(q); NaN fails the check."""
     m = qmax(q)
-    raw = np.asarray(llrs)
+    raw = _real_array(llrs)
     if not np.all((raw >= -m) & (raw <= m) & (raw == np.round(raw))):
         raise InvalidParameterError(
             f"quantized LLRs must be integers within +/-{m} for q={q} (quantize first)"
@@ -196,7 +206,7 @@ def _checked_input(channel_llrs, spec, mode, q):
     arithmetic with the mode's f and g."""
     if mode not in MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    llrs = np.asarray(channel_llrs)
+    llrs = _real_array(channel_llrs)
     if llrs.ndim != 2 or llrs.shape[1] != spec.n_bits:
         raise InvalidParameterError(
             f"expected shape (batch, {spec.n_bits}), got {llrs.shape}"
@@ -230,13 +240,13 @@ def ssc_decode_batch(channel_llrs, spec, mode, q=None):
     """Decisions of ``sc_decode_batch`` (bit for bit), by simplified SC.
 
     Same arguments and input checks as ``sc_decode_batch``; returns the
-    (batch, N) u_hat only. The SC tree is walked with two shortcuts
+    (batch, N) int64 u_hat only. The SC tree is walked with two shortcuts
     (Alamdar-Yazdi and Kschischang, IEEE Comm. Lett. 2011):
 
     * a Rate-0 node (every position frozen) takes its frozen values, and
-      its partial sums are their transform; no f or g is computed;
+      its partial sums are their transform; no f or g computes its input;
     * a Rate-1 node (no position frozen) takes the hard decisions
-      x = (llr < 0) of its inputs as partial sums, and u = transform(x).
+      x = (llr < 0) of its inputs as partial sums.
 
     The Rate-1 shortcut equals SC only when no f output below the node
     loses its sign. Every f keeps sgn(a)*sgn(b) and a nonzero magnitude for
@@ -244,48 +254,171 @@ def ssc_decode_batch(channel_llrs, spec, mode, q=None):
     so SC decides [0, 1] on [0, -1] where transform(x) gives [1, 1]). Rows
     with a zero input take the SC step at that node instead, and the
     shortcuts apply again below it.
+
+    The node tree is planned once per code and kept on the spec (see
+    ``_ssc_plan``); a leaf is a Rate-0 or Rate-1 node of size one, so no
+    leaf calls ``decide``. No node writes u: SC's partial sums are the
+    transform of its decisions, so u_hat is the transform of the root's.
+
+    The arithmetic is the fast path's own, on buffers allocated once per
+    call and freed at return: values are held wire-major (one row per
+    wire, one column per frame), the inputs of the children of a size-2h
+    node live in the (h, batch) buffer of their level, and f and g write
+    there in place through one flat scratch array shared by all levels.
+    Partial sums are int8, one (N, batch) array written in place. minsum_q
+    runs in the narrowest integer that holds b + a at the rails, 2*qmax(q):
+    int8 for q <= 7, int16 to 15, int32 to 31, int64 above. f takes its
+    sign from copysign(m, a*b) on floats and as (m ^ s) - s on integers,
+    s the sign mask of a ^ b; g is b + (1 - 2x)*a, or b + a under a Rate-0
+    left child whose partial sums are all zero. A float f may give -0.0
+    where ``f_minsum`` or ``f_exact`` gives +0.0. That is invisible: the
+    sign of a zero reaches only f outputs that are zeros themselves,
+    b +/- 0 is exact, and the tests x < 0 and x == 0 treat both zeros alike.
     """
-    llrs, f_fun, g_fun = _checked_input(channel_llrs, spec, mode, q)
-    frozen_values = spec.frozen_value_array
-    # frozen_before[i]: frozen positions among 0..i-1
-    frozen_before = [0] + np.cumsum(spec.frozen_mask).tolist()
+    llrs = _checked_input(channel_llrs, spec, mode, q)[0]
+    if mode == MODE_MINSUM_Q:
+        dtype = np.min_scalar_type(-2 * qmax(q))
+        rail = dtype.type(qmax(q))
+    else:
+        dtype, rail = np.dtype(float), np.float64(MAX_LLR)
+    f = {MODE_EXACT: _ssc_f_exact, MODE_MINSUM: _ssc_f_minsum, MODE_MINSUM_Q: _ssc_f_minsum_q}[mode]
+    temps = 3 if mode == MODE_EXACT else 1  # scratch arrays the largest f or g needs
+    n, batch = spec.n_bits, llrs.shape[0]
+    wires = np.ascontiguousarray(llrs.T, dtype=dtype)
+    psums = np.zeros((n, batch), dtype=np.int8)  # a zero-sum Rate-0 node writes nothing
+    levels = {n >> d: np.empty((n >> d, batch), dtype) for d in range(1, n.bit_length())}
+    scratch = np.empty(temps * (n // 2) * batch, dtype)
+    _ssc_node(_ssc_plan(spec), wires, psums, (levels, scratch, f, _ssc_g, rail))
+    transform_rows(psums[None])  # wire-major, so each butterfly is contiguous
+    return np.ascontiguousarray(psums.T, dtype=np.int64)
 
-    def block(llrs, start, u):
-        """Decide positions start..start+n-1 into ``u`` (batch, n); return
-        the block's partial sums."""
-        n = llrs.shape[1]
-        frozen = frozen_before[start + n] - frozen_before[start]
-        if frozen == n:
-            u[:] = frozen_values[start:start + n]
-            return np.broadcast_to(transform_rows(u[:1].copy()), u.shape)
-        if n == 1:
-            u[:, 0] = decide(llrs[:, 0], start + 1, spec)
-            return u
-        if frozen == 0:
-            x = (llrs < 0).astype(np.int64)
-            unsafe = (llrs == 0).any(axis=1)
-            if unsafe.any():
-                # SC's partial sums are the transform of its decisions, so
-                # only they are kept and u comes from x for every row
-                scratch = np.empty((int(unsafe.sum()), n), dtype=np.int64)
-                x[unsafe] = split(llrs[unsafe], start, scratch)
-            u[:] = transform_rows(x.copy())  # x itself is returned as the partial sums
-            return x
-        return split(llrs, start, u)
 
-    def split(llrs, start, u):
-        """One SC step: f into the left half, g into the right half."""
-        half = llrs.shape[1] // 2
-        a, b = llrs[:, :half], llrs[:, half:]
-        # a Rate-0 left child reads only the width of its input, so skip its f
-        rate0 = frozen_before[start + half] - frozen_before[start] == half
-        x_left = block(a if rate0 else f_fun(a, b), start, u[:, :half])
-        x_right = block(g_fun(a, b, x_left), start + half, u[:, half:])
-        return np.concatenate([x_left ^ x_right, x_right], axis=1)
+_RATE0, _RATE1, _SPLIT = range(3)
 
-    u_hat = np.empty(llrs.shape, dtype=np.int64)
-    block(llrs, 0, u_hat)
-    return u_hat
+
+def _ssc_plan(spec):
+    """The SSC node tree of ``spec``, built on first use and kept on the
+    spec as a non-field attribute, so ==, hash and repr ignore it.
+
+    A node is (kind, left, right, sums). A Rate-0 node keeps its partial
+    sums as an (n, 1) int8 column, or None when they are all zero; a split
+    and a Rate-1 node keep their children (a Rate-1 node's are Rate-1, for
+    the rows that take the SC step; None at size one)."""
+    plan = getattr(spec, "_ssc_plan", None)
+    if plan is None:
+        rate1 = {1: (_RATE1, None, None, None)}
+        for size in (1 << d for d in range(1, spec.n_bits.bit_length())):
+            rate1[size] = (_RATE1, rate1[size // 2], rate1[size // 2], None)
+        plan = _ssc_plan_node(spec, 0, spec.n_bits, rate1)
+        object.__setattr__(spec, "_ssc_plan", plan)
+    return plan
+
+
+def _ssc_plan_node(spec, start, n, rate1):
+    frozen = spec.frozen_mask[start:start + n]
+    if frozen.all():
+        sums = transform_rows(spec.frozen_value_array[None, start:start + n].copy())
+        return (_RATE0, None, None, sums.T.astype(np.int8) if sums.any() else None)
+    if not frozen.any():
+        return rate1[n]
+    half = n // 2
+    return (_SPLIT, _ssc_plan_node(spec, start, half, rate1),
+            _ssc_plan_node(spec, start + half, half, rate1), None)
+
+
+def _ssc_node(node, v, x, ctx):
+    """Run plan ``node`` on its input ``v`` (n wires x k frames) and leave
+    its partial sums in ``x`` (n x k int8, zero on entry)."""
+    kind, sums = node[0], node[3]
+    if kind == _RATE0:
+        if sums is not None:
+            np.copyto(x, sums)
+    elif kind == _SPLIT:
+        _ssc_split(node, v, x, ctx)
+    else:
+        np.less(v, 0, out=x.view(bool))
+        if node[1] is not None and not v.all():
+            cols = np.flatnonzero(~v.all(axis=0))  # the columns with a zero input
+            sc = np.empty((len(v), len(cols)), dtype=np.int8)
+            _ssc_split(node, v[:, cols], sc, ctx)
+            x[:, cols] = sc
+
+
+def _ssc_split(node, v, x, ctx):
+    """One SC step at ``node``: f into the left child, g into the right;
+    a Rate-0 child reads no input, so none is computed for it."""
+    levels, scratch, f, g, rail = ctx
+    _, left, right, _ = node
+    h = len(v) // 2
+    a, b = v[:h], v[h:]
+    child = levels[h][:, :v.shape[1]]
+    if left[0] != _RATE0:
+        f(a, b, child, scratch)
+    _ssc_node(left, child, x[:h], ctx)
+    if right[0] != _RATE0:
+        zero = left[0] == _RATE0 and left[3] is None
+        g(a, b, None if zero else x[:h], child, scratch, rail)
+    _ssc_node(right, child, x[h:], ctx)
+    x[:h] ^= x[h:]
+
+
+def _ssc_f_minsum(a, b, out, scratch):
+    """``f_minsum(a, b)`` of floats into ``out``."""
+    t = scratch[:out.size].reshape(out.shape)
+    np.abs(a, out=out)
+    np.abs(b, out=t)
+    np.minimum(out, t, out=out)
+    np.multiply(a, b, out=t)
+    np.copysign(out, t, out=out)
+
+
+def _ssc_f_minsum_q(a, b, out, scratch):
+    """``f_minsum(a, b)`` of integers into ``out``."""
+    s = scratch[:out.size].reshape(out.shape)
+    np.abs(a, out=out)
+    np.abs(b, out=s)
+    np.minimum(out, s, out=out)
+    np.bitwise_xor(a, b, out=s)
+    s >>= 8 * s.itemsize - 1  # the sign mask: -1 where sgn(a) != sgn(b), else 0
+    out ^= s
+    out -= s
+
+
+def _ssc_f_exact(a, b, out, scratch):
+    """``f_exact(a, b)`` into ``out``, for inputs within the rail."""
+    ea, eb, t = scratch[:3 * out.size].reshape((3,) + out.shape)
+    np.abs(a, out=ea)
+    np.abs(b, out=eb)
+    np.minimum(ea, eb, out=out)  # lo
+    np.expm1(ea, out=ea)
+    np.expm1(eb, out=eb)
+    np.multiply(ea, eb, out=t)
+    ea += eb
+    ea += 2.0
+    t /= ea
+    np.log1p(t, out=t)
+    np.minimum(t, out, out=t)
+    np.minimum(out, _TINY, out=ea)
+    np.maximum(t, ea, out=t)
+    np.greater_equal(out, MAX_LLR, out=ea)
+    ea *= MAX_LLR  # MAX_LLR where lo sits at the rail, else 0
+    np.maximum(t, ea, out=t)
+    np.multiply(a, b, out=ea)
+    np.copysign(t, ea, out=out)
+
+
+def _ssc_g(a, b, x, out, scratch, rail):
+    """``g_update(a, b, x)`` into ``out``, clipped to +/-``rail`` in place;
+    ``x`` None stands for all-zero partial sums."""
+    if x is None:
+        np.add(b, a, out=out)
+    else:
+        t = scratch[:out.size].reshape(out.shape)
+        np.multiply(x, -2, out=t)
+        t += 1
+        t *= a
+        np.add(b, t, out=out)
+    clamp(out, rail, out=out)
 
 
 def sc_decode(channel_llrs, spec, mode, q=None):

@@ -454,7 +454,7 @@ class TestTraceAndValidation:
             run(SimConfig(spec=spec, q=4, architecture="lookahead"),
                 np.full(8, 31, dtype=np.int64))
 
-    @pytest.mark.parametrize("bad", [np.nan, 1.5, np.iinfo(np.int64).min])
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, np.iinfo(np.int64).min, "3", 1 - 3j])
     def test_rejects_non_quantized_inputs(self, bad):
         spec = make_code_spec(8, 4)
         llrs = np.zeros(8, dtype=np.asarray(bad).dtype)

@@ -1,5 +1,6 @@
 """Functional decoder engine: update rules, decisions, quantization."""
 
+import gc
 import math
 import tracemalloc
 import warnings
@@ -248,6 +249,8 @@ class TestQuantizedInputCheck:
         [32, 0], [-32, 0], [1.5, 0], [np.nan, 0], [np.inf, 0],
         # the integer a NaN used to quantize to; np.abs overflows on it
         np.array([np.iinfo(np.int64).min, 0]),
+        # not real numbers: once a ComplexWarning and a raw UFuncTypeError
+        [1 - 3j, 0], ["3", "0"],
     ])
     def test_rejects(self, bad):
         with pytest.raises(InvalidParameterError):
@@ -328,10 +331,16 @@ class TestScDecode:
         assert agree >= 0.99 * trials
 
 
-def _f_and_g_calls(monkeypatch, decode):
-    """Run ``decode()`` and count the calls of the f and g rules it makes."""
+SC_KERNELS = {"f_exact": "f", "f_minsum": "f", "g_update": "g"}
+# the fast path runs its own arithmetic, not the oracle's public rules
+SSC_KERNELS = {"_ssc_f_exact": "f", "_ssc_f_minsum": "f", "_ssc_f_minsum_q": "f", "_ssc_g": "g"}
+
+
+def _f_and_g_calls(monkeypatch, decode, kernels):
+    """Run ``decode()`` and count the calls of the f and g ``kernels`` (llr
+    name -> "f" or "g") it makes."""
     calls = Counter()
-    for name, key in (("f_exact", "f"), ("f_minsum", "f"), ("g_update", "g")):
+    for name, key in kernels.items():
         def counted(*args, _fn=getattr(llr, name), _key=key, **kwargs):
             calls[_key] += 1
             return _fn(*args, **kwargs)
@@ -351,9 +360,9 @@ class TestSscDecode:
         if q is not None:
             llrs = quantize(llrs, q)
         (want, _), full = _f_and_g_calls(
-            monkeypatch, lambda: sc_decode_batch(llrs, spec, mode, q=q))
+            monkeypatch, lambda: sc_decode_batch(llrs, spec, mode, q=q), SC_KERNELS)
         got, fast = _f_and_g_calls(
-            monkeypatch, lambda: ssc_decode_batch(llrs, spec, mode, q=q))
+            monkeypatch, lambda: ssc_decode_batch(llrs, spec, mode, q=q), SSC_KERNELS)
         assert full == {"f": 1023, "g": 1023}
         assert fast["f"] < 1023 and fast["g"] < 1023
         if mode != "minsum_q":
@@ -378,7 +387,8 @@ class TestSscDecode:
             return (not left_rate0) + f_calls(start, half) + f_calls(start + half, half)
 
         llrs = np.random.default_rng(5).normal(1.0, 1.0, size=(128, 1024))
-        got, calls = _f_and_g_calls(monkeypatch, lambda: ssc_decode_batch(llrs, spec, "minsum"))
+        got, calls = _f_and_g_calls(
+            monkeypatch, lambda: ssc_decode_batch(llrs, spec, "minsum"), SSC_KERNELS)
         assert calls["f"] == f_calls(0, 1024) == 95
         assert np.array_equal(got, sc_decode_batch(llrs, spec, "minsum")[0])
 
@@ -412,6 +422,69 @@ class TestSscDecode:
         llrs = np.array([row, np.resize([3, -2], len(row))])
         want = sc_decode_batch(llrs, spec, mode, q=q)[0]
         assert np.array_equal(ssc_decode_batch(llrs, spec, mode, q=q), want)
+
+    @pytest.mark.parametrize("q", [2, 7, 8, 15, 16, 31, 32, 54])
+    def test_every_integer_width_equals_sc(self, q):
+        # minsum_q runs in int8 up to q = 7, int16 up to 15, int32 up to 31
+        # and int64 above; inputs at the rails drive b + a to +/-2*qmax(q)
+        m = qmax(q)
+        rng = np.random.default_rng(q)
+        rails = np.array([[m] * 4, [-m] * 4, [m, -m] * 2, [m - 1, 1 - m] * 2, [0, m] * 2])
+        rate0_left_with_sums = 0
+        for _ in range(40):
+            n = 1 << int(rng.integers(1, 7))
+            frozen = tuple(int(i) + 1 for i in np.flatnonzero(rng.random(n) < 0.5))
+            values = tuple(int(v) for v in rng.integers(0, 2, len(frozen)))
+            spec = CodeSpec(n, n - len(frozen), frozen, values)
+            rate0_left_with_sums += _has_rate0_left_with_sums(spec)
+            llrs = np.vstack([np.tile(rails, n)[:, :n],
+                              rng.choice([m, -m, m - 1, 1 - m, 0, 1, -1], size=(8, n))])
+            want = sc_decode_batch(llrs, spec, "minsum_q", q=q)[0]
+            assert np.array_equal(ssc_decode_batch(llrs, spec, "minsum_q", q=q), want)
+        assert rate0_left_with_sums
+
+    def test_plan_is_not_part_of_the_spec_value(self):
+        spec, twin = make_code_spec(16, 8), make_code_spec(16, 8)
+        ssc_decode_batch(np.ones((1, 16)), spec, "minsum")  # plans spec, not twin
+        assert (spec, hash(spec), repr(spec)) == (twin, hash(twin), repr(twin))
+
+    def test_buffers_released_at_return(self):
+        # ber_sweep's call shape at N = 1024; with the cyclic collector off,
+        # buffers held by a reference cycle would outlive the call. They
+        # share one lifetime, so a leak keeps at least the 128 KiB of
+        # partial sums; numpy and the interpreter keep the odd 100 B.
+        spec = make_code_spec(1024, 512)
+        llrs = np.random.default_rng(11).normal(1.0, 2.0, size=(128, 1024))
+        calls = [(llrs, "exact", None), (llrs, "minsum", None), (quantize(llrs, 6), "minsum_q", 6)]
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for x, mode, q in calls:
+                # the first call builds the spec's plan and fills the
+                # interpreter's caches; every later call returns to its start
+                ssc_decode_batch(x, spec, mode, q=q)
+                before = tracemalloc.get_traced_memory()[0]
+                ssc_decode_batch(x, spec, mode, q=q)
+                assert tracemalloc.get_traced_memory()[0] - before < 4096
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+
+def _has_rate0_left_with_sums(spec):
+    """Whether SSC splits a node of ``spec`` whose left child is all frozen
+    with partial sums not all zero."""
+    frozen, values = spec.frozen_mask, spec.frozen_value_array
+
+    def walk(start, n):
+        if frozen[start:start + n].all() or not frozen[start:start + n].any():
+            return False
+        half = n // 2
+        if frozen[start:start + half].all() and polar_transform(values[start:start + half]).any():
+            return True
+        return walk(start, half) or walk(start + half, half)
+
+    return walk(0, spec.n_bits)
 
 
 class TestLrRecursionProb:

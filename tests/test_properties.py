@@ -223,6 +223,13 @@ def test_ssc_decode_equals_sc_decode(data):
     pytest.param([[1.0, 2.0, 3.0, 4.0]], "sum-product", None, id="unknown-mode"),
     pytest.param([[1, 2, 3, 4]], "minsum_q", None, id="minsum_q-without-q"),
     pytest.param([[1.5, 2, 3, 4]], "minsum_q", 6, id="minsum_q-non-integer"),
+    # not real numbers: complex once decoded with a ComplexWarning, strings
+    # once raised a raw ValueError or UFuncTypeError
+    pytest.param([[1 - 3j, 2, 3, 4]], "exact", None, id="complex-exact"),
+    pytest.param([[1 - 3j, 2, 3, 4]], "minsum_q", 6, id="complex-minsum_q"),
+    pytest.param([["1", "2", "3", "4"]], "exact", None, id="string-exact"),
+    pytest.param([["1", "2", "3", "4"]], "minsum", None, id="string-minsum"),
+    pytest.param([["1", "2", "3", "4"]], "minsum_q", 6, id="string-minsum_q"),
 ])
 def test_ssc_decode_rejects_what_sc_decode_rejects(llrs, mode, q):
     spec = make_code_spec(4, 2)
