@@ -11,7 +11,12 @@ trial against ``trial_rng``. Campaigns walk the trials in chunks
 (``trial_chunks``), so their memory does not grow with the trial count: a
 sweep reads each stream once, maps it to every operating point, and decodes
 a chunk of trials at all points in one call per decoder, and the
-simulator's equivalence campaign checks a chunk at a time.
+simulator's equivalence campaign checks a chunk at a time. The functional
+decoders see a chunk wire-major, one row per wire and one column per
+frame, as the SSC walk runs it: the float LLRs are transposed once for
+``exact`` and ``minsum``, the quantized ones once into ``minsum_q``'s
+narrow integers, and errors are counted on the information rows of the
+wire-major decisions.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ from .llr import (
     MAX_LLR,
     MODE_MINSUM_Q,
     MODES,
+    _ssc_wires,
+    _wire_dtype,
     clip_llr,
     qmax,
     quantize,
     require_scale,
     sc_decode_batch,  # unused here; perfbench/spans.py wraps it on this module
-    ssc_decode_batch,
 )
 
 NOISELESS = "noiseless"
@@ -242,18 +248,24 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     if not cfgs:
         return []
     quantized = any(mode == MODE_MINSUM_Q for mode, _ in decoders)
+    info = ~spec.frozen_mask
     errors = np.zeros((len(cfgs), len(decoders), 2), dtype=np.int64)  # bit, frame
     for _, msgs, llrs in trial_chunks(spec, cfgs, trials):
         q_llrs = quantize(llrs, q, scale) if quantized else None
+        wires = {}  # per arithmetic, the chunk's LLRs one row per wire (within the rail)
         for d, (mode, sim) in enumerate(decoders):
             if sim is not None:
-                u_hat = decode_frames(sim, q_llrs)[0]
+                u_wires = decode_frames(sim, q_llrs)[0].T
             else:
-                u_hat = ssc_decode_batch(q_llrs if mode == MODE_MINSUM_Q else llrs, spec,
-                                         mode, q=q)
-            wrong = u_hat[:, ~spec.frozen_mask].reshape(len(cfgs), len(msgs), -1) != msgs
-            errors[:, d, 0] += wrong.sum(axis=(1, 2))
-            errors[:, d, 1] += wrong.any(axis=2).sum(axis=1)
+                dtype = _wire_dtype(mode, q)
+                if dtype not in wires:
+                    wires[dtype] = np.ascontiguousarray(
+                        (q_llrs if mode == MODE_MINSUM_Q else llrs).T, dtype=dtype)
+                u_wires = _ssc_wires(wires[dtype], spec, mode, q)
+            # wrong[k, p, t]: information bit k of trial t at point p
+            wrong = u_wires[info].reshape(-1, len(cfgs), len(msgs)) != msgs.T[:, None]
+            errors[:, d, 0] += wrong.sum(axis=(0, 2))
+            errors[:, d, 1] += wrong.any(axis=0).sum(axis=1)
     return [
         SweepResult(
             ebn0_db=cfg.ebn0_db, trials=trials,

@@ -186,14 +186,15 @@ def encode(message, spec):
     msg = np.asarray(message)
     if not ((msg == 0) | (msg == 1)).all():
         raise InvalidParameterError("message entries must be 0 or 1")
-    msg = msg.astype(np.int64)
+    msg = msg.astype(np.int8)
     if msg.ndim == 0 or msg.shape[-1] != spec.k_info:
         raise InvalidParameterError(
             f"message length must be {spec.k_info}, got shape {msg.shape}"
         )
     batch_shape = msg.shape[:-1]
     msg = msg.reshape(math.prod(batch_shape), spec.k_info)
-    u = np.zeros((msg.shape[0], spec.n_bits), dtype=np.int64)
-    u[:, ~spec.frozen_mask] = msg
-    u[:, spec.frozen_mask] = spec.frozen_value_array[spec.frozen_mask]
-    return transform_rows(u).reshape(batch_shape + (spec.n_bits,))
+    u = np.zeros((spec.n_bits, msg.shape[0]), dtype=np.int8)  # wire-major, see transform_rows
+    u[~spec.frozen_mask] = msg.T
+    u[spec.frozen_value_array == 1] = 1  # the frozen ones; information rows read 0 there
+    transform_rows(u[None])
+    return np.ascontiguousarray(u.T, dtype=np.int64).reshape(batch_shape + (spec.n_bits,))

@@ -66,9 +66,13 @@ def clip_llr(x):
 
 
 def _real_array(llrs):
-    """``llrs`` as an array; InvalidParameterError unless its dtype is bool,
-    integer or float (complex, strings and objects are not LLRs)."""
-    arr = np.asarray(llrs)
+    """``llrs`` as an array; InvalidParameterError unless it is a regular
+    (not ragged) array whose dtype is bool, integer or float (complex,
+    strings and objects are not LLRs)."""
+    try:
+        arr = np.asarray(llrs)
+    except ValueError as exc:  # a ragged list, or an element numpy cannot take
+        raise InvalidParameterError(f"LLRs must form a regular array: {exc}") from None
     if arr.dtype.kind not in "biuf":
         raise InvalidParameterError(f"LLRs must be real numbers, got dtype {arr.dtype}")
     return arr
@@ -246,51 +250,71 @@ def ssc_decode_batch(channel_llrs, spec, mode, q=None):
     * a Rate-0 node (every position frozen) takes its frozen values, and
       its partial sums are their transform; no f or g computes its input;
     * a Rate-1 node (no position frozen) takes the hard decisions
-      x = (llr < 0) of its inputs as partial sums.
+      x = (v < 0) of its input v as partial sums, wherever v != 0.
 
-    The Rate-1 shortcut equals SC only when no f output below the node
-    loses its sign. Every f keeps sgn(a)*sgn(b) and a nonzero magnitude for
-    nonzero inputs, so only an input of exactly 0 breaks it (sgn(0) = +1,
-    so SC decides [0, 1] on [0, -1] where transform(x) gives [1, 1]). Rows
-    with a zero input take the SC step at that node instead, and the
-    shortcuts apply again below it.
+    The Rate-1 shortcut rests on a lemma: in SC over a Rate-1 node, every
+    nonzero input keeps its hard decision. An f output is zero exactly when
+    one of its inputs is (every f keeps sgn(a)*sgn(b) and a nonzero
+    magnitude for nonzero inputs). Where both inputs are nonzero, the left
+    child's partial sum is x_L = (a < 0) ^ (b < 0), so g = b + (1 - 2x_L)a
+    adds two terms of the sign of b, and is nonzero with that sign. Where
+    exactly one input is zero, g passes the other through: b, or
+    (1 - 2x_L)a, whose sign is (a < 0) ^ x_L. A zero input acts as an
+    erasure, as on a binary erasure channel (Arikan, IEEE Trans. IT 2009),
+    and sgn(0) = +1 makes SC decide 0 on it, so SC decides [0, 1] on
+    [0, -1] where the transform of the hard decisions gives [1, 1]. The
+    columns of a Rate-1 node whose input holds a zero are therefore settled
+    on bits alone, by the recursion on h = (v < 0) and z = (v == 0) (see
+    ``_rate1_bits``); no f or g runs below a Rate-1 node.
 
     The node tree is planned once per code and kept on the spec (see
     ``_ssc_plan``); a leaf is a Rate-0 or Rate-1 node of size one, so no
     leaf calls ``decide``. No node writes u: SC's partial sums are the
     transform of its decisions, so u_hat is the transform of the root's.
-
-    The arithmetic is the fast path's own, on buffers allocated once per
-    call and freed at return: values are held wire-major (one row per
-    wire, one column per frame), the inputs of the children of a size-2h
-    node live in the (h, batch) buffer of their level, and f and g write
-    there in place through one flat scratch array shared by all levels.
-    Partial sums are int8, one (N, batch) array written in place. minsum_q
-    runs in the narrowest integer that holds b + a at the rails, 2*qmax(q):
-    int8 for q <= 7, int16 to 15, int32 to 31, int64 above. f takes its
-    sign from copysign(m, a*b) on floats and as (m ^ s) - s on integers,
-    s the sign mask of a ^ b; g is b + (1 - 2x)*a, or b + a under a Rate-0
-    left child whose partial sums are all zero. A float f may give -0.0
-    where ``f_minsum`` or ``f_exact`` gives +0.0. That is invisible: the
-    sign of a zero reaches only f outputs that are zeros themselves,
-    b +/- 0 is exact, and the tests x < 0 and x == 0 treat both zeros alike.
+    The walk itself is ``_ssc_wires``, which ``ber_sweep`` calls directly.
     """
     llrs = _checked_input(channel_llrs, spec, mode, q)[0]
-    if mode == MODE_MINSUM_Q:
-        dtype = np.min_scalar_type(-2 * qmax(q))
-        rail = dtype.type(qmax(q))
-    else:
-        dtype, rail = np.dtype(float), np.float64(MAX_LLR)
+    wires = np.ascontiguousarray(llrs.T, dtype=_wire_dtype(mode, q))
+    return np.ascontiguousarray(_ssc_wires(wires, spec, mode, q).T, dtype=np.int64)
+
+
+def _wire_dtype(mode, q):
+    """The arithmetic of ``_ssc_wires`` in ``mode``: float64, or for minsum_q
+    the narrowest integer that holds b + a at the rails, 2*qmax(q): int8 for
+    q <= 7, int16 to 15, int32 to 31, int64 above."""
+    return np.min_scalar_type(-2 * qmax(q)) if mode == MODE_MINSUM_Q else np.dtype(float)
+
+
+def _ssc_wires(wires, spec, mode, q):
+    """The simplified-SC walk of ``ssc_decode_batch`` on wire-major input.
+
+    ``wires`` is an (N, frames) array of ``_wire_dtype(mode, q)`` within the
+    mode's rail, one row per wire and one column per frame; it is read, not
+    written. Returns u_hat as an (N, frames) int8 array.
+
+    The buffers are allocated once per call and freed at return: the
+    inputs of the children of a size-2h node live in the (h, frames) buffer
+    of their level, and f and g write there in place through one flat
+    scratch array shared by all levels. Partial sums are int8, one
+    (N, frames) array written in place, and transformed in place into
+    u_hat at the end. f takes its sign from copysign(m, a*b) on floats and
+    as (m ^ s) - s on integers, s the sign mask of a ^ b; g is
+    b + (1 - 2x)*a, or b + a under a Rate-0 left child whose partial sums
+    are all zero. A float f may give -0.0 where ``f_minsum`` or ``f_exact``
+    gives +0.0. That is invisible: the sign of a zero reaches only f
+    outputs that are zeros themselves, b +/- 0 is exact, and the tests
+    x < 0 and x == 0 treat both zeros alike.
+    """
+    dtype = wires.dtype
+    rail = dtype.type(qmax(q) if mode == MODE_MINSUM_Q else MAX_LLR)
     f = {MODE_EXACT: _ssc_f_exact, MODE_MINSUM: _ssc_f_minsum, MODE_MINSUM_Q: _ssc_f_minsum_q}[mode]
     temps = 3 if mode == MODE_EXACT else 1  # scratch arrays the largest f or g needs
-    n, batch = spec.n_bits, llrs.shape[0]
-    wires = np.ascontiguousarray(llrs.T, dtype=dtype)
-    psums = np.zeros((n, batch), dtype=np.int8)  # a zero-sum Rate-0 node writes nothing
-    levels = {n >> d: np.empty((n >> d, batch), dtype) for d in range(1, n.bit_length())}
-    scratch = np.empty(temps * (n // 2) * batch, dtype)
+    n, frames = wires.shape
+    psums = np.zeros((n, frames), dtype=np.int8)  # a zero-sum Rate-0 node writes nothing
+    levels = {n >> d: np.empty((n >> d, frames), dtype) for d in range(1, n.bit_length())}
+    scratch = np.empty(temps * (n // 2) * frames, dtype)
     _ssc_node(_ssc_plan(spec), wires, psums, (levels, scratch, f, _ssc_g, rail))
-    transform_rows(psums[None])  # wire-major, so each butterfly is contiguous
-    return np.ascontiguousarray(psums.T, dtype=np.int64)
+    return transform_rows(psums[None])[0]  # wire-major, so each butterfly is contiguous
 
 
 _RATE0, _RATE1, _SPLIT = range(3)
@@ -302,28 +326,24 @@ def _ssc_plan(spec):
 
     A node is (kind, left, right, sums). A Rate-0 node keeps its partial
     sums as an (n, 1) int8 column, or None when they are all zero; a split
-    and a Rate-1 node keep their children (a Rate-1 node's are Rate-1, for
-    the rows that take the SC step; None at size one)."""
+    keeps its two children."""
     plan = getattr(spec, "_ssc_plan", None)
     if plan is None:
-        rate1 = {1: (_RATE1, None, None, None)}
-        for size in (1 << d for d in range(1, spec.n_bits.bit_length())):
-            rate1[size] = (_RATE1, rate1[size // 2], rate1[size // 2], None)
-        plan = _ssc_plan_node(spec, 0, spec.n_bits, rate1)
+        plan = _ssc_plan_node(spec, 0, spec.n_bits)
         object.__setattr__(spec, "_ssc_plan", plan)
     return plan
 
 
-def _ssc_plan_node(spec, start, n, rate1):
+def _ssc_plan_node(spec, start, n):
     frozen = spec.frozen_mask[start:start + n]
     if frozen.all():
         sums = transform_rows(spec.frozen_value_array[None, start:start + n].copy())
         return (_RATE0, None, None, sums.T.astype(np.int8) if sums.any() else None)
     if not frozen.any():
-        return rate1[n]
+        return (_RATE1, None, None, None)
     half = n // 2
-    return (_SPLIT, _ssc_plan_node(spec, start, half, rate1),
-            _ssc_plan_node(spec, start + half, half, rate1), None)
+    return (_SPLIT, _ssc_plan_node(spec, start, half),
+            _ssc_plan_node(spec, start + half, half), None)
 
 
 def _ssc_node(node, v, x, ctx):
@@ -337,11 +357,29 @@ def _ssc_node(node, v, x, ctx):
         _ssc_split(node, v, x, ctx)
     else:
         np.less(v, 0, out=x.view(bool))
-        if node[1] is not None and not v.all():
+        if len(v) > 1 and not v.all():  # a zero decides 0 at size one, as v < 0 does
             cols = np.flatnonzero(~v.all(axis=0))  # the columns with a zero input
-            sc = np.empty((len(v), len(cols)), dtype=np.int8)
-            _ssc_split(node, v[:, cols], sc, ctx)
-            x[:, cols] = sc
+            x[:, cols] = _rate1_bits(x[:, cols].view(bool), v[:, cols] == 0)
+
+
+def _rate1_bits(h, z):
+    """SC's partial sums over a Rate-1 node, from the signs h = (v < 0) and
+    the zeros z = (v == 0) of its input v (bool arrays, one row per wire).
+
+    By the lemma of ``ssc_decode_batch``, the left child sees signs
+    h_A ^ h_B and zeros z_A | z_B; the right child sees the sign of b, or
+    h_A ^ x_L where only b is zero, and zeros z_A & z_B. A block without a
+    zero keeps h; a zero at size one decides 0.
+    """
+    if not z.any():
+        return h
+    if len(h) == 1:
+        return h & ~z
+    half = len(h) // 2
+    h_a, h_b, z_a, z_b = h[:half], h[half:], z[:half], z[half:]
+    x_left = _rate1_bits(h_a ^ h_b, z_a | z_b)
+    x_right = _rate1_bits(np.where(z_b, h_a ^ x_left, h_b), z_a & z_b)
+    return np.concatenate([x_left ^ x_right, x_right])
 
 
 def _ssc_split(node, v, x, ctx):
@@ -351,7 +389,7 @@ def _ssc_split(node, v, x, ctx):
     _, left, right, _ = node
     h = len(v) // 2
     a, b = v[:h], v[h:]
-    child = levels[h][:, :v.shape[1]]
+    child = levels[h]
     if left[0] != _RATE0:
         f(a, b, child, scratch)
     _ssc_node(left, child, x[:h], ctx)

@@ -405,6 +405,24 @@ class TestSweepChunks:
         self.set_chunk(monkeypatch, 4, len(points), spec)
         assert sweep() == {"trial_rng": 3, "encode": 3}
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_tie_heavy_minsum_q_counts_equal_sc(self, monkeypatch, n):
+        # at q = 2 every quantized LLR is -1, 0 or +1, so many Rate-1 nodes
+        # see an input of exactly 0; chunks of 3 trials split the 7
+        spec = make_code_spec(n, n // 2)
+        points, trials = [0.0, 2.0], 7
+        self.set_chunk(monkeypatch, 3, len(points), spec)
+        results = ber_sweep(spec, ["minsum_q"], [], points, trials, seed=9, q=2)
+        zeros = 0
+        for ebn0, result in zip(points, results):
+            msgs, llrs = draw_trials(spec, ChannelConfig(BPSK_AWGN, ebn0, 9), trials)
+            q_llrs = quantize(llrs, 2)
+            zeros += (q_llrs == 0).sum()
+            wrong = sc_decode_batch(q_llrs, spec, "minsum_q", q=2)[0][:, ~spec.frozen_mask] != msgs
+            assert (result.bit_errors, result.frame_errors) == (
+                wrong.sum(), wrong.any(axis=1).sum()), ebn0
+        assert zeros > 0 and sum(r.bit_errors for r in results) > 0
+
     @pytest.mark.parametrize("modes, architectures, quantized", [
         (["minsum_q"], list(ARCHITECTURES), 1),
         (["exact", "minsum"], [], 0),

@@ -1,6 +1,7 @@
 """Functional decoder engine: update rules, decisions, quantization."""
 
 import gc
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -13,6 +14,8 @@ from polarsc import (
     CodeSpec,
     InvalidParameterError,
     MAX_LLR,
+    SimConfig,
+    archsim,
     decide,
     encode,
     f_exact,
@@ -257,6 +260,27 @@ class TestQuantizedInputCheck:
             as_quantized(bad, 6)
 
 
+class TestRaggedInput:
+    # np.asarray raises a raw ValueError on a ragged list
+    RAGGED = [[1.0, 2.0], [3.0]]
+
+    @pytest.mark.parametrize("decode", [sc_decode_batch, ssc_decode_batch])
+    @pytest.mark.parametrize("mode,q", [("exact", None), ("minsum", None), ("minsum_q", 6)])
+    def test_decoders_reject(self, decode, mode, q):
+        with pytest.raises(InvalidParameterError, match="regular array"):
+            decode(self.RAGGED, make_code_spec(2, 1), mode, q=q)
+
+    def test_quantized_check_rejects(self):
+        with pytest.raises(InvalidParameterError, match="regular array"):
+            as_quantized(self.RAGGED, 6)
+
+    def test_simulator_rejects(self):
+        # one block, itself ragged, for the one stream of the look-ahead decoder
+        config = SimConfig(spec=make_code_spec(4, 2), q=6, architecture="lookahead")
+        with pytest.raises(InvalidParameterError, match="regular array"):
+            archsim.run(config, [[[1, 2, 3, 4], [3]]])
+
+
 class TestScDecode:
     def test_noiseless_all_zero(self):
         spec = make_code_spec(16, 8)
@@ -365,16 +389,15 @@ class TestSscDecode:
             monkeypatch, lambda: ssc_decode_batch(llrs, spec, mode, q=q), SSC_KERNELS)
         assert full == {"f": 1023, "g": 1023}
         assert fast["f"] < 1023 and fast["g"] < 1023
-        if mode != "minsum_q":
-            # no float input is exactly 0, so no Rate-1 row falls back and
-            # exact mode makes the f calls of min-sum (167 with a ln 2 margin)
-            assert fast["f"] == 95
+        # a Rate-1 node settles its zero inputs on bits, so the quantized
+        # inputs' zeros add no call, and exact mode makes the f calls of
+        # min-sum (167 with a ln 2 margin)
+        assert fast["f"] == 95
         assert np.array_equal(got, want)
 
     def test_no_f_into_a_rate0_left_child(self, monkeypatch):
-        # SSC splits only the nodes that are neither Rate-0 nor Rate-1; with
-        # no input near 0 no Rate-1 row falls back, so each split makes one
-        # f call exactly when its left child is not Rate-0
+        # SSC splits only the nodes that are neither Rate-0 nor Rate-1, and
+        # each split makes one f call exactly when its left child is not Rate-0
         spec = make_code_spec(1024, 512)
         frozen = np.asarray(spec.frozen_mask)
 
@@ -442,6 +465,27 @@ class TestSscDecode:
             want = sc_decode_batch(llrs, spec, "minsum_q", q=q)[0]
             assert np.array_equal(ssc_decode_batch(llrs, spec, "minsum_q", q=q), want)
         assert rate0_left_with_sums
+
+    @pytest.mark.parametrize("mode,q", [("exact", None), ("minsum", None),
+                                        ("minsum_q", 2), ("minsum_q", 6)])
+    def test_rate1_every_sign_and_zero_pattern(self, mode, q):
+        # every row of {-1, 0, +1}^m, scaled by random magnitudes, into a
+        # Rate-1 code: the zeros are settled on bits, with no SC step
+        rng = np.random.default_rng(2011)
+        for m in (2, 4, 8):
+            spec = CodeSpec(m, m, (), ())
+            signs = np.array(list(itertools.product((-1, 0, 1), repeat=m)))
+            if q is None:
+                llrs = signs * rng.uniform(1e-3, MAX_LLR, signs.shape)
+            else:
+                llrs = signs * rng.integers(1, qmax(q) + 1, signs.shape)
+            want = sc_decode_batch(llrs, spec, mode, q=q)[0]
+            assert np.array_equal(ssc_decode_batch(llrs, spec, mode, q=q), want), m
+            # the lemma, on the oracle: a nonzero input keeps its hard decision
+            sums, nonzero = polar_transform(want), llrs != 0
+            assert np.array_equal(sums[nonzero], (llrs < 0)[nonzero])
+            # and the zeros matter: hard decisions alone miss some rows
+            assert not np.array_equal(polar_transform(llrs < 0), want)
 
     def test_plan_is_not_part_of_the_spec_value(self):
         spec, twin = make_code_spec(16, 8), make_code_spec(16, 8)
