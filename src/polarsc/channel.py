@@ -28,7 +28,6 @@ import numpy as np
 from .code import encode, require_count, require_real
 from .errors import InvalidParameterError
 from .llr import (
-    MAX_LLR,
     MODE_MINSUM_Q,
     MODES,
     _ssc_wires,
@@ -42,6 +41,9 @@ from .llr import (
 
 NOISELESS = "noiseless"
 BPSK_AWGN = "bpsk_awgn"
+# the noiseless channel is BPSK/AWGN at this point, where sigma^2 = N/(2K) * 1e-30:
+# every LLR 2(x + sigma z)/sigma^2 clips at +/-MAX_LLR with the sign of x
+NOISELESS_EBN0_DB = 300.0
 
 FUNCTIONAL = "functional"
 
@@ -144,9 +146,10 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
     n, k = spec.n_bits, spec.k_info
     if k < 1:
         raise InvalidParameterError(f"the channel needs K >= 1 message bits, got K = {k}")
-    awgn = kind == BPSK_AWGN
+    if kind == NOISELESS:
+        ebn0_points = [NOISELESS_EBN0_DB] * len(ebn0_points)
     variances = []
-    for ebn0 in ebn0_points if awgn else ():
+    for ebn0 in ebn0_points:
         try:
             var = 1.0 / (2.0 * (k / n) * 10.0 ** (ebn0 / 10.0))
         except (OverflowError, ZeroDivisionError):  # 10 ** (Eb/N0 / 10) out of range
@@ -161,27 +164,24 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
     # chunk's first trial as trial_rng defines it, to check the pass
     rng = trial_rng(master_seed, trials[0])
     fresh = rng.bit_generator.state
-    first = rng.integers(0, 2, size=k), rng.standard_normal(n) if awgn else None
+    first = rng.integers(0, 2, size=k), rng.standard_normal(n)
     states = _trial_states(master_seed, trials)
     raw = np.empty((len(trials), (k + 1) // 2), dtype=np.uint64)
-    normals = np.empty((len(trials), n)) if awgn else None
+    normals = np.empty((len(trials), n))
     for i, (state, inc) in enumerate(states):
         rng.bit_generator.state = {**fresh, "state": {"state": state, "inc": inc}}
         raw[i] = rng.bit_generator.random_raw(raw.shape[1])
-        if awgn:
-            normals[i] = rng.standard_normal(n)
+        normals[i] = rng.standard_normal(n)
     # integers(0, 2) takes the top bit of each 32-bit half, low half first
     msgs = (raw[:, :, None] >> np.array([31, 63], np.uint64) & 1).reshape(
         len(trials), -1)[:, :k].astype(np.int64)
     if (states[0] != (fresh["state"]["state"], fresh["state"]["inc"])
             or not np.array_equal(msgs[0], first[0])
-            or awgn and not np.array_equal(normals[0], first[1])):
+            or not np.array_equal(normals[0], first[1])):
         raise RuntimeError("numpy's SeedSequence, PCG64 seeding or integers() changed: "
                            "the chunk's first trial no longer matches trial_rng")
     symbols = 1.0 - 2.0 * encode(msgs, spec)
     llrs = np.empty((len(ebn0_points), len(trials), n))
-    if not awgn:
-        llrs[:] = symbols * MAX_LLR
     for p, var in enumerate(variances):
         llrs[p] = clip_llr(2.0 * (symbols + np.sqrt(var) * normals) / var)
     return msgs, llrs.reshape(-1, n)
@@ -191,12 +191,13 @@ def draw_trials(spec, cfg, trials):
     """Messages and channel LLRs for trials 0..trials-1.
 
     Trial t's stream is ``trial_rng(seed, t)``: it draws its K message bits
-    (``integers(0, 2)``), then N standard normals z (AWGN only). The states
+    (``integers(0, 2)``), then N standard normals z. The states
     of all the trials come out of one seeding pass, checked against
     ``trial_rng`` on the first trial. Bit 0 maps to +1 and bit 1 to -1. The
     AWGN LLR is 2(x + sigma z)/sigma^2, sigma^2 = 1 / (2 (K/N) Eb/N0),
     clipped to the rail (sigma z equals numpy's ``normal(0, sigma)`` on that
-    stream); the noiseless channel gives +/- MAX_LLR certainties.
+    stream). The noiseless channel is this channel at ``NOISELESS_EBN0_DB``,
+    whatever the config's point, so every LLR is a +/- MAX_LLR certainty.
     """
     return _draw(spec, cfg.kind, cfg.master_seed, range(require_count(trials)),
                  [cfg.ebn0_db])
@@ -227,9 +228,9 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     min-sum arithmetic. Every decoder sees the identical per-trial LLR
     vectors, so matching seeds give matching error counts across decoders
     that are exact re-schedulings of each other. The counts do not depend
-    on how the trials are split into chunks. The seed, q, scale and
-    architectures are checked whether or not a decoder or an operating
-    point uses them.
+    on how the trials are split into chunks. ``ebn0_points`` must hold at
+    least one point. The seed, q, scale and architectures are checked
+    whether or not a decoder uses them.
     """
     # imported here to keep channel usable without the simulator stack
     from .archsim import SimConfig, decode_frames
@@ -246,7 +247,7 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     cfgs = [ChannelConfig(kind=channel_kind, ebn0_db=e, master_seed=seed)
             for e in ebn0_points]
     if not cfgs:
-        return []
+        raise InvalidParameterError("ber_sweep needs at least one Eb/N0 point")
     quantized = any(mode == MODE_MINSUM_Q for mode, _ in decoders)
     info = ~spec.frozen_mask
     errors = np.zeros((len(cfgs), len(decoders), 2), dtype=np.int64)  # bit, frame

@@ -133,7 +133,7 @@ def _cmd_encode(args):
 
 def _cmd_decode(args):
     spec = _spec_from_args(args)
-    llrs = np.asarray(_load_llrs(args))
+    llrs = _load_llrs(args)
     mode = _MODE_MAP[args.mode]
     llr.qmax(args.q)
     llr.require_scale(args.scale)
@@ -202,8 +202,6 @@ def _cmd_ber(args):
     if not modes and not archs:
         modes = [llr.MODE_MINSUM]
     points = _parse_floats(args.ebn0)
-    if not points:
-        raise InvalidParameterError(f"--ebn0 needs at least one number, got {args.ebn0!r}")
     kind = channel.NOISELESS if args.noiseless else channel.BPSK_AWGN
     results = channel.ber_sweep(
         spec, modes, archs, points, trials=args.trials, seed=args.seed,

@@ -43,6 +43,21 @@ def require_real(value, name):
     return float(value)
 
 
+def require_array(value, name):
+    """``value`` as an array, the toolkit's one check of an array argument:
+    InvalidParameterError unless a regular (not ragged) array of bools,
+    integers or floats (not complex, strings or objects), none of them NaN."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged list, or an element numpy cannot take
+        raise InvalidParameterError(f"{name} must form a regular array: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "f" and np.isnan(arr).any():
+        raise InvalidParameterError(f"{name} must not be NaN")
+    return arr
+
+
 def require_power_of_two(n, what="length", minimum=2):
     """``n`` as an int; InvalidParameterError unless a power of two >= ``minimum``."""
     count = require_count(n, name=what)
@@ -123,7 +138,7 @@ def polar_transform(u):
     with one vector per row (bools count as bits); the last axis must be a
     power of two. Returns a new int64 array.
     """
-    bits = np.asarray(u)
+    bits = require_array(u, "u")
     if bits.ndim == 0 or not ((bits == 0) | (bits == 1)).all():
         raise InvalidParameterError("u must be a vector or a batch of bits (0 or 1)")
     n = require_power_of_two(bits.shape[-1], minimum=1)  # the length-1 transform is the identity
@@ -183,7 +198,7 @@ def encode(message, spec):
 
     Accepts a single message or a 2-D batch (one message per row) of bits.
     """
-    msg = np.asarray(message)
+    msg = require_array(message, "message")
     if not ((msg == 0) | (msg == 1)).all():
         raise InvalidParameterError("message entries must be 0 or 1")
     msg = msg.astype(np.int8)

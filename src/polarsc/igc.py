@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import require_count, require_power_of_two
+from .code import require_array, require_count, require_power_of_two
 from .errors import InvalidParameterError, NotReadyError, SequencingError
 
 
@@ -56,7 +56,7 @@ class PartialSumState:
         or a 1-D array of bits, one per codeword of a batch, all with the
         same index, shaped like the first push. The fold is closed-form:
         m - ``refreshed_stage`` butterflies with the stored siblings."""
-        bits = np.asarray(u_hat)
+        bits = require_array(u_hat, "u_hat")
         shape = self._acc[0].shape[:-1] if self._count else bits.shape  # set by push 1
         if bits.shape != shape or bits.ndim > 1 or not set(bits.ravel().tolist()) <= {0, 1}:
             raise InvalidParameterError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import require_count, require_real, transform_rows
+from .code import require_array, require_count, require_real, transform_rows
 from .errors import InvalidParameterError
 
 MAX_LLR = 50.0
@@ -65,24 +65,11 @@ def clip_llr(x):
     return clamp(x, MAX_LLR)
 
 
-def _real_array(llrs):
-    """``llrs`` as an array; InvalidParameterError unless it is a regular
-    (not ragged) array whose dtype is bool, integer or float (complex,
-    strings and objects are not LLRs)."""
-    try:
-        arr = np.asarray(llrs)
-    except ValueError as exc:  # a ragged list, or an element numpy cannot take
-        raise InvalidParameterError(f"LLRs must form a regular array: {exc}") from None
-    if arr.dtype.kind not in "biuf":
-        raise InvalidParameterError(f"LLRs must be real numbers, got dtype {arr.dtype}")
-    return arr
-
-
 def as_quantized(llrs, q):
     """Return ``llrs`` as int64 after checking that every value is an integer
-    within +/-qmax(q); NaN fails the check."""
+    within +/-qmax(q)."""
     m = qmax(q)
-    raw = _real_array(llrs)
+    raw = require_array(llrs, "LLRs")
     if not np.all((raw >= -m) & (raw <= m) & (raw == np.round(raw))):
         raise InvalidParameterError(
             f"quantized LLRs must be integers within +/-{m} for q={q} (quantize first)"
@@ -94,7 +81,8 @@ def f_minsum(a, b):
     """Min-sum combine: sgn(a) * sgn(b) * min(|a|, |b|).
 
     Works elementwise on arrays and preserves integer dtypes, so the same
-    function serves the float and the quantized decoders.
+    function serves the float and the quantized decoders. Its inputs are
+    unchecked: the oracle calls it on every node, on arrays already checked.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -110,7 +98,8 @@ def f_exact(a, b):
     sign is exact and the relative error a few ulps at every magnitude. The
     magnitude is at most min(|a|, |b|), at least the smallest normal float
     when both inputs are nonzero, and MAX_LLR when both sit at the rail
-    (certainties stay certain). A zero input gives +0.0.
+    (certainties stay certain). A zero input gives +0.0. Unchecked, as in
+    ``f_minsum``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -126,7 +115,7 @@ def g_update(a, b, u_sel, q=None):
     """Partial-sum combine: a + b when u_sel = 0, b - a when u_sel = 1.
 
     With ``q`` given the result saturates to the symmetric q-bit range;
-    otherwise it clips at +/- MAX_LLR.
+    otherwise it clips at +/- MAX_LLR. Unchecked, as in ``f_minsum``.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -145,10 +134,9 @@ def quantize(x, q, scale=1.0):
     particular choice. NaN raises InvalidParameterError; +/-inf saturates.
     """
     require_scale(scale)
+    x = require_array(x, "LLRs")
     with np.errstate(over="ignore"):  # an overflowing product is +/-inf, which saturates
-        y = np.asarray(x, dtype=float) * scale
-    if np.isnan(y).any():
-        raise InvalidParameterError("cannot quantize NaN")
+        y = x.astype(float, copy=False) * scale
     a = np.asarray(np.abs(y))  # an array even for one value, for the in-place steps
     np.minimum(a, qmax(q), out=a)  # saturating first keeps +/-inf out of the rounding
     mag = np.rint(a)  # ties to even; a - mag is exact, so exact halves move up
@@ -161,7 +149,8 @@ def decide(llr, index, spec):
     """Leaf decision rule for the 1-based ``index``, elementwise over ``llr``:
     a frozen position gives its frozen value, otherwise LLR >= 0 decides 0
     and LLR < 0 decides 1. Returns int64 values; at a frozen position a
-    single value, which broadcasts against ``llr``."""
+    single value, which broadcasts against ``llr``. ``llr`` is unchecked, as
+    in ``f_minsum``."""
     index = require_count(index, 1, "index")
     if index > spec.n_bits:
         raise InvalidParameterError(f"index must lie in 1..{spec.n_bits}, got {index}")
@@ -210,7 +199,7 @@ def _checked_input(channel_llrs, spec, mode, q):
     arithmetic with the mode's f and g."""
     if mode not in MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    llrs = _real_array(channel_llrs)
+    llrs = require_array(channel_llrs, "LLRs")
     if llrs.ndim != 2 or llrs.shape[1] != spec.n_bits:
         raise InvalidParameterError(
             f"expected shape (batch, {spec.n_bits}), got {llrs.shape}"
@@ -219,9 +208,7 @@ def _checked_input(channel_llrs, spec, mode, q):
         if q is None:
             raise InvalidParameterError("minsum_q mode requires q")
         return as_quantized(llrs, q), f_minsum, lambda a, b, u: g_update(a, b, u, q=q)
-    llrs = llrs.astype(float)
-    if np.isnan(llrs).any():
-        raise InvalidParameterError("channel LLRs must not be NaN")
+    llrs = llrs.astype(float, copy=False)
     return clip_llr(llrs), (f_exact if mode == MODE_EXACT else f_minsum), g_update
 
 
@@ -461,7 +448,7 @@ def _ssc_g(a, b, x, out, scratch, rail):
 
 def sc_decode(channel_llrs, spec, mode, q=None):
     """Decode one length-N LLR vector; returns a DecodeTrace."""
-    llrs = np.asarray(channel_llrs)
+    llrs = require_array(channel_llrs, "LLRs")
     if llrs.ndim != 1 or llrs.shape[0] != spec.n_bits:
         raise InvalidParameterError(
             f"channel_llrs must have length {spec.n_bits}, got shape {llrs.shape}"
@@ -504,7 +491,7 @@ def lr_recursion_prob(channel_lrs, spec):
     against the log-domain decoder. Returns a DecodeTrace whose
     ``decision_llrs`` hold the decision-time ln(LR) values.
     """
-    lrs = np.asarray(channel_lrs, dtype=float)
+    lrs = require_array(channel_lrs, "likelihood ratios").astype(float, copy=False)
     if lrs.ndim != 1 or lrs.shape[0] != spec.n_bits:
         raise InvalidParameterError(
             f"channel_lrs must have length {spec.n_bits}, got shape {lrs.shape}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import require_count, require_power_of_two
+from .code import require_power_of_two
 
 PE_F = "TypeII_f"
 PE_G = "TypeI_g"
@@ -102,12 +102,11 @@ def latency(chart):
     return len(chart.cycles)
 
 
-def utilization(chart, pe_budget=None):
+def utilization(chart):
     """Per-cycle fraction of the PE budget that is active, plus the maximum.
 
-    The budget defaults to the PE pool the chart is normally folded onto:
-    N/2 merged PEs for the look-ahead decoder, the full N-1 tree for the
-    sequential one.
+    The budget is the PE pool the chart is folded onto: N/2 merged PEs for
+    the look-ahead decoder, the full N-1 tree for the sequential one.
 
     Returns
     -------
@@ -116,9 +115,7 @@ def utilization(chart, pe_budget=None):
     peak : float
         max(fractions).
     """
-    if pe_budget is None:
-        pe_budget = chart.n_bits // 2 if chart.kind == LOOKAHEAD else chart.n_bits - 1
-    pe_budget = require_count(pe_budget, 1, "pe_budget")
+    pe_budget = chart.n_bits // 2 if chart.kind == LOOKAHEAD else chart.n_bits - 1
     fractions = np.array([e.active_pes for e in chart.cycles]) / pe_budget
     return fractions, float(fractions.max())
 

@@ -57,6 +57,16 @@ class TestChannel:
         msgs, llrs = draw_trials(spec, cfg, 3)
         assert np.array_equal(llrs, MAX_LLR * (1 - 2 * encode(msgs, spec)))
 
+    @pytest.mark.parametrize("n,k", [(8, 4), (64, 1), (64, 63), (1024, 1)])
+    def test_noiseless_is_awgn_at_the_rail(self, n, k):
+        # the noiseless channel draws BPSK/AWGN at a point where every LLR
+        # clips at +/-MAX_LLR, whatever point it is asked for
+        spec = make_code_spec(n, k)
+        msgs, llrs = channel._draw(spec, NOISELESS, 5, range(3), [0.0, 4000.0])
+        certain = MAX_LLR * (1.0 - 2.0 * encode(msgs, spec))
+        assert llrs.tobytes() == np.concatenate([certain, certain]).tobytes()
+        assert np.array_equal(msgs, channel._draw(spec, BPSK_AWGN, 5, range(3), [0.0])[0])
+
     def test_replay_is_bit_identical(self):
         spec = make_code_spec(64, 32)
         cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=2.0, master_seed=42)
@@ -269,6 +279,10 @@ class TestBerSweep:
         assert [(r.bit_errors, r.frame_errors) for r in a] == [
             (r.bit_errors, r.frame_errors) for r in b
         ]
+
+    def test_rejects_empty_points(self):
+        with pytest.raises(InvalidParameterError, match="Eb/N0 point"):
+            ber_sweep(make_code_spec(8, 4), ["minsum"], [], [], trials=1, seed=0)
 
     def test_rejects_unknown_mode_or_arch(self):
         spec = make_code_spec(8, 4)

@@ -11,6 +11,7 @@ from the name; the cost model reads its PE pool, IGC count and latency off the
 checked schedule, and only that pass builds an activity table. A trial's
 random stream has one definition, ``channel.trial_rng``; the sweeps' seeding
 pass that recomputes a chunk's states is called from the channel draw alone.
+An array from the caller has one check, ``code.require_array``.
 ``cli.main`` only dispatches: each flag is read by the subcommand that uses it.
 Every public name has a reader outside the tests.
 """
@@ -156,6 +157,31 @@ def test_trial_streams_have_one_definition():
     # recomputes its states, and _draw checks them against trial_rng
     assert _readers(["SeedSequence", "default_rng"]) == {("channel.py", "trial_rng")}
     assert _readers(["_trial_states"]) == {("channel.py", "_draw")}
+
+
+def test_outside_arrays_have_one_check():
+    # require_array alone turns an argument into an array; the combine
+    # primitives take arrays the oracle has already checked, and quantize's
+    # np.asarray makes its one value an array for the in-place steps
+    calls = {
+        (name, owner.get(node), ast.unparse(node))
+        for name, tree in _trees().items()
+        for owner in [_owners(tree)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("asarray", "asanyarray")
+    }
+    assert calls == {
+        ("code.py", "require_array", "np.asarray(value)"),
+        ("llr.py", "f_minsum", "np.asarray(a)"),
+        ("llr.py", "f_minsum", "np.asarray(b)"),
+        ("llr.py", "f_exact", "np.asarray(a, dtype=float)"),
+        ("llr.py", "f_exact", "np.asarray(b, dtype=float)"),
+        ("llr.py", "g_update", "np.asarray(a)"),
+        ("llr.py", "g_update", "np.asarray(b)"),
+        ("llr.py", "g_update", "np.asarray(u_sel)"),
+        ("llr.py", "quantize", "np.asarray(np.abs(y))"),
+    }
 
 
 def test_cli_main_reads_no_flag():

@@ -29,7 +29,7 @@ from polarsc import (
     sc_decode_batch,
     ssc_decode_batch,
 )
-from polarsc import llr
+from polarsc import PartialSumState, llr
 from polarsc.llr import as_quantized, clip_llr, qmax, saturate
 
 
@@ -279,6 +279,43 @@ class TestRaggedInput:
         config = SimConfig(spec=make_code_spec(4, 2), q=6, architecture="lookahead")
         with pytest.raises(InvalidParameterError, match="regular array"):
             archsim.run(config, [[[1, 2, 3, 4], [3]]])
+
+
+class TestMalformedInput:
+    # every entry point that takes an array from the caller turns it into
+    # one through code.require_array; each vector below is four ones (valid
+    # bits, LLRs, quantized LLRs and likelihood ratios) but for one element
+    BAD = {
+        "ragged": [1, [1, 1], 1, 1],
+        "string": ["1", "1", "1", "1"],  # numeric strings are not parsed either
+        "complex": [1, 1j, 1, 1],
+        "nan": [1.0, np.nan, 1.0, 1.0],
+    }
+    SPEC = make_code_spec(4, 4)
+    ENTRY_POINTS = {
+        "sc_decode": lambda v, spec: sc_decode(v, spec, "minsum"),
+        "sc_decode_batch": lambda v, spec: sc_decode_batch([v], spec, "exact"),
+        "ssc_decode_batch": lambda v, spec: ssc_decode_batch([v], spec, "minsum_q", q=6),
+        "quantize": lambda v, spec: quantize(v, 6),
+        "lr_recursion_prob": lr_recursion_prob,
+        "polar_transform": lambda v, spec: polar_transform(v),
+        "encode": encode,
+        "push": lambda v, spec: PartialSumState(4).push(v, 1),
+        "as_quantized": lambda v, spec: as_quantized(v, 6),
+        "archsim.run": lambda v, spec: archsim.run(
+            SimConfig(spec=spec, q=6, architecture="lookahead"), [v]),
+    }
+
+    @pytest.mark.parametrize("kind", BAD)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_rejected(self, entry, kind):
+        with pytest.raises(InvalidParameterError):
+            self.ENTRY_POINTS[entry](self.BAD[kind], self.SPEC)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_four_ones_accepted(self, entry):
+        # the matrix rejects the bad element, not the vector around it
+        self.ENTRY_POINTS[entry]([1, 1, 1, 1], self.SPEC)
 
 
 class TestScDecode:

@@ -105,20 +105,14 @@ class TestLookahead:
 
 class TestUtilization:
     def test_conventional_n8_against_full_tree(self):
-        fractions, peak = utilization(build_conventional(8), pe_budget=7)
+        fractions, peak = utilization(build_conventional(8))
         assert peak == pytest.approx(4 / 7)
         assert fractions[0] == pytest.approx(4 / 7)
         assert fractions.min() == pytest.approx(1 / 7)
 
     def test_lookahead_first_cycle_full(self):
-        fractions, peak = utilization(build_lookahead(8), pe_budget=4)
+        fractions, peak = utilization(build_lookahead(8))
         assert fractions[0] == pytest.approx(1.0)
-        assert peak == pytest.approx(1.0)
-
-    def test_budget_equal_to_peak_gives_one(self):
-        chart = build_conventional(32)
-        peak_active = max(e.active_pes for e in chart.cycles)
-        _, peak = utilization(chart, pe_budget=peak_active)
         assert peak == pytest.approx(1.0)
 
     def test_default_budgets(self):
@@ -126,13 +120,6 @@ class TestUtilization:
         assert peak_conv == pytest.approx(4 / 7)
         _, peak_la = utilization(build_lookahead(8))
         assert peak_la == pytest.approx(1.0)
-        with pytest.raises(InvalidParameterError):
-            utilization(build_lookahead(8), pe_budget=0)
-
-    @pytest.mark.parametrize("budget", [2.5, float("nan")])
-    def test_budget_must_be_an_integer(self, budget):
-        with pytest.raises(InvalidParameterError):
-            utilization(build_lookahead(8), pe_budget=budget)
 
 
 class TestParallelActivity:
