@@ -28,11 +28,12 @@ import numpy as np
 from .code import encode, require_count, require_real
 from .errors import InvalidParameterError
 from .llr import (
+    MAX_LLR,
     MODE_MINSUM_Q,
     MODES,
     _ssc_wires,
     _wire_dtype,
-    clip_llr,
+    clamp,
     qmax,
     quantize,
     require_scale,
@@ -52,7 +53,8 @@ _CHUNK_ELEMENTS = 1 << 18  # points x trials x N per decode call; bounds a sweep
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Channel kind, operating point (kept as a Python float), and master seed."""
+    """Channel kind, operating point (kept as a Python float), and master
+    seed (kept as a Python int)."""
 
     kind: str
     ebn0_db: float
@@ -62,6 +64,7 @@ class ChannelConfig:
         if self.kind not in (NOISELESS, BPSK_AWGN):
             raise InvalidParameterError(f"unknown channel kind {self.kind!r}")
         object.__setattr__(self, "ebn0_db", require_real(self.ebn0_db, "ebn0_db"))
+        object.__setattr__(self, "master_seed", require_count(self.master_seed, name="seed"))
 
 
 def trial_rng(master_seed, trial):
@@ -183,7 +186,7 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
     symbols = 1.0 - 2.0 * encode(msgs, spec)
     llrs = np.empty((len(ebn0_points), len(trials), n))
     for p, var in enumerate(variances):
-        llrs[p] = clip_llr(2.0 * (symbols + np.sqrt(var) * normals) / var)
+        llrs[p] = clamp(2.0 * (symbols + np.sqrt(var) * normals) / var, MAX_LLR)
     return msgs, llrs.reshape(-1, n)
 
 
@@ -236,7 +239,6 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     from .archsim import SimConfig, decode_frames
 
     trials = require_count(trials, 1)
-    require_count(seed, name="seed")
     qmax(q)
     require_scale(scale)
     for mode in modes:

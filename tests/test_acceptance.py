@@ -35,7 +35,7 @@ from polarsc import (
 )
 from polarsc.channel import ChannelConfig, draw_trials, ber_sweep
 from polarsc.cost import LINE_REFERENCE, PROPOSED
-from polarsc.llr import qmax, saturate
+from polarsc.llr import clamp, qmax
 from polarsc.schedule import PE_F, PE_G
 
 POWERS_TO_1024 = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
@@ -136,11 +136,11 @@ def test_c05_bit_true_gate_models():
         words = np.arange(-m - 1, m + 1)
         x, y = (v.ravel() for v in np.meshgrid(words, words, indexing="ij"))
         s, d = addsub_q(WordQ(x, q), WordQ(y, q))
-        assert np.array_equal(s.value, saturate(x + y, q))
-        assert np.array_equal(d.value, saturate(y - x, q))
+        assert np.array_equal(s.value, clamp(x + y, qmax(q)))
+        assert np.array_equal(d.value, clamp(y - x, qmax(q)))
         # the full two's-complement range, (-2^(q-1), -2^(q-1)) included
         f, g0, g1 = merged_pe(WordQ(x, q), WordQ(y, q))
-        assert np.array_equal(f.value, saturate(f_minsum(x, y), q))
+        assert np.array_equal(f.value, clamp(f_minsum(x, y), qmax(q)))
         assert np.array_equal(g0.value, s.value) and np.array_equal(g1.value, d.value)
         # the symmetric range the datapath runs on: (2^q - 1)^2 pairs
         sym = (x >= -m) & (y >= -m)
@@ -148,8 +148,8 @@ def test_c05_bit_true_gate_models():
         assert a.value.size == (2 * m + 1) ** 2
         f, g0, g1 = merged_pe(a, b)
         assert np.array_equal(f.value, f_minsum(a.value, b.value))
-        assert np.array_equal(g0.value, saturate(a.value + b.value, q))
-        assert np.array_equal(g1.value, saturate(b.value - a.value, q))
+        assert np.array_equal(g0.value, clamp(a.value + b.value, qmax(q)))
+        assert np.array_equal(g1.value, clamp(b.value - a.value, qmax(q)))
     _report("criterion 5: bit-true gate models vs integer oracles", t0, 30)
 
 

@@ -15,10 +15,10 @@ from polarsc import (
     merged_pe,
 )
 from polarsc.gates import sharing_ratio
-from polarsc.llr import qmax, saturate
+from polarsc.llr import clamp, qmax
 
 
-def clamp(v, q):
+def clamp_q(v, q):
     m = qmax(q)
     return max(-m, min(m, v))
 
@@ -67,8 +67,8 @@ class TestAddsubQ:
     def test_exhaustive_integer_oracle(self, q):
         for x, y in itertools.product(word_range(q), repeat=2):
             s, d = addsub_q(WordQ(x, q), WordQ(y, q))
-            assert s.value == clamp(x + y, q), (x, y, q)
-            assert d.value == clamp(y - x, q), (x, y, q)
+            assert s.value == clamp_q(x + y, q), (x, y, q)
+            assert d.value == clamp_q(y - x, q), (x, y, q)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -101,7 +101,7 @@ class TestMergedPE:
         for x in (-5, -1, 0, 4):
             f, g0, g1 = merged_pe(WordQ(x, 6), WordQ(x, 6))
             assert f.value == abs(x)
-            assert g0.value == clamp(2 * x, 6)
+            assert g0.value == clamp_q(2 * x, 6)
             assert g1.value == 0
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
@@ -109,8 +109,8 @@ class TestMergedPE:
         for a, b in itertools.product(llrq_range(q), repeat=2):
             f, g0, g1 = merged_pe(WordQ(a, q), WordQ(b, q))
             assert f.value == f_minsum(a, b)
-            assert g0.value == clamp(a + b, q)
-            assert g1.value == clamp(b - a, q)
+            assert g0.value == clamp_q(a + b, q)
+            assert g1.value == clamp_q(b - a, q)
 
     def test_random_pairs_q8(self):
         rng = np.random.default_rng(808)
@@ -120,8 +120,8 @@ class TestMergedPE:
             b = int(rng.integers(-m, m + 1))
             f, g0, g1 = merged_pe(WordQ(a, 8), WordQ(b, 8))
             assert f.value == f_minsum(a, b)
-            assert g0.value == clamp(a + b, 8)
-            assert g1.value == clamp(b - a, 8)
+            assert g0.value == clamp_q(a + b, 8)
+            assert g1.value == clamp_q(b - a, 8)
 
     def test_candidate_identities_unsaturated(self):
         rng = np.random.default_rng(17)
@@ -199,9 +199,9 @@ class TestArrayWords:
         vals = np.array([-m - 1, -m, -(2**52), -1, 0, 1, 2**52 + 1, m], dtype=np.int64)
         a, b = np.meshgrid(vals, vals, indexing="ij")
         f, g0, g1 = merged_pe(WordQ(a, 54), WordQ(b, 54))
-        assert np.array_equal(f.value, saturate(f_minsum(a, b), 54))
-        assert np.array_equal(g0.value, saturate(a + b, 54))
-        assert np.array_equal(g1.value, saturate(b - a, 54))
+        assert np.array_equal(f.value, clamp(f_minsum(a, b), qmax(54)))
+        assert np.array_equal(g0.value, clamp(a + b, qmax(54)))
+        assert np.array_equal(g1.value, clamp(b - a, qmax(54)))
 
     @pytest.mark.parametrize("q,bad", [
         (4, [0, 8]), (4, [[-9]]), (54, [2**53]), (54, [-(2**53) - 1]),

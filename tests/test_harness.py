@@ -148,6 +148,9 @@ class TestChannel:
         for bad in (float("inf"), "1", None, True, 10**400):
             with pytest.raises(InvalidParameterError):
                 ChannelConfig(kind=BPSK_AWGN, ebn0_db=bad, master_seed=0)
+        for bad in ("x", -5, True, 1.5):
+            with pytest.raises(InvalidParameterError, match="seed"):
+                ChannelConfig(kind=BPSK_AWGN, ebn0_db=0.0, master_seed=bad)
 
 
 def documented_rows(spec, kind, seed, trials, points):
@@ -296,12 +299,10 @@ class TestBerSweep:
         {"seed": 0, "q": 99}, {"seed": 0, "q": 6.0},
     ], ids=["fractional-seed", "zero-scale", "negative-scale", "q99", "float-q"])
     def test_unused_arguments_checked(self, kwargs):
-        # no quantizer runs in minsum mode and no trial is drawn without
-        # points, yet every argument is checked
-        spec = make_code_spec(16, 8)
-        for points in ([], [3.0]):
-            with pytest.raises(InvalidParameterError):
-                ber_sweep(spec, ["minsum"], [], points, 2, **kwargs)
+        # no quantizer runs in minsum mode, yet every argument is checked (an
+        # empty point list would raise whatever the argument checks do)
+        with pytest.raises(InvalidParameterError):
+            ber_sweep(make_code_spec(16, 8), ["minsum"], [], [3.0], 2, **kwargs)
 
     def test_result_json_keys(self):
         spec = make_code_spec(8, 4)
@@ -328,11 +329,11 @@ class TestTrialCounts:
 
     @pytest.mark.parametrize("seed", [1.5, True, -1], ids=["fraction", "bool", "negative"])
     def test_bad_seeds_rejected(self, seed):
-        # the same check as for trial counts: no seed is truncated to an int
+        # the same check as for trial counts: no seed is truncated to an int,
+        # and a channel config holds none
         spec = make_code_spec(16, 8)
-        cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=1.0, master_seed=seed)
         with pytest.raises(InvalidParameterError):
-            draw_trials(spec, cfg, 2)
+            ChannelConfig(kind=BPSK_AWGN, ebn0_db=1.0, master_seed=seed)
         with pytest.raises(InvalidParameterError):
             ber_sweep(spec, ["minsum"], [], [1.0], 2, seed=seed)
         with pytest.raises(InvalidParameterError):
@@ -342,6 +343,7 @@ class TestTrialCounts:
         spec = make_code_spec(16, 8)
         cfgs = [ChannelConfig(kind=BPSK_AWGN, ebn0_db=1.0, master_seed=s)
                 for s in (7, np.int64(7), np.uint32(7))]
+        assert all(type(cfg.master_seed) is int for cfg in cfgs)
         draws = [draw_trials(spec, cfg, 3)[1] for cfg in cfgs]
         assert all(np.array_equal(d, draws[0]) for d in draws)
 

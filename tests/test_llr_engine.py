@@ -30,7 +30,8 @@ from polarsc import (
     ssc_decode_batch,
 )
 from polarsc import PartialSumState, llr
-from polarsc.llr import as_quantized, clip_llr, qmax, saturate
+from polarsc.code import require_array
+from polarsc.llr import as_quantized, clamp, qmax
 
 
 class TestFMinsum:
@@ -209,14 +210,14 @@ class TestQuantize:
         assert list(out) == [31, -31, 2]
 
     def test_saturate_keeps_dtype_and_clamps_infinity(self):
-        ints = saturate(np.array([40, -40, 3], dtype=np.int64), 6)
+        ints = clamp(np.array([40, -40, 3], dtype=np.int64), qmax(6))
         assert ints.dtype == np.int64 and list(ints) == [31, -31, 3]
         # an unsigned q gives the same rail, not one whose negation wraps
-        unsigned = saturate(np.array([40, -40, 3], dtype=np.int64), np.uint64(6))
+        unsigned = clamp(np.array([40, -40, 3], dtype=np.int64), qmax(np.uint64(6)))
         assert unsigned.dtype == np.int64 and list(unsigned) == [31, -31, 3]
-        floats = saturate(np.array([np.inf, -np.inf, 2.5]), 6)
+        floats = clamp(np.array([np.inf, -np.inf, 2.5]), qmax(6))
         assert floats.dtype == np.float64 and list(floats) == [31.0, -31.0, 2.5]
-        rail = clip_llr(np.array([np.inf, -np.inf, -60.0, 7.5]))
+        rail = clamp(np.array([np.inf, -np.inf, -60.0, 7.5]), MAX_LLR)
         assert list(rail) == [MAX_LLR, -MAX_LLR, -MAX_LLR, 7.5]
 
     def test_q_upper_bound(self):
@@ -267,8 +268,15 @@ class TestRaggedInput:
     @pytest.mark.parametrize("decode", [sc_decode_batch, ssc_decode_batch])
     @pytest.mark.parametrize("mode,q", [("exact", None), ("minsum", None), ("minsum_q", 6)])
     def test_decoders_reject(self, decode, mode, q):
+        spec = make_code_spec(2, 1)
         with pytest.raises(InvalidParameterError, match="regular array"):
-            decode(self.RAGGED, make_code_spec(2, 1), mode, q=q)
+            decode(self.RAGGED, spec, mode, q=q)
+        # a given q is checked in every mode, also where no quantizer runs
+        for bad_q in ("x", 1, True):
+            with pytest.raises(InvalidParameterError, match="q must"):
+                decode([[1.0, 2.0]], spec, mode, q=bad_q)
+            with pytest.raises(InvalidParameterError, match="q must"):
+                sc_decode([1.0, 2.0], spec, mode, q=bad_q)
 
     def test_quantized_check_rejects(self):
         with pytest.raises(InvalidParameterError, match="regular array"):
@@ -279,6 +287,33 @@ class TestRaggedInput:
         config = SimConfig(spec=make_code_spec(4, 2), q=6, architecture="lookahead")
         with pytest.raises(InvalidParameterError, match="regular array"):
             archsim.run(config, [[[1, 2, 3, 4], [3]]])
+
+
+def test_each_decode_checks_its_array_once(monkeypatch):
+    # the decoders' one array check is _checked_input's: sc_decode hands its
+    # vector on as a one-row batch, and minsum_q input goes to as_quantized
+    spec = make_code_spec(8, 4)
+    llrs = np.random.default_rng(8).normal(1.0, 2.0, size=(3, 8))
+    inputs = {"exact": llrs, "minsum": llrs, "minsum_q": quantize(llrs, 6)}
+    checks = []
+
+    def counted(value, name):
+        checks.append(name)
+        return require_array(value, name)
+
+    monkeypatch.setattr(llr, "require_array", counted)
+    decoders = {
+        "sc_decode": lambda x, *args, **kwargs: sc_decode(x[0], *args, **kwargs),
+        "sc_decode_batch": sc_decode_batch,
+        "ssc_decode_batch": ssc_decode_batch,
+    }
+    calls = {}
+    for name, decode in decoders.items():
+        for mode, x in inputs.items():
+            checks.clear()
+            decode(x, spec, mode, q=6 if mode == "minsum_q" else None)
+            calls[name, mode] = len(checks)
+    assert calls == {(name, mode): 1 for name in decoders for mode in inputs}
 
 
 class TestMalformedInput:
