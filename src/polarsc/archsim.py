@@ -14,11 +14,11 @@ None of this depends on the LLRs, so legality is checked once per
 reads no data, raises SchedulingError on any violation and yields each
 stream's (cycle, stage, op, select) firings, the per-cycle PE activity and
 the candidate-buffer peak. A run fires the checked sequence with no
-further checks, each firing on a whole (batch, N) array of frames; one
-frame is a batch of one. A legal schedule fires one sequence in every
-stream, so a run is one lockstep batch: the frames of all streams (both
-streams of the 2-parallel decoder) are stacked and decided together, with
-one partial-sum state, and split apart at the end.
+further checks, each firing on a whole (frames, N) array; one frame is a
+batch of one. A legal schedule fires one sequence in every stream, so a
+run is one lockstep batch: frame f stands for stream f mod k of the k
+streams (odd frames on C2 of the 2-parallel decoder), and all frames are
+decided together, with one partial-sum state.
 
 Arithmetic is saturating q-bit integer min-sum, bit-identical to the
 functional quantized decoder, on one shared-adder datapath like the paper's
@@ -88,8 +88,8 @@ class SimConfig:
 class SimResult:
     """Outcome of one simulated run."""
 
-    decisions: list  # per stream, an int array shaped like its input
-    decision_llrs: list  # decision-time values, likewise
+    decisions: np.ndarray  # (frames, N) int decisions, row f for frame f
+    decision_llrs: np.ndarray  # (frames, N) decision-time values, likewise
     cycles_elapsed: int
     activity: ActivityTable
     candidate_buffer_peak: int
@@ -98,7 +98,7 @@ class SimResult:
     def to_json_dict(self):
         return {
             "cycles": self.cycles_elapsed,
-            "u_hat": [d.tolist() for d in self.decisions],
+            "u_hat": self.decisions.tolist(),
             "activity": self.activity.to_json_dict(),
             "buffer_peak": self.candidate_buffer_peak,
         }
@@ -220,39 +220,30 @@ def parallel_activity_table(n):
 def run(config, channel_llrs):
     """Execute the configured architecture on quantized channel LLRs.
 
-    ``channel_llrs`` is a list or tuple of blocks, one per stream of the
-    checked schedule (two for the 2-parallel architecture, batch sizes may
-    differ); a bare array is the single block of a one-stream architecture.
-    A block is one length-N integer vector or a (batch, N) array of frames.
-    The schedule was checked when the config was built.
-    A legal schedule fires the same (stage, op, select) sequence in every
-    stream, so all streams run it in lockstep, their frames stacked on one
-    batch axis, and each step applies its PE to every frame at once.
-    Decisions come back in the shape of their input. A trace row has no
-    frame column, so ``record_trace`` takes one vector per stream.
+    ``channel_llrs`` is one length-N integer vector or a (frames, N) array
+    (a list of vectors is one). Frame f stands for stream f mod k of the
+    checked schedule's k streams, but a legal schedule fires the same
+    (stage, op, select) sequence in every stream, so all frames run it in
+    lockstep on one batch axis and each step applies its PE to every frame
+    at once. The schedule was checked when the config was built. Decisions
+    and decision LLRs come back as (frames, N) arrays, row f for frame f. A
+    trace row has no frame column, so ``record_trace`` takes exactly one
+    frame per stream, and frame s is traced as stream s.
     """
     streams, activity, peak = config.schedule
-    blocks = channel_llrs if isinstance(channel_llrs, (list, tuple)) else [channel_llrs]
-    if len(blocks) != len(streams):
-        raise InvalidParameterError(
-            f"{config.architecture} expects {len(streams)} LLR block(s), got {len(blocks)}")
     n = config.spec.n_bits
-    shapes, channels = [], []
-    for label, block in zip(STREAM_LABELS, blocks):
-        llrs = as_quantized(block, config.q)
-        if llrs.ndim not in (1, 2) or llrs.shape[-1] != n:
-            raise InvalidParameterError(
-                f"stream {label}: expected {n} LLRs or a (batch, {n}) array, "
-                f"got shape {llrs.shape}"
-            )
-        if config.record_trace and llrs.ndim == 2:
-            raise InvalidParameterError("record_trace needs one LLR vector per stream")
-        shapes.append(llrs.shape)
-        channels.append(llrs.reshape(-1, n))
+    llrs = as_quantized(channel_llrs, config.q)
+    if llrs.ndim not in (1, 2) or llrs.shape[-1] != n:
+        raise InvalidParameterError(
+            f"expected {n} LLRs or a (frames, {n}) array, got shape {llrs.shape}")
+    frames = llrs.reshape(-1, n)
+    if config.record_trace and len(frames) != len(streams):
+        raise InvalidParameterError(
+            f"record_trace needs {len(streams)} frame(s), one per stream, got {len(frames)}")
     rows = []
 
     def record(k, a, b, outs, sel):
-        # with record_trace every stream is one frame: row s is stream s
+        # with record_trace frame s is stream s
         for s, firings in enumerate(streams):
             cycle, stage, op, _ = firings[k]
             rows.extend(
@@ -262,11 +253,8 @@ def run(config, channel_llrs):
                 for i in range(a.shape[1]))
 
     # every stream of a legal schedule fires C1's sequence (see above)
-    u, llrs = _dataflow(config, streams[0], np.concatenate(channels),
-                        record if config.record_trace else None)
-    cuts = np.cumsum([len(c) for c in channels])[:-1]
-    decisions = [d.reshape(shape) for d, shape in zip(np.split(u, cuts), shapes)]
-    dec_llrs = [d.reshape(shape) for d, shape in zip(np.split(llrs, cuts), shapes)]
+    decisions, dec_llrs = _dataflow(config, streams[0], frames,
+                                    record if config.record_trace else None)
     return SimResult(
         decisions=decisions,
         decision_llrs=dec_llrs,
@@ -335,20 +323,6 @@ def _dataflow(config, firings, frames, record):
     return decisions.T, dec_llrs.T
 
 
-def decode_frames(config, q_llrs):
-    """Decisions and decision LLRs of a (frames, N) batch of quantized LLRs.
-
-    Frame f runs on stream f mod k of the checked schedule's k streams (odd
-    frames on C2 for the 2-parallel architecture), gathered back in order.
-    """
-    k = len(config.schedule[0])
-    result = run(config, [q_llrs[s::k] for s in range(k)])
-    u, llrs = np.empty((2,) + q_llrs.shape, dtype=np.int64)
-    for s in range(k):
-        u[s::k], llrs[s::k] = result.decisions[s], result.decision_llrs[s]
-    return u, llrs
-
-
 @dataclass
 class EquivalenceReport:
     """Outcome of an architectural-vs-functional comparison campaign."""
@@ -371,11 +345,15 @@ class EquivalenceReport:
         return {**fields, "passed": self.passed, "first_divergence": first}
 
 
-def divergence(got, got_llrs, reference, ref_llrs, per_trial):
-    """The equivalence rule: decisions and decision LLRs, (frames, N) with a
-    trial's ``per_trial`` streams in consecutive frames, equal the reference's.
-    Returns wrong[t, s] (stream s of trial t diverged) and the first
-    divergence, or None."""
+def divergence(config, q_llrs, result):
+    """The equivalence rule: ``result``, the run of ``config`` on the (frames,
+    N) quantized ``q_llrs`` with a trial's streams in consecutive frames, has
+    the decisions and decision LLRs of the functional reference, min-sum at
+    the config's q. Returns wrong[t, s] (stream s of trial t diverged) and
+    the first divergence, or None."""
+    got, got_llrs = result.decisions, result.decision_llrs
+    reference, ref_llrs = sc_decode_batch(q_llrs, config.spec, MODE_MINSUM_Q, q=config.q)
+    per_trial = len(config.schedule[0])  # one frame per stream
     differs = (got != reference) | (got_llrs != ref_llrs)
     wrong = np.any(differs, axis=1).reshape(-1, per_trial)
     if not wrong.any():
@@ -412,9 +390,7 @@ def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
     mismatches, first_divergence = 0, None
     for first, _, llrs in trial_chunks(spec, [cfg], trials, per_trial):
         q_llrs = quantize(llrs, config.q, scale)
-        wrong, found = divergence(*decode_frames(config, q_llrs),
-                                  *sc_decode_batch(q_llrs, spec, MODE_MINSUM_Q, q=config.q),
-                                  per_trial)
+        wrong, found = divergence(config, q_llrs, run(config, q_llrs))
         mismatches += int(wrong.any(axis=1).sum())
         if found is not None and first_divergence is None:
             found["trial"] += first

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .code import encode, require_count, require_real
+from .code import encode, require_array, require_count, require_real
 from .errors import InvalidParameterError
 from .llr import (
     MAX_LLR,
@@ -231,12 +231,12 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     min-sum arithmetic. Every decoder sees the identical per-trial LLR
     vectors, so matching seeds give matching error counts across decoders
     that are exact re-schedulings of each other. The counts do not depend
-    on how the trials are split into chunks. ``ebn0_points`` must hold at
-    least one point. The seed, q, scale and architectures are checked
+    on how the trials are split into chunks. ``ebn0_points`` is a list of
+    at least one point. The seed, q, scale and architectures are checked
     whether or not a decoder uses them.
     """
     # imported here to keep channel usable without the simulator stack
-    from .archsim import SimConfig, decode_frames
+    from .archsim import SimConfig, run
 
     trials = require_count(trials, 1)
     qmax(q)
@@ -246,6 +246,8 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
             raise InvalidParameterError(f"unknown mode {mode!r}")
     decoders = [(m, None) for m in modes] + [
         (MODE_MINSUM_Q, SimConfig(spec=spec, q=q, architecture=a)) for a in architectures]
+    if require_array(ebn0_points, "Eb/N0 points").ndim != 1:  # each is checked below
+        raise InvalidParameterError(f"Eb/N0 points must form a list, got {ebn0_points!r}")
     cfgs = [ChannelConfig(kind=channel_kind, ebn0_db=e, master_seed=seed)
             for e in ebn0_points]
     if not cfgs:
@@ -258,7 +260,7 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
         wires = {}  # per arithmetic, the chunk's LLRs one row per wire (within the rail)
         for d, (mode, sim) in enumerate(decoders):
             if sim is not None:
-                u_wires = decode_frames(sim, q_llrs)[0].T
+                u_wires = run(sim, q_llrs).decisions.T
             else:
                 dtype = _wire_dtype(mode, q)
                 if dtype not in wires:

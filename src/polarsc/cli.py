@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import archsim, channel, cost, igc, llr, schedule
 from .code import make_code_spec, encode as encode_bits
 from .errors import EquivalenceError, InvalidParameterError
@@ -184,10 +182,8 @@ def _cmd_simulate(args):
     frames = len(config.schedule[0])  # one per stream: the campaign's trial 0
     _, float_llrs = channel.draw_trials(spec, cfg, frames)
     q_llrs = llr.quantize(float_llrs, args.q, args.scale)
-    result = archsim.run(config, list(q_llrs))
-    reference, ref_llrs = llr.sc_decode_batch(q_llrs, spec, llr.MODE_MINSUM_Q, q=args.q)
-    _, first = archsim.divergence(np.stack(result.decisions), np.stack(result.decision_llrs),
-                                  reference, ref_llrs, frames)
+    result = archsim.run(config, q_llrs)
+    _, first = archsim.divergence(config, q_llrs, result)
     if first is not None:
         raise EquivalenceError(f"stream {first['stream'] + 1} diverged from the functional decoder")
     if args.trace is not None:

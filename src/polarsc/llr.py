@@ -186,10 +186,11 @@ def _sc_block(llrs, index0, spec, f_fun, g_fun, u_out, llr_out):
     return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
 
-def _checked_input(channel_llrs, spec, mode, q):
-    """Check a decoder's mode, q and (batch, N) input; return the input in
-    the mode's arithmetic: int64 for minsum_q, floats clipped to the rail
-    otherwise. The array passes one ``require_array``."""
+def _checked_input(channel_llrs, spec, mode, q, ndim=2):
+    """Check a decoder's mode, q and input, a (batch, N) array or, for
+    ``ndim`` 1, one length-N vector; return it as (batch, N) in the mode's
+    arithmetic: int64 for minsum_q, floats clipped to the rail otherwise.
+    The array passes one ``require_array``."""
     if mode not in MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
     if mode == MODE_MINSUM_Q:
@@ -200,11 +201,10 @@ def _checked_input(channel_llrs, spec, mode, q):
         if q is not None:
             qmax(q)
         llrs = clamp(require_array(channel_llrs, "LLRs").astype(float, copy=False), MAX_LLR)
-    if llrs.ndim != 2 or llrs.shape[1] != spec.n_bits:
-        raise InvalidParameterError(
-            f"expected shape (batch, {spec.n_bits}), got {llrs.shape}"
-        )
-    return llrs
+    if llrs.ndim != ndim or llrs.shape[-1] != spec.n_bits:
+        want = f"(batch, {spec.n_bits})" if ndim == 2 else f"({spec.n_bits},)"
+        raise InvalidParameterError(f"expected shape {want}, got {llrs.shape}")
+    return llrs.reshape(-1, spec.n_bits)
 
 
 def sc_decode_batch(channel_llrs, spec, mode, q=None):
@@ -215,7 +215,11 @@ def sc_decode_batch(channel_llrs, spec, mode, q=None):
     rejected in every mode, and a given q is checked in every mode. This
     full recursion is the reference decoder.
     """
-    llrs = _checked_input(channel_llrs, spec, mode, q)
+    return _sc_decode(_checked_input(channel_llrs, spec, mode, q), spec, mode, q)
+
+
+def _sc_decode(llrs, spec, mode, q):
+    """The recursion of ``sc_decode_batch`` on its checked (batch, N) input."""
     f_fun = f_exact if mode == MODE_EXACT else f_minsum
     g_fun = (lambda a, b, u: g_update(a, b, u, q=q)) if mode == MODE_MINSUM_Q else g_update
     batch = llrs.shape[0]
@@ -447,7 +451,7 @@ def _ssc_g(a, b, x, out, scratch, rail):
 def sc_decode(channel_llrs, spec, mode, q=None):
     """Decode one length-N LLR vector, as a one-row ``sc_decode_batch``;
     returns a DecodeTrace."""
-    u, d = sc_decode_batch([channel_llrs], spec, mode, q=q)
+    u, d = _sc_decode(_checked_input(channel_llrs, spec, mode, q, ndim=1), spec, mode, q)
     return DecodeTrace(u_hat=u[0], decision_llrs=d[0], mode=mode, q=q)
 
 

@@ -166,36 +166,36 @@ class TestActivityAndBuffers:
 
 
 class TestBatchedRun:
-    """One run takes a (batch, N) array per stream and decodes every frame
-    exactly as a run of its own would."""
+    """One run takes a (frames, N) array and decodes every frame exactly as
+    a run of its own would."""
 
     @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
     def test_batch_equals_per_frame_runs(self, arch):
         spec = make_code_spec(32, 16)
         q_llrs = quantize(noisy_llrs(spec, seed=21, frames=12), 6)
         cfg = SimConfig(spec=spec, q=6, architecture=arch)
-        streams = [q_llrs[0::2], q_llrs[1::2]] if arch == "parallel2" else [q_llrs]
-        batched = run(cfg, streams if arch == "parallel2" else q_llrs)
-        for t in range(len(streams[0])):
-            frames = [stream[t] for stream in streams]
-            single = run(cfg, frames if arch == "parallel2" else frames[0])
-            for s in range(len(streams)):
-                assert np.array_equal(batched.decisions[s][t], single.decisions[s])
-                assert np.array_equal(batched.decision_llrs[s][t], single.decision_llrs[s])
+        batched = run(cfg, q_llrs)
+        assert batched.decisions.shape == batched.decision_llrs.shape == (12, 32)
+        for f, frame in enumerate(q_llrs):
+            single = run(cfg, frame)
+            assert np.array_equal(batched.decisions[f], single.decisions[0])
+            assert np.array_equal(batched.decision_llrs[f], single.decision_llrs[0])
         assert batched.cycles_elapsed == single.cycles_elapsed
         assert batched.activity == single.activity
         assert batched.candidate_buffer_peak == single.candidate_buffer_peak
 
-    @pytest.mark.parametrize("sizes", [(3, 1), (1, 3), (2, 0), (0, 0)])
+    @pytest.mark.parametrize("sizes", [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)])
     def test_parallel2_unequal_batches(self, sizes):
+        # frame f stands for stream f mod 2, so frame counts 0 to 5 hold
+        # ``sizes`` frames of C1 and C2; an odd count leaves C2 one short
         spec = make_code_spec(16, 8)
-        q_llrs = quantize(noisy_llrs(spec, seed=8, frames=4), 6)[:sum(sizes)]
-        c1, c2 = q_llrs[:sizes[0]], q_llrs[sizes[0]:]
-        res = run(SimConfig(spec=spec, q=6, architecture="parallel2"), [c1, c2])
-        assert [d.shape for d in res.decisions] == [(sizes[0], 16), (sizes[1], 16)]
+        q_llrs = quantize(noisy_llrs(spec, seed=8, frames=5), 6)[:sum(sizes)]
+        res = run(SimConfig(spec=spec, q=6, architecture="parallel2"), q_llrs)
+        assert res.decisions.shape == res.decision_llrs.shape == (sum(sizes), 16)
+        assert [len(res.decisions[s::2]) for s in range(2)] == list(sizes)
         ref, ref_llrs = sc_decode_batch(q_llrs, spec, "minsum_q", q=6)
-        assert np.array_equal(np.concatenate(res.decisions), ref)
-        assert np.array_equal(np.concatenate(res.decision_llrs), ref_llrs)
+        assert np.array_equal(res.decisions, ref)
+        assert np.array_equal(res.decision_llrs, ref_llrs)
         assert res.cycles_elapsed == 16
 
     @pytest.mark.parametrize("trials", [1, 3])
@@ -218,33 +218,42 @@ class TestBatchedRun:
         fast = run(SimConfig(spec=spec, q=q, architecture="lookahead"), q_llrs)
         gated = run(SimConfig(spec=spec, q=q, architecture="lookahead", use_gate_pes=True),
                     q_llrs)
-        assert np.array_equal(fast.decisions[0], gated.decisions[0])
-        assert np.array_equal(fast.decision_llrs[0], gated.decision_llrs[0])
+        assert np.array_equal(fast.decisions, gated.decisions)
+        assert np.array_equal(fast.decision_llrs, gated.decision_llrs)
 
-    @pytest.mark.parametrize("sizes", [(2, 0), (0, 0)])
+    @pytest.mark.parametrize("sizes", [(1, 0), (0, 0)])
     def test_gate_level_pes_on_empty_batches(self, sizes):
-        # a firing on an empty stream evaluates zero-width bit-planes
+        # ``sizes`` frames of C1 and C2: one frame leaves C2 empty, and an
+        # empty batch evaluates zero-width bit-planes
         spec = make_code_spec(16, 8)
         q_llrs = quantize(noisy_llrs(spec, seed=8, frames=2), 6)[:sum(sizes)]
-        blocks = [q_llrs[:sizes[0]], q_llrs[sizes[0]:]]
-        fast = run(SimConfig(spec=spec, q=6, architecture="parallel2"), blocks)
+        fast = run(SimConfig(spec=spec, q=6, architecture="parallel2"), q_llrs)
         gated = run(SimConfig(spec=spec, q=6, architecture="parallel2", use_gate_pes=True),
-                    blocks)
-        assert [d.shape for d in gated.decisions] == [(sizes[0], 16), (sizes[1], 16)]
-        for s in range(2):
-            assert np.array_equal(fast.decisions[s], gated.decisions[s])
-            assert np.array_equal(fast.decision_llrs[s], gated.decision_llrs[s])
+                    q_llrs)
+        assert gated.decisions.shape == gated.decision_llrs.shape == (sum(sizes), 16)
+        assert np.array_equal(fast.decisions, gated.decisions)
+        assert np.array_equal(fast.decision_llrs, gated.decision_llrs)
 
     def test_trace_rejects_a_batch(self):
-        # a trace row has no frame column
+        # a trace row has no frame column: exactly one frame per stream
         spec = make_code_spec(8, 4)
-        q_llrs = quantize(np.full((2, 8), MAX_LLR), 6)
-        with pytest.raises(InvalidParameterError):
-            run(SimConfig(spec=spec, q=6, architecture="lookahead", record_trace=True),
-                q_llrs)
-        with pytest.raises(InvalidParameterError):
-            run(SimConfig(spec=spec, q=6, architecture="parallel2", record_trace=True),
-                [q_llrs[0], q_llrs[:1]])
+        q_llrs = quantize(noisy_llrs(spec, seed=6, frames=3), 6)
+        for arch, streams in (("lookahead", 1), ("parallel2", 2)):
+            cfg = SimConfig(spec=spec, q=6, architecture=arch, record_trace=True)
+            for frames in range(4):
+                if frames == streams:
+                    assert run(cfg, q_llrs[:frames]).trace
+                    continue
+                with pytest.raises(InvalidParameterError, match="one per stream"):
+                    run(cfg, q_llrs[:frames])
+        cfg = SimConfig(spec=spec, q=6, architecture="parallel2", record_trace=True)
+        with pytest.raises(InvalidParameterError, match="one per stream"):
+            run(cfg, q_llrs[0])  # one vector is one frame
+        # frame s is traced as stream s
+        rows = run(cfg, q_llrs[:2]).trace
+        for s, label in enumerate(("C1", "C2")):
+            first = [r for r in rows if r[1] == label and r[2] == 1 and r[3] == 0][0]
+            assert first[5] == f"{q_llrs[s, 0]}|{q_llrs[s, 4]}"
 
     def test_json_for_both_shapes(self):
         spec = make_code_spec(8, 4)
@@ -254,8 +263,10 @@ class TestBatchedRun:
         assert json.dumps(single.to_json_dict()["u_hat"]) == json.dumps(
             [[int(b) for b in single.decisions[0]]])
         batched = json.loads(json.dumps(run(cfg, q_llrs).to_json_dict(), indent=2))
-        assert batched["u_hat"][0][0] == single.to_json_dict()["u_hat"][0]
-        assert len(batched["u_hat"][0]) == 3
+        # one row per frame, each the u_hat of the frame's own run
+        assert batched["u_hat"][0] == single.to_json_dict()["u_hat"][0]
+        assert batched["u_hat"] == [run(cfg, f).to_json_dict()["u_hat"][0] for f in q_llrs]
+        assert len(batched["u_hat"]) == 3
 
     def test_first_divergence_located(self, monkeypatch):
         # a reference that differs from the simulator in trial 2, stream C2,
@@ -303,16 +314,22 @@ class TestLockstepStreams:
     """The two 2-parallel streams fire the same sequence, so one run decides
     both in lockstep, as two look-ahead runs would one stream each."""
 
-    @pytest.mark.parametrize("sizes", [(3, 1), (0, 2), (4, 4)])
+    @pytest.mark.parametrize("sizes", [(2, 1), (1, 1), (4, 4)])
     def test_parallel2_equals_two_lookahead_runs(self, sizes):
+        # ``sizes`` frames of C1 and C2; frame f stands for stream f mod 2
         spec = make_code_spec(32, 16)
         q_llrs = quantize(noisy_llrs(spec, seed=13, frames=sum(sizes)), 6)
-        blocks = [q_llrs[:sizes[0]], q_llrs[sizes[0]:]]
-        par = run(SimConfig(spec=spec, q=6, architecture="parallel2"), blocks)
-        for s, block in enumerate(blocks):
-            ref = run(SimConfig(spec=spec, q=6, architecture="lookahead"), block)
-            assert np.array_equal(par.decisions[s], ref.decisions[0])
-            assert np.array_equal(par.decision_llrs[s], ref.decision_llrs[0])
+        par = run(SimConfig(spec=spec, q=6, architecture="parallel2"), q_llrs)
+        lookahead = SimConfig(spec=spec, q=6, architecture="lookahead")
+        for s, size in enumerate(sizes):
+            ref = run(lookahead, q_llrs[s::2])
+            assert len(ref.decisions) == size
+            assert np.array_equal(par.decisions[s::2], ref.decisions)
+            assert np.array_equal(par.decision_llrs[s::2], ref.decision_llrs)
+        # so the pair equals one look-ahead run, row for row
+        ref = run(lookahead, q_llrs)
+        assert np.array_equal(par.decisions, ref.decisions)
+        assert np.array_equal(par.decision_llrs, ref.decision_llrs)
 
     @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
     def test_one_push_per_decision(self, monkeypatch, arch):
@@ -327,8 +344,7 @@ class TestLockstepStreams:
         monkeypatch.setattr(PartialSumState, "push", counted)
         spec = make_code_spec(16, 8)
         q_llrs = quantize(noisy_llrs(spec, seed=4, frames=4), 6)
-        run(SimConfig(spec=spec, q=6, architecture=arch),
-            [q_llrs[:3], q_llrs[3:]] if arch == "parallel2" else q_llrs)
+        run(SimConfig(spec=spec, q=6, architecture=arch), q_llrs)
         assert indices == list(range(1, 17))
 
     @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
@@ -346,7 +362,7 @@ class TestLockstepStreams:
         spec = make_code_spec(16, 8)
         cfg = SimConfig(spec=spec, q=6, architecture=arch)
         q_llrs = quantize(noisy_llrs(spec, seed=5, frames=4), 6)
-        run(cfg, [q_llrs[:3], q_llrs[3:]] if arch == "parallel2" else q_llrs)
+        run(cfg, q_llrs)
         checked = [select for *_, select in cfg.schedule[0][0] if select is not None]
         assert stages and stages == checked
 
@@ -373,17 +389,17 @@ class TestLockstepStreams:
 
 
 def assert_matches_oracle(spec, q, q_llrs):
-    """decode_frames on every architecture, and through the gate-level merged
-    PEs for q <= 16, gives the decisions and decision LLRs of the oracle."""
+    """run on every architecture, and through the gate-level merged PEs for
+    q <= 16, gives the decisions and decision LLRs of the oracle."""
     ref, ref_llrs = sc_decode_batch(q_llrs, spec, "minsum_q", q=q)
     configs = [SimConfig(spec=spec, q=q, architecture=arch) for arch in ARCHS]
     if q <= 16:
         configs += [SimConfig(spec=spec, q=q, architecture=arch, use_gate_pes=True)
                     for arch in ARCHS[1:]]
     for cfg in configs:
-        u, llrs = archsim.decode_frames(cfg, q_llrs)
-        assert np.array_equal(u, ref), (cfg.architecture, cfg.use_gate_pes)
-        assert np.array_equal(llrs, ref_llrs), (cfg.architecture, cfg.use_gate_pes)
+        res = run(cfg, q_llrs)
+        assert np.array_equal(res.decisions, ref), (cfg.architecture, cfg.use_gate_pes)
+        assert np.array_equal(res.decision_llrs, ref_llrs), (cfg.architecture, cfg.use_gate_pes)
 
 
 @st.composite
@@ -442,11 +458,18 @@ class TestTraceAndValidation:
         cycles = sorted({row[0] for row in res.trace})
         assert cycles == list(range(1, 8))
 
-    def test_rejects_wrong_stream_count(self):
+    def test_rejects_per_stream_blocks(self):
+        # one (batch, N) block per stream is no frame batch: equal sizes make
+        # a 3-D array, unequal sizes a ragged one
         spec = make_code_spec(8, 4)
-        q_llrs = quantize(np.full(8, MAX_LLR), 6)
-        with pytest.raises(InvalidParameterError):
-            run(SimConfig(spec=spec, q=6, architecture="parallel2"), q_llrs)
+        q_llrs = quantize(noisy_llrs(spec, seed=2, frames=4), 6)
+        cfg = SimConfig(spec=spec, q=6, architecture="parallel2")
+        with pytest.raises(InvalidParameterError, match=r"got shape \(2, 2, 8\)"):
+            run(cfg, [q_llrs[:2], q_llrs[2:]])
+        for blocks in ([q_llrs[:3], q_llrs[3:]], [q_llrs[:2], q_llrs[2:2]],
+                       [q_llrs[0], q_llrs[1:2]]):
+            with pytest.raises(InvalidParameterError, match="regular array"):
+                run(cfg, blocks)
 
     def test_rejects_out_of_range_inputs(self):
         spec = make_code_spec(8, 4)

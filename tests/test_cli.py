@@ -129,7 +129,7 @@ class TestSimulate:
         # one channel rule: a single run decodes the frames of a campaign's
         # first trial, at 0 dB when --ebn0 is not given
         from polarsc import cli, make_code_spec, quantize
-        from polarsc.archsim import SimConfig, decode_frames
+        from polarsc.archsim import SimConfig, run
         from polarsc.channel import BPSK_AWGN, ChannelConfig, trial_chunks
 
         argv = ["simulate", "--n", "16", "--k", "8", "--arch", arch, "--seed", str(seed)]
@@ -140,7 +140,7 @@ class TestSimulate:
         streams = len(config.schedule[0])
         cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=float(ebn0 or 0), master_seed=seed)
         _, _, llrs = next(trial_chunks(spec, [cfg], 1, per_trial=streams))
-        assert u_hat == decode_frames(config, quantize(llrs, 6))[0].tolist()
+        assert u_hat == run(config, quantize(llrs, 6)).decisions.tolist()
 
     def test_trace_with_a_campaign_rejected(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -234,9 +234,9 @@ class TestContract:
     def test_single_run_divergence_exits_2(self, monkeypatch, capsys, arch, damaged):
         # one run (no --trials) checks its own streams' decisions and decision
         # LLRs against the reference
-        from polarsc import cli, llr
+        from polarsc import archsim, cli
 
-        decode = llr.sc_decode_batch
+        decode = archsim.sc_decode_batch  # archsim.divergence calls the reference
 
         def flipped(q_llrs, *args, **kwargs):
             u_hat, llrs = decode(q_llrs, *args, **kwargs)
@@ -246,7 +246,7 @@ class TestContract:
                 llrs[-1, 3] += 1  # its decision LLR; every decision stays right
             return u_hat, llrs
 
-        monkeypatch.setattr(llr, "sc_decode_batch", flipped)
+        monkeypatch.setattr(archsim, "sc_decode_batch", flipped)
         code = cli.main(["simulate", "--n", "8", "--k", "4", "--arch", arch,
                          "--ebn0", "1"])
         out, err = capsys.readouterr()

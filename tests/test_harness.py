@@ -287,6 +287,12 @@ class TestBerSweep:
         with pytest.raises(InvalidParameterError, match="Eb/N0 point"):
             ber_sweep(make_code_spec(8, 4), ["minsum"], [], [], trials=1, seed=0)
 
+    @pytest.mark.parametrize("points", [1.0, "1.0", [[1.0, 2.0]]],
+                             ids=["scalar", "string", "nested"])
+    def test_rejects_points_that_are_not_a_list(self, points):
+        with pytest.raises(InvalidParameterError, match="Eb/N0 point"):
+            ber_sweep(make_code_spec(8, 4), ["minsum"], [], points, trials=1, seed=0)
+
     def test_rejects_unknown_mode_or_arch(self):
         spec = make_code_spec(8, 4)
         with pytest.raises(InvalidParameterError):

@@ -11,7 +11,9 @@ from the name; the cost model reads its PE pool, IGC count and latency off the
 checked schedule, and only that pass builds an activity table. A trial's
 random stream has one definition, ``channel.trial_rng``; the sweeps' seeding
 pass that recomputes a chunk's states is called from the channel draw alone.
-An array from the caller has one check, ``code.require_array``.
+An array from the caller has one check, ``code.require_array``. A simulator
+run is one dataflow call, and outside ``llr.py`` only ``archsim.divergence``
+names the equivalence reference.
 ``cli.main`` only dispatches: each flag is read by the subcommand that uses it.
 Every public name has a reader outside the tests.
 """
@@ -157,6 +159,14 @@ def test_trial_streams_have_one_definition():
     # recomputes its states, and _draw checks them against trial_rng
     assert _readers(["SeedSequence", "default_rng"]) == {("channel.py", "trial_rng")}
     assert _readers(["_trial_states"]) == {("channel.py", "_draw")}
+
+
+def test_one_dataflow_call_and_one_reference_reader():
+    # run decides all its frames in one _dataflow call; the campaign and the
+    # CLI's single run reach the reference decoder through divergence
+    assert _readers(["_dataflow"]) == {("archsim.py", "run")}
+    assert {r for r in _readers(["sc_decode_batch"]) if r[0] != "llr.py"} == {
+        ("archsim.py", "divergence")}
 
 
 def test_outside_arrays_have_one_check():

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -283,7 +284,7 @@ class TestRaggedInput:
             as_quantized(self.RAGGED, 6)
 
     def test_simulator_rejects(self):
-        # one block, itself ragged, for the one stream of the look-ahead decoder
+        # a frame batch whose second frame is short
         config = SimConfig(spec=make_code_spec(4, 2), q=6, architecture="lookahead")
         with pytest.raises(InvalidParameterError, match="regular array"):
             archsim.run(config, [[[1, 2, 3, 4], [3]]])
@@ -396,6 +397,13 @@ class TestScDecode:
         spec = make_code_spec(8, 4)
         with pytest.raises(InvalidParameterError):
             sc_decode(np.zeros(7), spec, "minsum")
+        # the message names the shape the caller passed
+        spec64 = make_code_spec(64, 32)
+        for shape in ((3,), (2, 64)):
+            for mode, q in (("minsum", None), ("minsum_q", 6)):
+                with pytest.raises(InvalidParameterError,
+                                   match=re.escape(f"expected shape (64,), got {shape}")):
+                    sc_decode(np.zeros(shape), spec64, mode, q=q)
 
     @pytest.mark.parametrize("mode,q", [("exact", None), ("minsum", None), ("minsum_q", 6)])
     def test_rejects_nan(self, mode, q):
