@@ -241,6 +241,9 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     trials = require_count(trials, 1)
     qmax(q)
     require_scale(scale)
+    for name, names in (("modes", modes), ("architectures", architectures)):
+        if not isinstance(names, (list, tuple)):
+            raise InvalidParameterError(f"{name} must be a list or a tuple, got {names!r}")
     for mode in modes:
         if mode not in MODES:
             raise InvalidParameterError(f"unknown mode {mode!r}")

@@ -18,15 +18,18 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-def require_count(value, minimum=0, name="trials"):
+def require_count(value, minimum=0, name="trials", maximum=None):
     """``value`` as an int; InvalidParameterError unless an integer (what
-    ``operator.index`` takes, bools aside) >= ``minimum``."""
+    ``operator.index`` takes, bools aside) >= ``minimum`` and, unless
+    ``maximum`` is None, <= ``maximum``."""
     try:
         count = operator.index(value)
     except TypeError:
         count = None
-    if count is None or isinstance(value, bool) or count < minimum:
-        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if (count is None or isinstance(value, bool) or count < minimum
+            or maximum is not None and count > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise InvalidParameterError(f"{name} must be an integer {bound}, got {value!r}")
     return count
 
 
@@ -96,21 +99,15 @@ class CodeSpec:
 
     def __post_init__(self):
         n = require_power_of_two(self.n_bits, "n_bits")
-        k = require_count(self.k_info, name="k_info")
-        frozen = tuple(require_count(i, 1, "frozen index") for i in self.frozen_set)
-        values = tuple(require_count(v, name="frozen value") for v in self.frozen_values)
-        if k > n:
-            raise InvalidParameterError(f"k_info out of range: {k}")
+        k = require_count(self.k_info, 0, "k_info", n)
+        frozen = tuple(require_count(i, 1, "frozen index", n) for i in self.frozen_set)
+        values = tuple(require_count(v, 0, "frozen value", 1) for v in self.frozen_values)
         if len(frozen) != n - k:
             raise InvalidParameterError(f"expected {n - k} frozen indices, got {len(frozen)}")
         if list(frozen) != sorted(set(frozen)):
             raise InvalidParameterError("frozen_set must be sorted and duplicate-free")
-        if frozen and frozen[-1] > n:
-            raise InvalidParameterError("frozen indices must lie in 1..N")
         if len(values) != len(frozen):
             raise InvalidParameterError("frozen_values must align with frozen_set")
-        if any(v not in (0, 1) for v in values):
-            raise InvalidParameterError("frozen_values must be bits")
         for name, value in zip(("n_bits", "k_info", "frozen_set", "frozen_values"),
                                (n, k, frozen, values)):
             object.__setattr__(self, name, value)  # plain Python ints throughout
@@ -175,9 +172,7 @@ def construct_frozen_set(n_bits, k_info, design_erasure=0.5):
     Reliability ties break deterministically: the smaller index freezes
     first. Returns a sorted tuple of 1-based indices.
     """
-    require_power_of_two(n_bits, "n_bits")
-    if not 1 <= require_count(k_info, name="k_info") <= n_bits:
-        raise InvalidParameterError(f"k_info must lie in 1..{n_bits}, got {k_info}")
+    require_count(k_info, 1, "k_info", require_power_of_two(n_bits, "n_bits"))
     if not 0.0 < require_real(design_erasure, "design_erasure") < 1.0:
         raise InvalidParameterError("design_erasure must lie in (0, 1)")
     z = _bec_bhattacharyya(n_bits, design_erasure)
@@ -185,12 +180,10 @@ def construct_frozen_set(n_bits, k_info, design_erasure=0.5):
     return tuple(sorted(i + 1 for i in order[: n_bits - k_info]))
 
 
-def make_code_spec(n_bits, k_info, design_erasure=0.5, frozen_values=None):
-    """Convenience constructor: frozen set from the BEC recursion, zeros by default."""
+def make_code_spec(n_bits, k_info, design_erasure=0.5):
+    """Convenience constructor: frozen set from the BEC recursion, frozen to 0."""
     frozen = construct_frozen_set(n_bits, k_info, design_erasure)
-    if frozen_values is None:
-        frozen_values = (0,) * len(frozen)
-    return CodeSpec(n_bits, k_info, frozen, tuple(frozen_values))
+    return CodeSpec(n_bits, k_info, frozen, (0,) * len(frozen))
 
 
 def encode(message, spec):

@@ -111,7 +111,7 @@ def component_counts(design, n, q):
     The normalized throughput is one look-ahead stream's frame rate against the
     conventional decoder's, 2(N-1)/(N-1) = 2 for the proposed design (the
     two-stream pair's frame rate against it is 4(N-1)/N)."""
-    if design not in _DESIGNS:
+    if not isinstance(design, str) or design not in _DESIGNS:
         raise InvalidParameterError(f"unknown design {design!r}")
     architecture, throughput = _DESIGNS[design]
     proposed = design == PROPOSED

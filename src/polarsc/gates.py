@@ -45,12 +45,10 @@ class WordQ:
         if isinstance(v, np.ndarray):
             if v.dtype.type is not np.int64:
                 raise InvalidParameterError(f"array words must be int64, got {v.dtype}")
-            # in range iff v + 2^(q-1) lies in [0, 2^q); a wrapped sum is negative
-            v = v[(v < -hi - 1) | (v > hi)][0] if np.count_nonzero((v + (hi + 1)) >> self.q) else 0
-        else:
-            require_count(v, -hi - 1, "value")
-        if not -hi - 1 <= v <= hi:
-            raise InvalidParameterError(f"value {v} outside q={self.q} range [{-hi - 1}, {hi}]")
+            # in range iff v + 2^(q-1) lies in [0, 2^q); a wrapped sum is negative.
+            # The first word out of range is checked as an int, so the message prints it as one.
+            v = int(v[(v < -hi - 1) | (v > hi)][0]) if np.count_nonzero((v + (hi + 1)) >> self.q) else 0
+        require_count(v, -hi - 1, "value", hi)
 
     def __eq__(self, other):
         # array words compare by shape and elements; like ndarray they stay unhashable

@@ -79,9 +79,7 @@ class PartialSumState:
 
     def stage_ready(self, stage):
         """``select_ready`` after the decisions pushed so far."""
-        if not (1 <= stage <= self.m):
-            raise InvalidParameterError(f"stage must lie in 1..{self.m}, got {stage}")
-        return select_ready(self._count, stage, self.n_bits)
+        return select_ready(self._count, require_count(stage, 1, "stage", self.m), self.n_bits)
 
     def selection_bits(self, stage):
         """MUX select lines for ``stage``: transform of the decided left

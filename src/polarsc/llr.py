@@ -35,10 +35,7 @@ def qmax(q):
 
     This is the toolkit's one check of q: an integer in 2..MAX_Q.
     """
-    q = require_count(q, 2, "q")
-    if q > MAX_Q:
-        raise InvalidParameterError(f"q must lie in 2..{MAX_Q}, got {q}")
-    return (1 << (q - 1)) - 1
+    return (1 << (require_count(q, 2, "q", MAX_Q) - 1)) - 1
 
 
 def require_scale(scale):
@@ -143,9 +140,7 @@ def decide(llr, index, spec):
     and LLR < 0 decides 1. Returns int64 values; at a frozen position a
     single value, which broadcasts against ``llr``. ``llr`` is unchecked, as
     in ``f_minsum``."""
-    index = require_count(index, 1, "index")
-    if index > spec.n_bits:
-        raise InvalidParameterError(f"index must lie in 1..{spec.n_bits}, got {index}")
+    index = require_count(index, 1, "index", spec.n_bits)
     if spec.frozen_mask[index - 1]:
         return spec.frozen_value_array[index - 1]
     return np.int64(llr < 0)

@@ -46,6 +46,9 @@ class TestComponentCounts:
             component_counts("imaginary", 8, 6)
         with pytest.raises(InvalidParameterError):
             asymptotic_totals("imaginary", 8, 6)
+        for design in ([PROPOSED], None):  # looked up by value, never hashed
+            with pytest.raises(InvalidParameterError, match="unknown design"):
+                component_counts(design, 8, 6)
 
     def test_q_bounds(self):
         assert component_counts(PROPOSED, 8, 54).pe_xor == 9 * 54

@@ -293,6 +293,14 @@ class TestBerSweep:
         with pytest.raises(InvalidParameterError, match="Eb/N0 point"):
             ber_sweep(make_code_spec(8, 4), ["minsum"], [], points, trials=1, seed=0)
 
+    @pytest.mark.parametrize("names", [None, 2.0, True, 3, "minsum", "lookahead"])
+    @pytest.mark.parametrize("which", ["modes", "architectures"])
+    def test_rejects_names_that_are_not_a_list(self, which, names):
+        # a bare string is not read as its characters, and a non-iterable is no TypeError
+        lists = {"modes": [], "architectures": [], which: names}
+        with pytest.raises(InvalidParameterError, match=f"{which} must be a list"):
+            ber_sweep(make_code_spec(8, 4), ebn0_points=[1.0], trials=2, seed=0, **lists)
+
     def test_rejects_unknown_mode_or_arch(self):
         spec = make_code_spec(8, 4)
         with pytest.raises(InvalidParameterError):

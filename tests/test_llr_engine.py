@@ -17,6 +17,7 @@ from polarsc import (
     MAX_LLR,
     SimConfig,
     archsim,
+    construct_frozen_set,
     decide,
     encode,
     f_exact,
@@ -613,7 +614,7 @@ def _has_rate0_left_with_sums(spec):
 
 class TestLrRecursionProb:
     def test_all_ties_decide_zero(self):
-        spec = make_code_spec(8, 8, frozen_values=())
+        spec = CodeSpec(8, 8, construct_frozen_set(8, 8), ())
         trace = lr_recursion_prob(np.ones(8), spec)
         assert not trace.u_hat.any()
 

@@ -14,6 +14,7 @@ from polarsc import (
     PartialSumState,
     WordQ,
     addsub_q,
+    construct_frozen_set,
     encode,
     f_exact,
     f_minsum,
@@ -60,7 +61,7 @@ def test_transform_is_its_own_inverse(bits):
 def test_noiseless_round_trip_decodes_without_errors(data):
     n = 1 << data.draw(st.integers(1, 7))
     k = data.draw(st.integers(1, n))
-    spec = make_code_spec(n, k, frozen_values=data.draw(bit_lists(n - k)))
+    spec = CodeSpec(n, k, construct_frozen_set(n, k), tuple(data.draw(bit_lists(n - k))))
     msg = data.draw(bit_lists(k))
     q = data.draw(st.integers(2, 54))
     u = np.zeros(n, dtype=np.int64)
