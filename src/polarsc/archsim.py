@@ -29,7 +29,8 @@ with sgn(0) = +1. The numerator is always even, and nothing overflows for
 q <= MAX_Q, where |a| + |b| <= 2^54 - 2. The functional decoder computes f
 as sign times minimum, so the equivalence check compares two formulas.
 Optionally all PEs of a firing, in every frame, go through one bit-sliced
-call of the gate-level models instead (slower, used for cross-checks).
+call of the gate-level models instead (slower, used for cross-checks); a
+firing of one PE in one frame takes the models' int path.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .channel import ChannelConfig, trial_chunks, BPSK_AWGN
 from .code import CodeSpec, require_count, require_power_of_two
 from .errors import InvalidParameterError, SchedulingError
-from .gates import WordQ, merged_pe
+from .gates import _unchecked_word, merged_pe
 from .igc import PartialSumState, refreshed_stage, select_ready
 from .llr import (
     MODE_MINSUM_Q,
@@ -306,7 +307,11 @@ def _dataflow(config, firings, frames, record):
             sel = psums.selection_bits(select)
             outs = (clamp(np.where(sel.T, b - a, b + a), rail),)
         elif config.use_gate_pes:
-            outs = tuple(w.value for w in merged_pe(WordQ(a, q), WordQ(b, q)))
+            # the words are in range by construction: checked input, PE outputs
+            # and MUX picks of them; one PE of one frame takes the int path
+            one = a.size == 1
+            words = merged_pe(*(_unchecked_word(v.item() if one else v, q) for v in (a, b)))
+            outs = tuple(np.array([[w.value]]) if one else w.value for w in words)
         else:
             s0, s1 = b + a, b - a
             f = (np.abs(s0) - np.abs(s1)) >> 1

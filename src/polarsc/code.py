@@ -63,8 +63,8 @@ def require_array(value, name):
 
 def require_power_of_two(n, what="length", minimum=2):
     """``n`` as an int; InvalidParameterError unless a power of two >= ``minimum``."""
-    count = require_count(n, name=what)
-    if count < minimum or count & (count - 1):
+    count = require_count(n, minimum, what)
+    if count & (count - 1):
         raise InvalidParameterError(
             f"{what} must be a power of two >= {minimum}, got {n}"
         )

@@ -11,6 +11,12 @@ bit i of element j, in row-major order. The cells use only AND, OR and XOR,
 with each NOT ANDed with a non-negative operand (``~x & y``), so no width
 mask is needed and the same logic evaluates one PE or a whole array.
 
+Array words pack in one numpy pass: ``np.packbits`` writes each plane as a
+row of ceil(k/8) little-endian bytes for k elements, zero past the last,
+and each row is read with one ``int.from_bytes``; unpacking reverses this.
+That fixed cost, ~20 us a call at q=6, is why the simulator sends a firing
+of one element down the int path.
+
 ``gate_count`` knows four cells, under two accounting schemes:
 
 * ``merged_pe`` / ``reference_pe`` return the published per-PE rows of the
@@ -67,7 +73,11 @@ _WEIGHTS = {q: np.append(_BIT[:q - 1], -_BIT[q - 1]) for q in range(2, MAX_Q + 1
 
 def _planes(*words):
     """LSB-first bit-planes of each of some words of one width and shape,
-    and that shape (None for int words); array words pack in one pass."""
+    and that shape (None for int words). The n arrays of k elements pack in
+    one ``np.packbits`` pass into n*q rows of ceil(k/8) bytes, row r holding
+    plane r % q of word r // q, and each row is read with its own
+    ``int.from_bytes`` (cutting one int over all rows walks all of it per
+    plane: ~13x slower at q=54 on 2^17 elements)."""
     kinds = {(w.q, w.value.shape if isinstance(w.value, np.ndarray) else None) for w in words}
     if len(kinds) > 1:
         raise InvalidParameterError("operands must share the same width and shape")
@@ -83,8 +93,10 @@ def _planes(*words):
 
 
 def _words(plane_lists, shape):
-    """Inverse of ``_planes``, unpacking all arrays in one pass. Values read
-    from q planes are in range, so the words skip ``WordQ``'s check."""
+    """Inverse of ``_planes``: each plane goes back to its row with one
+    ``to_bytes``, and one ``np.unpackbits`` and one product with the bit
+    weights read all words. Values read from q planes are in range, so the
+    words skip ``WordQ``'s check."""
     q = len(plane_lists[0])
     if shape is None:
         values = [sum(b << i for i, b in enumerate(p)) - (p[-1] << q) for p in plane_lists]
@@ -95,10 +107,16 @@ def _words(plane_lists, shape):
         rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(plane_lists), q, nb)
         bits = np.unpackbits(rows, axis=2, count=k, bitorder="little")
         values = [v.reshape(shape) for v in np.dot(_WEIGHTS[q], bits)]
-    words = [object.__new__(WordQ) for _ in values]
-    for word, value in zip(words, values):
-        word.__dict__.update(value=value, q=q)
-    return words
+    return [_unchecked_word(value, q) for value in values]
+
+
+def _unchecked_word(value, q):
+    """A ``WordQ`` built without the range check, for a value in range by
+    construction: read off q planes, or made by the simulator from checked
+    input (``archsim._dataflow``)."""
+    word = object.__new__(WordQ)
+    word.__dict__.update(value=value, q=q)
+    return word
 
 
 def full_addsub_1bit(x, y, z_in):

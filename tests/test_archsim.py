@@ -24,7 +24,7 @@ from polarsc import (
     sc_decode_batch,
     verify_equivalence,
 )
-from polarsc import archsim
+from polarsc import WordQ, archsim, gates
 from polarsc.channel import ChannelConfig, draw_trials
 from polarsc.llr import qmax
 
@@ -445,6 +445,51 @@ class TestSimulatorAgainstOracle:
         # PE 1 reads wires (1, 3) and PE 2 wires (2, 4)
         q_llrs = np.stack([a, b[::-1], b, a[::-1]], axis=1)
         assert_matches_oracle(CodeSpec(4, 4, (), ()), q, q_llrs)
+
+
+class TestSingleFrameGatePEs:
+    """One frame through gate-level PEs: its one-PE firings take the models'
+    int path, and its operand words skip WordQ's range check, up to q = 54
+    (``assert_matches_oracle`` runs the gate models only to q = 16)."""
+
+    @pytest.mark.parametrize("kind", ["rails", "ties"])
+    @pytest.mark.parametrize("q", [2, 6, 16, 54])
+    def test_matches_the_integer_datapath_and_sc_decode(self, q, kind, monkeypatch):
+        n = 32
+        rng = np.random.default_rng(q)
+        base = make_code_spec(n, n // 2)
+        spec = CodeSpec(n, n // 2, base.frozen_set,
+                        tuple(int(v) for v in rng.integers(0, 2, n // 2)))
+        top = qmax(q)
+        if kind == "rails":
+            levels = [-top, 1 - top, top - 1, top]
+        else:  # equal magnitudes and zeros, so f ties and g cancels
+            levels = [-max(1, top // 2), 0, max(1, top // 2)]
+        x = rng.choice(np.array(levels), size=n)
+        gated = SimConfig(spec=spec, q=q, architecture="lookahead", use_gate_pes=True)
+        res = run(gated, x)
+        fast = run(SimConfig(spec=spec, q=q, architecture="lookahead"), x)
+        trace = sc_decode(x, spec, "minsum_q", q=q)
+        assert np.array_equal(res.decisions, fast.decisions)
+        assert np.array_equal(res.decision_llrs, fast.decision_llrs)
+        assert np.array_equal(res.decisions[0], trace.u_hat)
+        assert np.array_equal(res.decision_llrs[0], trace.decision_llrs)
+
+        # with every unchecked word built by the checked WordQ, no word is out
+        # of range and nothing changes; the n/2 one-PE firings get int words
+        merged_pe, operands = archsim.merged_pe, []
+
+        def spy(a, b):
+            operands.append(type(a.value))
+            return merged_pe(a, b)
+
+        monkeypatch.setattr(archsim, "merged_pe", spy)
+        monkeypatch.setattr(archsim, "_unchecked_word", WordQ)
+        monkeypatch.setattr(gates, "_unchecked_word", WordQ)
+        checked = run(gated, x)
+        assert np.array_equal(checked.decisions, res.decisions)
+        assert np.array_equal(checked.decision_llrs, res.decision_llrs)
+        assert len(operands) == n - 1 and operands.count(int) == n // 2
 
 
 class TestTraceAndValidation:

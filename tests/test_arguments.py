@@ -7,6 +7,8 @@ a value read as something else (``True`` as 1, a string as its characters).
 The last three rows hold name arguments, which are looked up, not counted.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,9 +68,10 @@ ROWS = [
      lambda v: verify_equivalence(SimConfig(SPEC, 6, "lookahead"), v, 0), (1,), 0, None),
     ("seed-trial_rng", "^seed must be", lambda v: trial_rng(v, 0), (0,), -1, None),
     ("trial-trial_rng", "^trial must be", lambda v: trial_rng(0, v), (0,), -1, None),
-    ("N-build_lookahead", "^N must be", build_lookahead, (4,), 2, None),
-    ("N-PartialSumState", "^N must be", PartialSumState, (4,), 2, None),
-    ("N-check_schedule", "^N must be", lambda v: check_schedule("lookahead", v), (4,), 2, None),
+    ("N-build_lookahead", "^N must be an integer >= 4, got", build_lookahead, (4,), 2, None),
+    ("N-PartialSumState", "^N must be an integer >= 4, got", PartialSumState, (4,), 2, None),
+    ("N-check_schedule", "^N must be an integer >= 4, got",
+     lambda v: check_schedule("lookahead", v), (4,), 2, None),
     ("n-IgcNetwork", "^n must be", IgcNetwork, (1,), 0, None),
     ("modes-ber_sweep", "^modes must be a list|^unknown mode",
      lambda v: ber_sweep(SPEC, v, [], [1.0], 1, 0), (["minsum"], ("minsum",)), None, None),
@@ -105,3 +108,15 @@ def test_wordq_array_names_its_first_word_out_of_range():
     with pytest.raises(InvalidParameterError, match=r"^value must be an integer in -8\.\.7, got 40$"):
         WordQ(np.array([0, 40, -9], dtype=np.int64), 4)
     assert WordQ(np.array([-8, 7], dtype=np.int64), 4).q == 4
+
+
+@pytest.mark.parametrize("call", [
+    build_lookahead, PartialSumState, lambda v: check_schedule("lookahead", v)])
+def test_n_names_its_bound(call):
+    # N's integer check carries N's own minimum, not require_count's default 0
+    for value in (2.0, -4, 0, 2):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^N must be an integer >= 4, got {re.escape(repr(value))}$"):
+            call(value)
+    with pytest.raises(InvalidParameterError, match=r"^N must be a power of two >= 4, got 12$"):
+        call(12)

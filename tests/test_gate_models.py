@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarsc import (
     InvalidParameterError,
@@ -14,7 +16,7 @@ from polarsc import (
     gate_count,
     merged_pe,
 )
-from polarsc.gates import sharing_ratio
+from polarsc.gates import _planes, _words, sharing_ratio
 from polarsc.llr import clamp, qmax
 
 
@@ -225,6 +227,44 @@ class TestArrayWords:
             for pe in (addsub_q, merged_pe):
                 with pytest.raises(InvalidParameterError):
                     pe(three, other)
+
+
+# empty and 0-d arrays, and sizes on each side of the byte boundaries of a
+# packed plane row (ceil(k/8) bytes for k elements)
+PACKED_SHAPES = [(0,), (2, 0), (), (1,), (7,), (8,), (9,), (63,), (64,), (65,), (1000,)]
+
+
+def extreme_words(seed, shape, q):
+    """int64 q-bit words of ``shape``, about half of them drawn from the
+    extremes -2^(q-1), -qmax, -1, 0, 1 and qmax, the rest uniform."""
+    rng = np.random.default_rng(seed)
+    lo, hi = -(1 << (q - 1)), qmax(q)
+    extremes = np.array([lo, lo + 1, -1, 0, 1, hi], dtype=np.int64)
+    uniform = rng.integers(lo, hi + 1, size=shape, dtype=np.int64)
+    return np.where(rng.random(shape) < 0.5, rng.choice(extremes, size=shape), uniform)
+
+
+class TestPlanePacking:
+    """``_words`` inverts ``_planes``, and a bit-sliced call is the scalar
+    calls side by side, at every width and across the packed rows' byte
+    boundaries."""
+
+    @pytest.mark.parametrize("shape", PACKED_SHAPES, ids=str)
+    @pytest.mark.parametrize("q", [2, 6, 8, 16, 54])
+    @settings(max_examples=4)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_and_scalar_calls(self, q, shape, seed):
+        a, b, c = (extreme_words(seed + i, shape, q) for i in range(3))
+        for values in ([a], [a, b], [a, b, c]):
+            back = _words(*_planes(*(WordQ(v, q) for v in values)))
+            assert [w.q for w in back] == [q] * len(values)
+            for word, value in zip(back, values):
+                assert word.value.dtype == np.int64 and word.value.shape == shape
+                assert np.array_equal(word.value, value)
+        outs = merged_pe(WordQ(a, q), WordQ(b, q))
+        for j, (x, y) in enumerate(zip(a.reshape(-1).tolist(), b.reshape(-1).tolist())):
+            scalar = merged_pe(WordQ(x, q), WordQ(y, q))
+            assert [w.value.reshape(-1)[j] for w in outs] == [w.value for w in scalar], (x, y)
 
 
 class TestGateCounts:

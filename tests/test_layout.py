@@ -161,6 +161,13 @@ def test_trial_streams_have_one_definition():
     assert _readers(["_trial_states"]) == {("channel.py", "_draw")}
 
 
+def test_unchecked_words_have_two_readers():
+    # WordQ's range check is skipped only for values read off q planes and
+    # for the simulator's words, which come from its checked input; no
+    # outside value reaches the unchecked constructor
+    assert _readers(["_unchecked_word"]) == {("gates.py", "_words"), ("archsim.py", "_dataflow")}
+
+
 def test_one_dataflow_call_and_one_reference_reader():
     # run decides all its frames in one _dataflow call; the campaign and the
     # CLI's single run reach the reference decoder through divergence
