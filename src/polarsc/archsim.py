@@ -46,6 +46,8 @@ from .gates import _unchecked_word, merged_pe
 from .igc import PartialSumState, refreshed_stage, select_ready
 from .llr import (
     MODE_MINSUM_Q,
+    _ssc_wires,
+    _wire_dtype,
     as_quantized,
     clamp,
     decide,
@@ -355,14 +357,29 @@ def divergence(config, q_llrs, result):
     N) quantized ``q_llrs`` with a trial's streams in consecutive frames, has
     the decisions and decision LLRs of the functional reference, min-sum at
     the config's q. Returns wrong[t, s] (stream s of trial t diverged) and
-    the first divergence, or None."""
+    the first divergence, or None.
+
+    The chunk is screened against the fast path's recording walk
+    (``llr._ssc_wires`` with a decision-LLR array). Only a chunk it flags
+    is decoded by ``sc_decode_batch``, the oracle, and the report is read
+    off the oracle; an oracle that disagrees with the walk raises
+    RuntimeError, as the walk is then at fault."""
     got, got_llrs = result.decisions, result.decision_llrs
-    reference, ref_llrs = sc_decode_batch(q_llrs, config.spec, MODE_MINSUM_Q, q=config.q)
+    spec, q = config.spec, config.q
+    wires = np.ascontiguousarray(q_llrs.T, dtype=_wire_dtype(MODE_MINSUM_Q, q))
+    walk_llrs = np.empty_like(wires)
+    reference = _ssc_wires(wires, spec, MODE_MINSUM_Q, q, walk_llrs).T
+    ref_llrs = walk_llrs.T
     per_trial = len(config.schedule[0])  # one frame per stream
     differs = (got != reference) | (got_llrs != ref_llrs)
     wrong = np.any(differs, axis=1).reshape(-1, per_trial)
     if not wrong.any():
         return wrong, None
+    oracle = sc_decode_batch(q_llrs, spec, MODE_MINSUM_Q, q=q)
+    if not all(map(np.array_equal, oracle, (reference, ref_llrs))):
+        raise RuntimeError("the reference walk llr._ssc_wires no longer decodes as "
+                           "sc_decode_batch does: a chunk it flagged reads otherwise")
+    reference, ref_llrs = oracle
     t, s = (int(i) for i in np.argwhere(wrong)[0])
     frame = t * per_trial + s
     i = int(np.argmax(differs[frame]))
@@ -385,8 +402,9 @@ def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
     trial for the 2-parallel architecture, consecutive frames going to
     streams C1 and C2). The trials are walked in ``ber_sweep``'s chunks, so
     memory does not grow with their count; the simulator decodes a chunk in
-    one batched run, checked by ``divergence`` against the functional
-    reference on the very same quantized inputs. Returns a report.
+    one batched run, checked by ``divergence`` on the very same quantized
+    inputs: against the fast path's recording walk, and against the oracle
+    ``sc_decode_batch`` only if the walk flags the chunk. Returns a report.
     """
     trials = require_count(trials, 1)
     spec = config.spec

@@ -269,12 +269,18 @@ def _wire_dtype(mode, q):
     return np.min_scalar_type(-2 * qmax(q)) if mode == MODE_MINSUM_Q else np.dtype(float)
 
 
-def _ssc_wires(wires, spec, mode, q):
+def _ssc_wires(wires, spec, mode, q, llrs=None):
     """The simplified-SC walk of ``ssc_decode_batch`` on wire-major input.
 
     ``wires`` is an (N, frames) array of ``_wire_dtype(mode, q)`` within the
     mode's rail, one row per wire and one column per frame; it is read, not
     written. Returns u_hat as an (N, frames) int8 array.
+
+    With ``llrs``, an (N, frames) array, it walks the spec's full plan
+    instead, as ``sc_decode_batch`` does: f and g compute every child's
+    input down to single bits, and leaf i writes its input into row i of
+    ``llrs`` and decides by ``decide``'s rule. ``archsim.divergence``
+    screens the campaign's chunks against it in minsum_q.
 
     The buffers are allocated once per call and freed at return: the
     inputs of the children of a size-2h node live in the (h, frames) buffer
@@ -297,24 +303,27 @@ def _ssc_wires(wires, spec, mode, q):
     psums = np.zeros((n, frames), dtype=np.int8)  # a zero-sum Rate-0 node writes nothing
     levels = {n >> d: np.empty((n >> d, frames), dtype) for d in range(1, n.bit_length())}
     scratch = np.empty(temps * (n // 2) * frames, dtype)
-    _ssc_node(_ssc_plan(spec), wires, psums, (levels, scratch, f, rail))
+    _ssc_node(_ssc_plan(spec, llrs is not None), wires, psums, (levels, scratch, f, rail, llrs))
     return transform_rows(psums[None])[0]  # wire-major, so each butterfly is contiguous
 
 
-_RATE0, _RATE1, _SPLIT = range(3)
+_RATE0, _RATE1, _SPLIT, _LEAF = range(4)
 
 
-def _ssc_plan(spec):
-    """The SSC node tree of ``spec``, built on first use and kept on the
-    spec as a non-field attribute, so ==, hash and repr ignore it.
+def _ssc_plan(spec, full=False):
+    """The SSC node tree of ``spec``, or with ``full`` its full SC tree,
+    built on first use and kept on the spec as the non-field attribute
+    ``_ssc_plan`` or ``_sc_plan``, so ==, hash and repr ignore it.
 
     A node is (kind, left, right, sums). A Rate-0 node keeps its partial
     sums as an (n, 1) int8 column, or None when they are all zero; a split
-    keeps its two children."""
-    plan = getattr(spec, "_ssc_plan", None)
+    keeps its two children. The full tree has only splits and leaves: a
+    leaf is (_LEAF, i, frozen value or None, None) for 0-based position i."""
+    name, build = ("_sc_plan", _sc_plan_node) if full else ("_ssc_plan", _ssc_plan_node)
+    plan = getattr(spec, name, None)
     if plan is None:
-        plan = _ssc_plan_node(spec, 0, spec.n_bits)
-        object.__setattr__(spec, "_ssc_plan", plan)
+        plan = build(spec, 0, spec.n_bits)
+        object.__setattr__(spec, name, plan)
     return plan
 
 
@@ -330,6 +339,14 @@ def _ssc_plan_node(spec, start, n):
             _ssc_plan_node(spec, start + half, half), None)
 
 
+def _sc_plan_node(spec, start, n):
+    if n == 1:
+        return (_LEAF, start, int(spec.frozen_value_array[start]) if spec.frozen_mask[start]
+                else None, None)
+    half = n // 2
+    return (_SPLIT, _sc_plan_node(spec, start, half), _sc_plan_node(spec, start + half, half), None)
+
+
 def _ssc_node(node, v, x, ctx):
     """Run plan ``node`` on its input ``v`` (n wires x k frames) and leave
     its partial sums in ``x`` (n x k int8, zero on entry)."""
@@ -339,6 +356,12 @@ def _ssc_node(node, v, x, ctx):
             np.copyto(x, sums)
     elif kind == _SPLIT:
         _ssc_split(node, v, x, ctx)
+    elif kind == _LEAF:  # the full plan's size-one node: record its input, decide
+        ctx[4][node[1]] = v[0]
+        if node[2] is None:
+            np.less(v, 0, out=x.view(bool))
+        elif node[2]:
+            x.fill(1)
     else:
         np.less(v, 0, out=x.view(bool))
         if len(v) > 1 and not v.all():  # a zero decides 0 at size one, as v < 0 does
@@ -369,7 +392,7 @@ def _rate1_bits(h, z):
 def _ssc_split(node, v, x, ctx):
     """One SC step at ``node``: f into the left child, g into the right;
     a Rate-0 child reads no input, so none is computed for it."""
-    levels, scratch, f, rail = ctx
+    levels, scratch, f, rail, _ = ctx
     _, left, right, _ = node
     h = len(v) // 2
     a, b = v[:h], v[h:]

@@ -24,7 +24,7 @@ from polarsc import (
     sc_decode_batch,
     verify_equivalence,
 )
-from polarsc import WordQ, archsim, gates
+from polarsc import WordQ, archsim, channel, gates
 from polarsc.channel import ChannelConfig, draw_trials
 from polarsc.llr import qmax
 
@@ -269,17 +269,17 @@ class TestBatchedRun:
         assert len(batched["u_hat"]) == 3
 
     def test_first_divergence_located(self, monkeypatch):
-        # a reference that differs from the simulator in trial 2, stream C2,
+        # a simulator that differs from the reference in trial 2, stream C2,
         # and in trial 3, stream C1, must report trial 2 first
-        decode = archsim.sc_decode_batch
+        dataflow = archsim._dataflow
 
-        def flipped(q_llrs, *args, **kwargs):
-            u_hat, llrs = decode(q_llrs, *args, **kwargs)
+        def flipped(*args):
+            u_hat, llrs = dataflow(*args)
             u_hat[2 * 2 + 1, 5] ^= 1
             u_hat[3 * 2 + 0, 2] ^= 1
             return u_hat, llrs
 
-        monkeypatch.setattr(archsim, "sc_decode_batch", flipped)
+        monkeypatch.setattr(archsim, "_dataflow", flipped)
         spec = make_code_spec(16, 8)
         report = verify_equivalence(SimConfig(spec=spec, q=6, architecture="parallel2"),
                                     trials=4, seed=7)
@@ -291,15 +291,15 @@ class TestBatchedRun:
     @pytest.mark.parametrize("arch", ["lookahead", "parallel2"])
     def test_decision_llr_divergence_located(self, monkeypatch, arch):
         # right decisions with one wrong decision LLR still fail the campaign
-        decode = archsim.sc_decode_batch
+        dataflow = archsim._dataflow
         per_trial = 2 if arch == "parallel2" else 1
 
-        def shifted(q_llrs, *args, **kwargs):
-            u_hat, llrs = decode(q_llrs, *args, **kwargs)
-            llrs[1 * per_trial, 6] += 1  # trial 1, stream C1, bit 7
+        def shifted(*args):
+            u_hat, llrs = dataflow(*args)
+            llrs[1 * per_trial, 6] -= 1  # trial 1, stream C1, bit 7
             return u_hat, llrs
 
-        monkeypatch.setattr(archsim, "sc_decode_batch", shifted)
+        monkeypatch.setattr(archsim, "_dataflow", shifted)
         spec = make_code_spec(16, 8)
         report = verify_equivalence(SimConfig(spec=spec, q=6, architecture=arch),
                                     trials=3, seed=7)
@@ -308,6 +308,69 @@ class TestBatchedRun:
         assert (div["trial"], div["stream"], div["first_bit_index"]) == (1, 0, 7)
         assert div["sim"] == div["reference"]
         assert div["reference_llr"] == div["sim_llr"] + 1
+
+
+class TestScreenThenOracle:
+    """divergence screens each chunk against the fast path's recording walk;
+    the oracle, sc_decode_batch, rules only on a chunk the walk flags."""
+
+    @staticmethod
+    def spy(monkeypatch, name, outputs, damage=None):
+        # wrap archsim's ``name``, keep each output, and let ``damage`` edit it
+        fn = getattr(archsim, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if damage is not None:
+                damage(out)
+            outputs.append(out)
+            return out
+
+        monkeypatch.setattr(archsim, name, wrapper)
+
+    def test_clean_campaign_never_calls_the_oracle(self, monkeypatch):
+        spec = make_code_spec(16, 8)
+        config = SimConfig(spec=spec, q=6, architecture="parallel2")
+        monkeypatch.setattr(channel, "_CHUNK_ELEMENTS", 3 * 2 * spec.n_bits)  # 3 trials
+        walks, oracles = [], []
+        self.spy(monkeypatch, "_ssc_wires", walks)
+        self.spy(monkeypatch, "sc_decode_batch", oracles)
+        assert verify_equivalence(config, trials=7, seed=3).passed
+        assert (len(walks), len(oracles)) == (3, 0)  # chunks of 3, 3 and 1 trials
+
+    def test_flagged_chunk_reported_from_the_oracle(self, monkeypatch):
+        spec = make_code_spec(16, 8)
+        config = SimConfig(spec=spec, q=6, architecture="lookahead")
+        sims, oracles = [], []
+
+        def flip(out):
+            out[0][2, 3] ^= 1  # frame 2's fourth decision
+
+        self.spy(monkeypatch, "_dataflow", sims, flip)
+        self.spy(monkeypatch, "sc_decode_batch", oracles)
+        report = verify_equivalence(config, trials=4, seed=5)
+        assert len(oracles) == 1
+        (got, got_llrs), (want, want_llrs) = sims[0], oracles[0]
+        assert report.mismatches == 1
+        assert report.first_divergence == {
+            "trial": 2, "stream": 0, "first_bit_index": 4,
+            "sim": got[2].tolist(), "reference": want[2].tolist(),
+            "sim_llr": got_llrs[2, 3].item(), "reference_llr": want_llrs[2, 3].item()}
+        assert isinstance(report.first_divergence["reference_llr"], float)
+
+    @pytest.mark.parametrize("part", ["decision", "decision_llr"])
+    def test_walk_flagging_a_clean_chunk_raises(self, monkeypatch, part):
+        config = SimConfig(spec=make_code_spec(16, 8), q=6, architecture="lookahead")
+        walk = archsim._ssc_wires
+
+        def damaged(wires, spec, mode, q, llrs):
+            u_hat = walk(wires, spec, mode, q, llrs)
+            (u_hat if part == "decision" else llrs)[1, 1] ^= 1  # bit 2 of frame 1
+            return u_hat
+
+        monkeypatch.setattr(archsim, "_ssc_wires", damaged)
+        with pytest.raises(RuntimeError, match="_ssc_wires"):
+            verify_equivalence(config, trials=4, seed=5)
 
 
 class TestLockstepStreams:

@@ -236,17 +236,17 @@ class TestContract:
         # LLRs against the reference
         from polarsc import archsim, cli
 
-        decode = archsim.sc_decode_batch  # archsim.divergence calls the reference
+        dataflow = archsim._dataflow  # the simulator's one dataflow call
 
-        def flipped(q_llrs, *args, **kwargs):
-            u_hat, llrs = decode(q_llrs, *args, **kwargs)
+        def flipped(*args):
+            u_hat, llrs = dataflow(*args)
             if damaged == "decision":
                 u_hat[-1, 3] ^= 1  # the last stream's fourth decision
             else:
-                llrs[-1, 3] += 1  # its decision LLR; every decision stays right
+                llrs[-1, 3] -= 1  # its decision LLR; every decision stays right
             return u_hat, llrs
 
-        monkeypatch.setattr(archsim, "sc_decode_batch", flipped)
+        monkeypatch.setattr(archsim, "_dataflow", flipped)
         code = cli.main(["simulate", "--n", "8", "--k", "4", "--arch", arch,
                          "--ebn0", "1"])
         out, err = capsys.readouterr()

@@ -555,21 +555,21 @@ class TestEquivalenceChunks:
         trials, seed, bad = 7, 4, 4  # trial 4 is in a later chunk of 1 or 3 trials
         _, llrs = draw_trials(spec, ChannelConfig(BPSK_AWGN, 1.0, seed), trials * per_trial)
         target = quantize(llrs, 6)[bad * per_trial + per_trial - 1]  # its last stream
-        decode = archsim.sc_decode_batch
+        dataflow = archsim._dataflow
         chunks = []  # trials per chunk of the damaged run
 
-        def damaged(q_llrs, *args, **kwargs):
-            # a reference that differs on the target frame, wherever it sits
-            chunks.append(len(q_llrs) // per_trial)
-            u_hat, dec_llrs = decode(q_llrs, *args, **kwargs)
-            u_hat[(q_llrs == target).all(axis=1), 5] ^= 1
+        def damaged(config, firings, frames, record):
+            # a simulator that differs on the target frame, wherever it sits
+            chunks.append(len(frames) // per_trial)
+            u_hat, dec_llrs = dataflow(config, firings, frames, record)
+            u_hat[(frames == target).all(axis=1), 5] ^= 1
             return u_hat, dec_llrs
 
         def reports():
             chunks.clear()
             clean = verify_equivalence(config, trials, seed)
             with monkeypatch.context() as patched:
-                patched.setattr(archsim, "sc_decode_batch", damaged)
+                patched.setattr(archsim, "_dataflow", damaged)
                 return clean, verify_equivalence(config, trials, seed)
 
         whole = reports()  # the default budget holds all trials in one chunk

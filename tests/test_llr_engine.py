@@ -17,6 +17,7 @@ from polarsc import (
     MAX_LLR,
     SimConfig,
     archsim,
+    ber_sweep,
     construct_frozen_set,
     decide,
     encode,
@@ -30,10 +31,12 @@ from polarsc import (
     sc_decode,
     sc_decode_batch,
     ssc_decode_batch,
+    verify_equivalence,
 )
 from polarsc import PartialSumState, llr
 from polarsc.code import require_array
 from polarsc.llr import as_quantized, clamp, qmax
+from polarsc.schedule import ARCHITECTURES
 
 
 class TestFMinsum:
@@ -594,6 +597,54 @@ class TestSscDecode:
         finally:
             tracemalloc.stop()
             gc.enable()
+
+
+class TestRecordingWalk:
+    """The equivalence campaign's reference: ``_ssc_wires`` on the full plan
+    records the decisions and decision LLRs of sc_decode_batch."""
+
+    @pytest.mark.parametrize("q", [2, 7, 8, 15, 16, 31, 32, 54])
+    def test_equals_sc_decode_batch(self, q):
+        # every integer width, inputs at the rails and a third of them zero,
+        # random codes with random frozen values
+        m = qmax(q)
+        rng = np.random.default_rng(1000 + q)
+        rails = np.array([[m] * 4, [-m] * 4, [m, -m] * 2, [m - 1, 1 - m] * 2, [0, m] * 2])
+        ties = frozen_ones = 0
+        for _ in range(40):
+            n = 1 << int(rng.integers(1, 8))
+            frozen = tuple(int(i) + 1 for i in np.flatnonzero(rng.random(n) < 0.5))
+            values = tuple(int(v) for v in rng.integers(0, 2, len(frozen)))
+            spec = CodeSpec(n, n - len(frozen), frozen, values)
+            llrs = np.vstack([np.tile(rails, n)[:, :n],
+                              rng.choice([m, -m, m - 1, 1 - m, 0, 0, 0, 1, -1], size=(8, n))])
+            want_u, want_llrs = sc_decode_batch(llrs, spec, "minsum_q", q=q)
+            wires = np.ascontiguousarray(llrs.T, dtype=llr._wire_dtype("minsum_q", q))
+            got_llrs = np.empty_like(wires)  # wire-major, as the walk records
+            got_u = llr._ssc_wires(wires, spec, "minsum_q", q, got_llrs)
+            assert np.array_equal(got_u.T, want_u) and np.array_equal(got_llrs.T, want_llrs), n
+            ties += int((want_llrs == 0).sum())
+            frozen_ones += sum(values)
+        assert ties and frozen_ones
+
+    def test_full_plan_built_once_and_only_for_the_campaign(self, monkeypatch):
+        spec, twin = make_code_spec(16, 8), make_code_spec(16, 8)
+        builds = []  # the specs whose full plan was built from the root
+        build = llr._sc_plan_node
+
+        def counted(spec, start, n):
+            if n == spec.n_bits:
+                builds.append(spec)
+            return build(spec, start, n)
+
+        monkeypatch.setattr(llr, "_sc_plan_node", counted)
+        ber_sweep(spec, list(llr.MODES), list(ARCHITECTURES), [1.0, 3.0], trials=5, seed=1)
+        assert builds == []  # the sweep walks the SSC plan alone
+        config = SimConfig(spec, 6, "lookahead")
+        for seed in (1, 2):
+            assert verify_equivalence(config, trials=3, seed=seed).passed
+        assert builds == [spec]
+        assert (spec, hash(spec), repr(spec)) == (twin, hash(twin), repr(twin))
 
 
 def _has_rate0_left_with_sums(spec):
