@@ -46,8 +46,7 @@ from .gates import _unchecked_word, merged_pe
 from .igc import PartialSumState, refreshed_stage, select_ready
 from .llr import (
     MODE_MINSUM_Q,
-    _ssc_wires,
-    _wire_dtype,
+    _genie_llrs,
     as_quantized,
     clamp,
     decide,
@@ -359,27 +358,28 @@ def divergence(config, q_llrs, result):
     the config's q. Returns wrong[t, s] (stream s of trial t diverged) and
     the first divergence, or None.
 
-    The chunk is screened against the fast path's recording walk
-    (``llr._ssc_wires`` with a decision-LLR array). Only a chunk it flags
-    is decoded by ``sc_decode_batch``, the oracle, and the report is read
-    off the oracle; an oracle that disagrees with the walk raises
-    RuntimeError, as the walk is then at fault."""
+    The chunk is screened by SC's genie pass ``llr._genie_llrs``: from the
+    run's decisions it yields L, SC's LLR of bit i after decisions 1..i-1
+    equal to the run's, and the reference decides on L by ``decide``'s
+    rule. A frame is flagged where its decisions differ from the reference
+    or its LLRs from L. As LLR i depends on decisions 1..i-1 alone, that is
+    so if and only if the frame differs from ``sc_decode_batch``: a frame
+    equal to SC's makes L and the reference SC's, and at the first bit where
+    a frame differs from SC, L and the reference are still SC's. Only a
+    flagged chunk is decoded by the oracle, and the report is read off it;
+    an oracle whose wrong frames are not the screen's raises RuntimeError."""
     got, got_llrs = result.decisions, result.decision_llrs
     spec, q = config.spec, config.q
-    wires = np.ascontiguousarray(q_llrs.T, dtype=_wire_dtype(MODE_MINSUM_Q, q))
-    walk_llrs = np.empty_like(wires)
-    reference = _ssc_wires(wires, spec, MODE_MINSUM_Q, q, walk_llrs).T
-    ref_llrs = walk_llrs.T
     per_trial = len(config.schedule[0])  # one frame per stream
-    differs = (got != reference) | (got_llrs != ref_llrs)
-    wrong = np.any(differs, axis=1).reshape(-1, per_trial)
+    genie = _genie_llrs(q_llrs, got, q)
+    reference = np.where(spec.frozen_mask, spec.frozen_value_array, genie < 0)
+    wrong = np.any((got != reference) | (got_llrs != genie), axis=1).reshape(-1, per_trial)
     if not wrong.any():
         return wrong, None
-    oracle = sc_decode_batch(q_llrs, spec, MODE_MINSUM_Q, q=q)
-    if not all(map(np.array_equal, oracle, (reference, ref_llrs))):
-        raise RuntimeError("the reference walk llr._ssc_wires no longer decodes as "
-                           "sc_decode_batch does: a chunk it flagged reads otherwise")
-    reference, ref_llrs = oracle
+    reference, ref_llrs = sc_decode_batch(q_llrs, spec, MODE_MINSUM_Q, q=q)
+    differs = (got != reference) | (got_llrs != ref_llrs)
+    if not np.array_equal(np.any(differs, axis=1).reshape(-1, per_trial), wrong):
+        raise RuntimeError("the genie pass llr._genie_llrs flagged other frames than the oracle")
     t, s = (int(i) for i in np.argwhere(wrong)[0])
     frame = t * per_trial + s
     i = int(np.argmax(differs[frame]))
@@ -403,8 +403,8 @@ def verify_equivalence(config, trials, seed, ebn0_db=1.0, scale=1.0):
     streams C1 and C2). The trials are walked in ``ber_sweep``'s chunks, so
     memory does not grow with their count; the simulator decodes a chunk in
     one batched run, checked by ``divergence`` on the very same quantized
-    inputs: against the fast path's recording walk, and against the oracle
-    ``sc_decode_batch`` only if the walk flags the chunk. Returns a report.
+    inputs: by SC's genie pass, and by the oracle ``sc_decode_batch`` only
+    on a chunk the pass flags. Returns a report.
     """
     trials = require_count(trials, 1)
     spec = config.spec

@@ -269,18 +269,12 @@ def _wire_dtype(mode, q):
     return np.min_scalar_type(-2 * qmax(q)) if mode == MODE_MINSUM_Q else np.dtype(float)
 
 
-def _ssc_wires(wires, spec, mode, q, llrs=None):
+def _ssc_wires(wires, spec, mode, q):
     """The simplified-SC walk of ``ssc_decode_batch`` on wire-major input.
 
     ``wires`` is an (N, frames) array of ``_wire_dtype(mode, q)`` within the
     mode's rail, one row per wire and one column per frame; it is read, not
     written. Returns u_hat as an (N, frames) int8 array.
-
-    With ``llrs``, an (N, frames) array, it walks the spec's full plan
-    instead, as ``sc_decode_batch`` does: f and g compute every child's
-    input down to single bits, and leaf i writes its input into row i of
-    ``llrs`` and decides by ``decide``'s rule. ``archsim.divergence``
-    screens the campaign's chunks against it in minsum_q.
 
     The buffers are allocated once per call and freed at return: the
     inputs of the children of a size-2h node live in the (h, frames) buffer
@@ -303,27 +297,25 @@ def _ssc_wires(wires, spec, mode, q, llrs=None):
     psums = np.zeros((n, frames), dtype=np.int8)  # a zero-sum Rate-0 node writes nothing
     levels = {n >> d: np.empty((n >> d, frames), dtype) for d in range(1, n.bit_length())}
     scratch = np.empty(temps * (n // 2) * frames, dtype)
-    _ssc_node(_ssc_plan(spec, llrs is not None), wires, psums, (levels, scratch, f, rail, llrs))
+    _ssc_node(_ssc_plan(spec), wires, psums, (levels, scratch, f, rail))
     return transform_rows(psums[None])[0]  # wire-major, so each butterfly is contiguous
 
 
-_RATE0, _RATE1, _SPLIT, _LEAF = range(4)
+_RATE0, _RATE1, _SPLIT = range(3)
 
 
-def _ssc_plan(spec, full=False):
-    """The SSC node tree of ``spec``, or with ``full`` its full SC tree,
-    built on first use and kept on the spec as the non-field attribute
-    ``_ssc_plan`` or ``_sc_plan``, so ==, hash and repr ignore it.
+def _ssc_plan(spec):
+    """The SSC node tree of ``spec``, built on first use and kept on the
+    spec as the non-field attribute ``_ssc_plan``, so ==, hash and repr
+    ignore it.
 
-    A node is (kind, left, right, sums). A Rate-0 node keeps its partial
-    sums as an (n, 1) int8 column, or None when they are all zero; a split
-    keeps its two children. The full tree has only splits and leaves: a
-    leaf is (_LEAF, i, frozen value or None, None) for 0-based position i."""
-    name, build = ("_sc_plan", _sc_plan_node) if full else ("_ssc_plan", _ssc_plan_node)
-    plan = getattr(spec, name, None)
+    A node is (kind, left, right, sums): Rate-0, Rate-1 or a split, never a
+    single-bit leaf. A Rate-0 node keeps its partial sums as an (n, 1) int8
+    column, or None when they are all zero; a split keeps its two children."""
+    plan = getattr(spec, "_ssc_plan", None)
     if plan is None:
-        plan = build(spec, 0, spec.n_bits)
-        object.__setattr__(spec, name, plan)
+        plan = _ssc_plan_node(spec, 0, spec.n_bits)
+        object.__setattr__(spec, "_ssc_plan", plan)
     return plan
 
 
@@ -339,14 +331,6 @@ def _ssc_plan_node(spec, start, n):
             _ssc_plan_node(spec, start + half, half), None)
 
 
-def _sc_plan_node(spec, start, n):
-    if n == 1:
-        return (_LEAF, start, int(spec.frozen_value_array[start]) if spec.frozen_mask[start]
-                else None, None)
-    half = n // 2
-    return (_SPLIT, _sc_plan_node(spec, start, half), _sc_plan_node(spec, start + half, half), None)
-
-
 def _ssc_node(node, v, x, ctx):
     """Run plan ``node`` on its input ``v`` (n wires x k frames) and leave
     its partial sums in ``x`` (n x k int8, zero on entry)."""
@@ -356,12 +340,6 @@ def _ssc_node(node, v, x, ctx):
             np.copyto(x, sums)
     elif kind == _SPLIT:
         _ssc_split(node, v, x, ctx)
-    elif kind == _LEAF:  # the full plan's size-one node: record its input, decide
-        ctx[4][node[1]] = v[0]
-        if node[2] is None:
-            np.less(v, 0, out=x.view(bool))
-        elif node[2]:
-            x.fill(1)
     else:
         np.less(v, 0, out=x.view(bool))
         if len(v) > 1 and not v.all():  # a zero decides 0 at size one, as v < 0 does
@@ -392,7 +370,7 @@ def _rate1_bits(h, z):
 def _ssc_split(node, v, x, ctx):
     """One SC step at ``node``: f into the left child, g into the right;
     a Rate-0 child reads no input, so none is computed for it."""
-    levels, scratch, f, rail, _ = ctx
+    levels, scratch, f, rail = ctx
     _, left, right, _ = node
     h = len(v) // 2
     a, b = v[:h], v[h:]
@@ -464,6 +442,27 @@ def _ssc_g(a, b, x, out, scratch, rail):
         t *= a
         np.add(b, t, out=out)
     clamp(out, rail, out=out)
+
+
+def _genie_llrs(llrs, u, q):
+    """SC's quantized min-sum decision LLRs of the (frames, N) int64 ``llrs``
+    when its decisions are ``u`` (frames, N, read only): bit i's LLR after
+    decisions 1..i-1 (genie-aided SC; Arikan, IEEE Trans. IT 2009). With u
+    known, so is every partial sum: those of the aligned blocks of size h are
+    u after butterfly stages 2..h of its transform. So one ``f_minsum`` and
+    one ``g_update``, the oracle's kernels, cover each tree level from the root."""
+    frames, n = llrs.shape
+    sums = [u]
+    for k in range(n.bit_length() - 2):
+        v = sums[-1].reshape(frames, -1, 2, 1 << k).copy()  # u stays unwritten
+        v[:, :, 0] ^= v[:, :, 1]
+        sums.append(v.reshape(frames, n))
+    v = llrs
+    for k in reversed(range(n.bit_length() - 1)):
+        v, h = v.reshape(frames, -1, 2 << k), 1 << k
+        a, b, x = v[:, :, :h], v[:, :, h:], sums[k].reshape(v.shape)[:, :, :h]
+        v = np.concatenate([f_minsum(a, b), g_update(a, b, x, q)], axis=2)
+    return v.reshape(frames, n)
 
 
 def sc_decode(channel_llrs, spec, mode, q=None):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,8 +312,9 @@ class TestBatchedRun:
 
 
 class TestScreenThenOracle:
-    """divergence screens each chunk against the fast path's recording walk;
-    the oracle, sc_decode_batch, rules only on a chunk the walk flags."""
+    """divergence screens each chunk by SC's genie pass on the run's own
+    decisions; the oracle, sc_decode_batch, rules only on a chunk the pass
+    flags."""
 
     @staticmethod
     def spy(monkeypatch, name, outputs, damage=None):
@@ -332,11 +334,11 @@ class TestScreenThenOracle:
         spec = make_code_spec(16, 8)
         config = SimConfig(spec=spec, q=6, architecture="parallel2")
         monkeypatch.setattr(channel, "_CHUNK_ELEMENTS", 3 * 2 * spec.n_bits)  # 3 trials
-        walks, oracles = [], []
-        self.spy(monkeypatch, "_ssc_wires", walks)
+        screens, oracles = [], []
+        self.spy(monkeypatch, "_genie_llrs", screens)
         self.spy(monkeypatch, "sc_decode_batch", oracles)
         assert verify_equivalence(config, trials=7, seed=3).passed
-        assert (len(walks), len(oracles)) == (3, 0)  # chunks of 3, 3 and 1 trials
+        assert (len(screens), len(oracles)) == (3, 0)  # chunks of 3, 3 and 1 trials
 
     def test_flagged_chunk_reported_from_the_oracle(self, monkeypatch):
         spec = make_code_spec(16, 8)
@@ -360,17 +362,66 @@ class TestScreenThenOracle:
 
     @pytest.mark.parametrize("part", ["decision", "decision_llr"])
     def test_walk_flagging_a_clean_chunk_raises(self, monkeypatch, part):
-        config = SimConfig(spec=make_code_spec(16, 8), q=6, architecture="lookahead")
-        walk = archsim._ssc_wires
+        spec = make_code_spec(16, 8)
+        config = SimConfig(spec=spec, q=6, architecture="lookahead")
+        info = int(np.flatnonzero(~spec.frozen_mask)[0])
 
-        def damaged(wires, spec, mode, q, llrs):
-            u_hat = walk(wires, spec, mode, q, llrs)
-            (u_hat if part == "decision" else llrs)[1, 1] ^= 1  # bit 2 of frame 1
-            return u_hat
+        def damage(llrs):
+            # ~L flips the sign of an information bit's LLR in frame 1, and so
+            # its reference decision; L ^ 1 moves bit 2's LLR but keeps its sign
+            if part == "decision":
+                llrs[1, info] = ~llrs[1, info]
+            else:
+                llrs[1, 1] ^= 1
 
-        monkeypatch.setattr(archsim, "_ssc_wires", damaged)
-        with pytest.raises(RuntimeError, match="_ssc_wires"):
+        self.spy(monkeypatch, "_genie_llrs", [], damage)
+        with pytest.raises(RuntimeError, match="_genie_llrs"):
             verify_equivalence(config, trials=4, seed=5)
+
+    @pytest.mark.parametrize("q", [2, 6, 8, 16])
+    def test_screen_flags_exactly_the_frames_that_differ(self, q):
+        # a fake run that is the oracle's decode, damaged in one frame: a
+        # decision at a frozen or an information position, or one decision
+        # LLR (a tie among them moved to +1 or -1); the screen must flag that
+        # frame alone, locate the damage, and a clean copy must flag nothing
+        m = qmax(q)
+        rng = np.random.default_rng(3000 + q)
+        rails = np.array([[m] * 4, [-m] * 4, [m, -m] * 2, [0, m] * 2])
+        seen = set()
+        for _ in range(12):
+            n = 1 << int(rng.integers(2, 8))
+            frozen = tuple(int(i) + 1 for i in np.flatnonzero(rng.random(n) < 0.5))
+            values = tuple(int(v) for v in rng.integers(0, 2, len(frozen)))
+            spec = CodeSpec(n, n - len(frozen), frozen, values)
+            config = SimConfig(spec=spec, q=q, architecture="lookahead")
+            q_llrs = np.vstack([np.tile(rails, n)[:, :n],
+                                rng.choice([m, -m, 1, -1, 0, 0, 0], size=(4, n))])
+            u, llrs = sc_decode_batch(q_llrs, spec, "minsum_q", q=q)
+            llrs = llrs.astype(np.int64)  # the simulator's decision LLRs are integers
+            clean = SimpleNamespace(decisions=u, decision_llrs=llrs)
+            wrong, found = archsim.divergence(config, q_llrs, clean)
+            assert not wrong.any() and found is None
+            frame = int(rng.integers(len(q_llrs)))
+            damages = [("frozen", spec.frozen_mask), ("information", ~spec.frozen_mask),
+                       ("tie", llrs[frame] == 0), ("decision_llr", np.ones(n, bool))]
+            for kind, where in damages:
+                if not where.any():
+                    continue
+                i = int(rng.choice(np.flatnonzero(where)))
+                got, got_llrs = u.copy(), llrs.copy()
+                if kind in ("frozen", "information"):
+                    got[frame, i] ^= 1
+                elif kind == "tie":
+                    got_llrs[frame, i] = rng.choice([-1, 1])
+                else:
+                    got_llrs[frame, i] ^= 1
+                wrong, found = archsim.divergence(
+                    config, q_llrs, SimpleNamespace(decisions=got, decision_llrs=got_llrs))
+                differs = np.any((got != u) | (got_llrs != llrs), axis=1)
+                assert np.array_equal(wrong[:, 0], differs), (kind, n, i)
+                assert (found["trial"], found["first_bit_index"]) == (frame, i + 1)
+                seen.add(kind)
+        assert seen == {"frozen", "information", "tie", "decision_llr"}
 
 
 class TestLockstepStreams:

@@ -13,7 +13,7 @@ random stream has one definition, ``channel.trial_rng``; the sweeps' seeding
 pass that recomputes a chunk's states is called from the channel draw alone.
 An array from the caller has one check, ``code.require_array``. A simulator
 run is one dataflow call, and outside ``llr.py`` only ``archsim.divergence``
-names the equivalence reference.
+names the equivalence reference and its genie screen.
 ``cli.main`` only dispatches: each flag is read by the subcommand that uses it.
 Every public name has a reader outside the tests.
 """
@@ -174,6 +174,26 @@ def test_one_dataflow_call_and_one_reference_reader():
     assert _readers(["_dataflow"]) == {("archsim.py", "run")}
     assert {r for r in _readers(["sc_decode_batch"]) if r[0] != "llr.py"} == {
         ("archsim.py", "divergence")}
+
+
+def test_genie_pass_has_one_reader_and_llr_no_full_sc_plan():
+    # the campaign's screen reads SC's decision LLRs off the run's decisions
+    # level by level, so llr keeps no tree of single-bit leaves: the SSC
+    # plan's node kinds are Rate-0, Rate-1 and split
+    assert _readers(["_genie_llrs"]) == {("archsim.py", "divergence")}
+    tree = _trees()["llr.py"]
+    kinds = [
+        elt.id
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Tuple)
+        and isinstance(stmt.value, ast.Call) and getattr(stmt.value.func, "id", None) == "range"
+        for elt in stmt.targets[0].elts
+    ]
+    assert kinds == ["_RATE0", "_RATE1", "_SPLIT"]
+    node = next(f for f in tree.body if getattr(f, "name", None) == "_ssc_node")
+    constants = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id.isupper()}
+    assert {"_RATE0", "_SPLIT"} <= constants <= set(kinds)
+    assert "_sc_plan" not in {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
 
 
 def test_outside_arrays_have_one_check():

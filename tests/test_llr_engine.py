@@ -17,7 +17,6 @@ from polarsc import (
     MAX_LLR,
     SimConfig,
     archsim,
-    ber_sweep,
     construct_frozen_set,
     decide,
     encode,
@@ -31,12 +30,10 @@ from polarsc import (
     sc_decode,
     sc_decode_batch,
     ssc_decode_batch,
-    verify_equivalence,
 )
 from polarsc import PartialSumState, llr
 from polarsc.code import require_array
 from polarsc.llr import as_quantized, clamp, qmax
-from polarsc.schedule import ARCHITECTURES
 
 
 class TestFMinsum:
@@ -600,8 +597,8 @@ class TestSscDecode:
 
 
 class TestRecordingWalk:
-    """The equivalence campaign's reference: ``_ssc_wires`` on the full plan
-    records the decisions and decision LLRs of sc_decode_batch."""
+    """The equivalence campaign's screen: the genie pass ``_genie_llrs``,
+    given sc_decode_batch's decisions, records its decision LLRs."""
 
     @pytest.mark.parametrize("q", [2, 7, 8, 15, 16, 31, 32, 54])
     def test_equals_sc_decode_batch(self, q):
@@ -619,32 +616,13 @@ class TestRecordingWalk:
             llrs = np.vstack([np.tile(rails, n)[:, :n],
                               rng.choice([m, -m, m - 1, 1 - m, 0, 0, 0, 1, -1], size=(8, n))])
             want_u, want_llrs = sc_decode_batch(llrs, spec, "minsum_q", q=q)
-            wires = np.ascontiguousarray(llrs.T, dtype=llr._wire_dtype("minsum_q", q))
-            got_llrs = np.empty_like(wires)  # wire-major, as the walk records
-            got_u = llr._ssc_wires(wires, spec, "minsum_q", q, got_llrs)
-            assert np.array_equal(got_u.T, want_u) and np.array_equal(got_llrs.T, want_llrs), n
+            wire_major = np.ascontiguousarray(want_u.T)  # the simulator's layout
+            got_llrs = llr._genie_llrs(llrs, wire_major.T, q)
+            assert got_llrs.dtype == np.int64 and np.array_equal(got_llrs, want_llrs), n
+            assert np.array_equal(wire_major.T, want_u)  # the decisions are read, not written
             ties += int((want_llrs == 0).sum())
             frozen_ones += sum(values)
         assert ties and frozen_ones
-
-    def test_full_plan_built_once_and_only_for_the_campaign(self, monkeypatch):
-        spec, twin = make_code_spec(16, 8), make_code_spec(16, 8)
-        builds = []  # the specs whose full plan was built from the root
-        build = llr._sc_plan_node
-
-        def counted(spec, start, n):
-            if n == spec.n_bits:
-                builds.append(spec)
-            return build(spec, start, n)
-
-        monkeypatch.setattr(llr, "_sc_plan_node", counted)
-        ber_sweep(spec, list(llr.MODES), list(ARCHITECTURES), [1.0, 3.0], trials=5, seed=1)
-        assert builds == []  # the sweep walks the SSC plan alone
-        config = SimConfig(spec, 6, "lookahead")
-        for seed in (1, 2):
-            assert verify_equivalence(config, trials=3, seed=seed).passed
-        assert builds == [spec]
-        assert (spec, hash(spec), repr(spec)) == (twin, hash(twin), repr(twin))
 
 
 def _has_rate0_left_with_sums(spec):
