@@ -1,24 +1,23 @@
 """Cycle-accurate simulation of the sequential and look-ahead decoders.
 
-The simulator executes a time chart cycle by cycle. In look-ahead mode
-every activation is a merged PE pass producing the f output and both
-precomputed g candidates; candidates stay buffered until the partial-sum
-network delivers their select bits, at which point a multiplexer resolves
-them. Decisions at the final stage resolve their own candidate pair in
-the producing cycle (the one place same-cycle selection is required);
-every other consumed value must have been produced in a strictly earlier
-cycle, by the parent firing that owns the consumer's block.
+In look-ahead mode every activation is a merged PE pass producing the f
+output and both precomputed g candidates; candidates stay buffered until
+the partial-sum network delivers their select bits, at which point a
+multiplexer resolves them. Decisions at the final stage resolve their own
+candidate pair in the producing cycle (the one place same-cycle selection
+is required); every other consumed value must have been produced in a
+strictly earlier cycle, by the parent firing that owns the consumer's block.
 
 None of this depends on the LLRs, so legality is checked once per
-``SimConfig``, when it is built, not once per run: ``check_schedule``
-reads no data, raises SchedulingError on any violation and yields each
-stream's (cycle, stage, op, select) firings, the per-cycle PE activity and
-the candidate-buffer peak. A run fires the checked sequence with no
-further checks, each firing on a whole (frames, N) array; one frame is a
-batch of one. A legal schedule fires one sequence in every stream, so a
-run is one lockstep batch: frame f stands for stream f mod k of the k
-streams (odd frames on C2 of the 2-parallel decoder), and all frames are
-decided together, with one partial-sum state.
+``SimConfig``, when it is built: ``check_schedule`` reads no data, raises
+SchedulingError on any violation and yields each stream's firings with the
+blocks and decision counts it checked, the per-cycle PE activity and the
+candidate-buffer peak. A legal schedule fires one sequence in every stream,
+so all frames run in lockstep on C1's firings, compiled into one gather per
+tree level: frame f stands for stream f mod k of the k streams (odd frames
+on C2 of the 2-parallel decoder). A run evaluates a level at a time, on
+guessed decisions that it then confirms (``_dataflow``); the order of
+evaluation does not change a determinate dataflow graph (Kahn, IFIP 1974).
 
 Arithmetic is saturating q-bit integer min-sum, bit-identical to the
 functional quantized decoder, on one shared-adder datapath like the paper's
@@ -28,9 +27,8 @@ since sgn(a) * sgn(b) * min(|a|, |b|) = (|a + b| - |a - b|) / 2 for integers
 with sgn(0) = +1. The numerator is always even, and nothing overflows for
 q <= MAX_Q, where |a| + |b| <= 2^54 - 2. The functional decoder computes f
 as sign times minimum, so the equivalence check compares two formulas.
-Optionally all PEs of a firing, in every frame, go through one bit-sliced
-call of the gate-level models instead (slower, used for cross-checks); a
-firing of one PE in one frame takes the models' int path.
+Optionally all PEs of a level, in every frame, go through one bit-sliced
+call of the gate-level models instead (slower, used for cross-checks).
 """
 
 from __future__ import annotations
@@ -43,13 +41,14 @@ from .channel import ChannelConfig, trial_chunks, BPSK_AWGN
 from .code import CodeSpec, require_count, require_power_of_two
 from .errors import InvalidParameterError, SchedulingError
 from .gates import _unchecked_word, merged_pe
-from .igc import PartialSumState, refreshed_stage, select_ready
+from .igc import refreshed_stage, select_levels, select_ready
 from .llr import (
     MODE_MINSUM_Q,
     _genie_llrs,
+    _ssc_wires,
+    _wire_dtype,
     as_quantized,
     clamp,
-    decide,
     qmax,
     quantize,
     sc_decode_batch,
@@ -83,7 +82,9 @@ class SimConfig:
             raise InvalidParameterError("use_gate_pes needs merged PEs; conventional has none")
         qmax(self.q)  # validates q
         schedule = check_schedule(self.architecture, self.spec.n_bits)
-        object.__setattr__(self, "schedule", schedule)  # not a field
+        object.__setattr__(self, "schedule", schedule)  # not fields
+        object.__setattr__(self, "levels", _level_gathers(
+            schedule[0][0], self.spec.n_bits, self.architecture != CONVENTIONAL))
 
 
 @dataclass
@@ -128,8 +129,11 @@ def check_schedule(architecture, n):
     Raises SchedulingError at the first firing that reads a buffer or
     select bits its producers have not delivered, refires over unresolved
     candidates or overfills the PE pool, and when a stream ends short of N
-    decisions. Returns each stream's (cycle, stage, op, select) firings, the
-    ActivityTable and the candidate-buffer peak in pairs.
+    decisions. Returns each stream's (cycle, stage, op, select, block,
+    parent, decided) firings, the ActivityTable and the candidate-buffer
+    peak in pairs: a firing reads stage ``select``'s select bits (or none)
+    and its parent block from the buffer (block 0, the channel, at stage 1)
+    after ``decided`` decisions.
     """
     if architecture not in ARCHITECTURES:
         raise InvalidParameterError(f"unknown architecture {architecture!r}")
@@ -152,6 +156,7 @@ def check_schedule(architecture, n):
             blk = fired[s][stage]
             fired[s][stage] += 1
             op = "fg" if merged else ("f" if entry.pe_type == PE_F else "g")
+            parent_blk = 0
             if stage > 1:
                 parent = stage - 1
                 if parent not in buffered[s]:
@@ -192,6 +197,7 @@ def check_schedule(architecture, n):
                 unresolved[s].add(stage)
                 live += n >> stage
             buffered[s][stage] = (cycle, blk)
+            streams[s].append((cycle, stage, op, select, blk, parent_blk, decided[s]))
             if stage == m:
                 for _ in range(2 if merged else 1):
                     decided[s] += 1
@@ -201,7 +207,6 @@ def check_schedule(architecture, n):
                         live -= n >> resolved
             counts[s][cycle - 1] = n >> stage
             used += n >> stage
-            streams[s].append((cycle, stage, op, select))
         if merged and used > n // 2:
             raise SchedulingError(
                 f"cycle {cycle}: {used} merged PEs requested from a pool of {n // 2}"
@@ -223,12 +228,9 @@ def run(config, channel_llrs):
     """Execute the configured architecture on quantized channel LLRs.
 
     ``channel_llrs`` is one length-N integer vector or a (frames, N) array
-    (a list of vectors is one). Frame f stands for stream f mod k of the
-    checked schedule's k streams, but a legal schedule fires the same
-    (stage, op, select) sequence in every stream, so all frames run it in
-    lockstep on one batch axis and each step applies its PE to every frame
-    at once. The schedule was checked when the config was built. Decisions
-    and decision LLRs come back as (frames, N) arrays, row f for frame f. A
+    (a list of vectors is one), frame f standing for stream f mod k of the
+    checked schedule's k streams; all run in lockstep. Decisions and
+    decision LLRs come back as (frames, N) arrays, row f for frame f. A
     trace row has no frame column, so ``record_trace`` takes exactly one
     frame per stream, and frame s is traced as stream s.
     """
@@ -244,18 +246,22 @@ def run(config, channel_llrs):
             f"record_trace needs {len(streams)} frame(s), one per stream, got {len(frames)}")
     rows = []
 
-    def record(k, a, b, outs, sel):
-        # with record_trace frame s is stream s
+    def record(levels):  # frame s is stream s: per PE its inputs, outputs and select bit
         for s, firings in enumerate(streams):
-            cycle, stage, op, _ = firings[k]
-            rows.extend(
-                (cycle, STREAM_LABELS[s], stage, i, op, f"{a[s, i]}|{b[s, i]}",
-                 "|".join(str(o[s, i]) for o in outs),
-                 "" if sel is None else str(sel[s, i]))
-                for i in range(a.shape[1]))
+            for cycle, stage, op, select, blk, parent, decided in firings:
+                nodes, pe, sel_blocks = levels[stage - 1]
+                src = blk if op == "fg" else parent  # the node this PE reads
+                a, b = nodes[src, :, s].reshape(2, -1)
+                f, g0, g1 = (v[src, :, s] for v in pe)
+                sel = sel_blocks[decided // (2 * (n >> stage)), :, s]  # a g's, or a leaf's bit
+                outs = {"f": [f], "g": [np.where(sel, g1, g0)], "fg": [f, g0, g1]}[op]
+                shown = op == "g" or stage == n.bit_length() - 1 and op == "fg"
+                rows.extend(
+                    (cycle, STREAM_LABELS[s], stage, i, op, f"{a[i]}|{b[i]}",
+                     "|".join(str(o[i]) for o in outs), str(int(sel[i])) if shown else "")
+                    for i in range(len(a)))
 
-    # every stream of a legal schedule fires C1's sequence (see above)
-    decisions, dec_llrs = _dataflow(config, streams[0], frames,
+    decisions, dec_llrs = _dataflow(config, config.levels, frames,
                                     record if config.record_trace else None)
     return SimResult(
         decisions=decisions,
@@ -267,66 +273,71 @@ def run(config, channel_llrs):
     )
 
 
-def _dataflow(config, firings, frames, record):
-    """Run checked (cycle, stage, op, select) firings on a (batch, N) stack of
-    frames decided in lockstep, reading stage ``select``'s proved-ready select
-    bits; return the decisions and decision-time LLRs. ``record(k, a, b, outs,
-    sel)``, unless None, sees the inputs, outputs and select bits of firing k.
-
-    Values are held wire-major, one row per wire and one column per frame,
-    so each PE input is a contiguous block of rows."""
-    spec, q = config.spec, config.q
-    n = spec.n_bits
+def _level_gathers(firings, n, merged):
+    """Per tree level, ((f_dst, f_src), (g_dst, g_src, g_sel)) from checked
+    firings: node dst of the level is f, or the g pair MUXed by select block
+    g_sel, of the PE on node src above; a merged stage-s firing builds its
+    input (level s - 1), a sequential one its output, a leaf its decision."""
     m = n.bit_length() - 1
+    reads = [[] for _ in range(m)]  # per level: (node, source node, select block or -1)
+    for _, stage, op, select, blk, parent, decided in firings:
+        level = stage - 1 if merged else stage
+        if level:
+            sel = -1 if select is None else decided // (2 * (n >> select))
+            reads[level - 1].append((decided if level == m else blk, parent, sel))
+        if merged and stage == m:  # the leaf's pair: f decides, and its bit selects
+            reads[m - 1] += [(decided, blk, -1), (decided + 1, blk, decided // 2)]
+    return [(ix[:2, ix[2] < 0], ix[:, ix[2] >= 0]) for ix in (np.array(r).T for r in reads)]
+
+
+def _level_pass(config, gathers, wires, guess, levels):
+    """The tree a level at a time on (N, frames) ``wires``, with the select
+    bits of the (N, frames) decisions ``guess``; returns the decision LLRs
+    and decisions and appends each level's (input nodes, (f, g0, g1), select
+    blocks) to ``levels`` unless it is None."""
+    spec, q = config.spec, config.q
     rail = np.int64(qmax(q))  # read once; a Python int would be converted by every ufunc
-    psums = PartialSumState(n)
-    bufs = {}  # stage -> outputs: (f, g0, g1) or (f,) or (g,)
-    wires = np.ascontiguousarray(frames.T)
-    decisions = np.zeros(wires.shape, dtype=np.int64)
-    dec_llrs = np.zeros(wires.shape, dtype=np.int64)
-
-    def leaf(llrs):
-        k = psums.decided + 1
-        dec_llrs[k - 1] = llrs
-        u = decisions[k - 1]
-        u[:] = decide(llrs, k, spec)
-        psums.push(u, k)
-        return u
-
-    for k, (_, stage, op, select) in enumerate(firings):
-        half = n >> stage
-        if stage == 1:
-            inp = wires
-        elif op == "fg" and select is not None:
-            _, g0, g1 = bufs[select]
-            inp = np.where(psums.selection_bits(select).T, g1, g0)
-        else:
-            inp = bufs[stage - 1][0]
-        a, b = inp[:half], inp[half:]
-        sel = None
-        if op == "g":
-            sel = psums.selection_bits(select)
-            outs = (clamp(np.where(sel.T, b - a, b + a), rail),)
-        elif config.use_gate_pes:
-            # the words are in range by construction: checked input, PE outputs
-            # and MUX picks of them; one PE of one frame takes the int path
-            one = a.size == 1
-            words = merged_pe(*(_unchecked_word(v.item() if one else v, q) for v in (a, b)))
-            outs = tuple(np.array([[w.value]]) if one else w.value for w in words)
+    nodes = wires[None]
+    for ((f_dst, f_src), (g_dst, g_src, g_sel)), sel in zip(gathers, select_levels(guess.T)):
+        h = nodes.shape[1] // 2
+        a, b = nodes[:, :h], nodes[:, h:]
+        if config.use_gate_pes:  # in range by construction: checked input, PE outputs, MUX picks
+            pe = tuple(w.value for w in merged_pe(_unchecked_word(a, q), _unchecked_word(b, q)))
         else:
             s0, s1 = b + a, b - a
-            f = (np.abs(s0) - np.abs(s1)) >> 1
-            outs = (f,) if op == "f" else (f, clamp(s0, rail), clamp(s1, rail))
-        bufs[stage] = outs
-        if stage == m:
-            u = leaf(outs[0][0])
-            if op == "fg":
-                # same-cycle select: the fresh decision resolves this PE's pair
-                sel = u[:, None]
-                leaf(np.where(u, outs[2][0], outs[1][0]))
-        if record is not None:
-            record(k, a.T, b.T, [o.T for o in outs], sel)
-    return decisions.T, dec_llrs.T
+            pe = ((np.abs(s0) - np.abs(s1)) >> 1, clamp(s0, rail, out=s0), clamp(s1, rail, out=s1))
+        if levels is not None:
+            levels.append((nodes, pe, sel))
+        f, g0, g1 = pe
+        nodes = np.empty((len(f_dst) + len(g_dst),) + f.shape[1:], dtype=np.int64)
+        nodes[f_dst] = f[f_src]
+        nodes[g_dst] = np.where(sel[g_sel], g1[g_src], g0[g_src])
+    llrs = nodes[:, 0]
+    return llrs, np.where(spec.frozen_mask[:, None], spec.frozen_value_array[:, None], llrs < 0)
+
+
+def _dataflow(config, gathers, frames, record):
+    """Decide a (batch, N) stack of frames in lockstep by level passes over
+    ``gathers``; return the decisions and decision-time LLRs, and show the
+    last pass's level arrays to ``record(levels)`` unless it is None.
+
+    The first guess is SC's, by the fast path's walk. LLR i depends on
+    decisions 1..i-1 alone, so a pass whose guess agrees with the
+    cycle-by-cycle dataflow on decisions 1..i-1 agrees on 1..i: one that
+    decides exactly its guess is confirmed, and otherwise the frames run
+    again on its decisions, settling within N + 1 passes."""
+    spec, q = config.spec, config.q
+    wires = np.ascontiguousarray(frames.T)
+    guess = _ssc_wires(wires.astype(_wire_dtype(MODE_MINSUM_Q, q)), spec, MODE_MINSUM_Q, q)
+    for _ in range(len(wires) + 1):
+        levels = None if record is None else []
+        llrs, u = _level_pass(config, gathers, wires, guess, levels)
+        if np.array_equal(u, guess):
+            if record is not None:
+                record(levels)
+            return u.T, llrs.T
+        guess = u
+    raise RuntimeError(f"the level pass did not settle in {len(wires) + 1} passes")
 
 
 @dataclass

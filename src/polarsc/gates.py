@@ -14,8 +14,6 @@ mask is needed and the same logic evaluates one PE or a whole array.
 Array words pack in one numpy pass: ``np.packbits`` writes each plane as a
 row of ceil(k/8) little-endian bytes for k elements, zero past the last,
 and each row is read with one ``int.from_bytes``; unpacking reverses this.
-That fixed cost, ~20 us a call at q=6, is why the simulator sends a firing
-of one element down the int path.
 
 ``gate_count`` knows four cells, under two accounting schemes:
 
@@ -113,7 +111,7 @@ def _words(plane_lists, shape):
 def _unchecked_word(value, q):
     """A ``WordQ`` built without the range check, for a value in range by
     construction: read off q planes, or made by the simulator from checked
-    input (``archsim._dataflow``)."""
+    input (``archsim._level_pass``)."""
     word = object.__new__(WordQ)
     word.__dict__.update(value=value, q=q)
     return word

@@ -12,6 +12,7 @@ Levels 1..log2(N)-2 account for the N/2 - 2 memory slots of the network;
 the level-0 bit and the topmost N/2-wide output live on wires within a
 decision cycle. A batch of codewords decided in lockstep shares one state,
 whose pushes carry one bit per codeword and whose slot arrays gain a batch axis.
+Given all decisions at once, ``select_levels`` gives the simulator every select.
 """
 
 from __future__ import annotations
@@ -90,6 +91,22 @@ class PartialSumState:
                 f"stage {stage} feed incomplete after {self._count} decisions"
             )
         return self._acc[self.m - stage].copy()
+
+
+def select_levels(u):
+    """Every stage's select bits for a (frames, N) array ``u`` of all
+    decisions: entry s - 1 is a bool (2^(s-1), N/2^s, frames) array whose
+    block j is the transform of the left half of stage-s block j, which
+    ``selection_bits(s)`` gives while the right half is decided. Unchecked."""
+    frames, n = u.shape
+    x = np.array(u.T, dtype=bool, order="C")  # one row per decision
+    levels = []
+    for h in (1 << k for k in range(n.bit_length() - 1)):  # from the decision side
+        pairs = x.reshape(n // (2 * h), 2, h, frames)
+        levels.insert(0, pairs[:, 0])
+        x = x.copy()  # the views taken so far keep their stage's sums
+        x.reshape(pairs.shape)[:, 0] ^= pairs[:, 1]  # the transforms of size 2h
+    return levels
 
 
 def select_ready(decided, stage, n_bits):

@@ -361,7 +361,7 @@ class TestScreenThenOracle:
         assert isinstance(report.first_divergence["reference_llr"], float)
 
     @pytest.mark.parametrize("part", ["decision", "decision_llr"])
-    def test_walk_flagging_a_clean_chunk_raises(self, monkeypatch, part):
+    def test_genie_flagging_a_clean_chunk_raises(self, monkeypatch, part):
         spec = make_code_spec(16, 8)
         config = SimConfig(spec=spec, q=6, architecture="lookahead")
         info = int(np.flatnonzero(~spec.frozen_mask)[0])
@@ -447,38 +447,41 @@ class TestLockstepStreams:
 
     @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
     def test_one_push_per_decision(self, monkeypatch, arch):
-        # the streams of a lockstep batch share one partial-sum state
-        indices = []
-        push = PartialSumState.push
+        # the streams of a lockstep batch share one level form of their
+        # decisions, built once from all of them; a run pushes no decision
+        indices, forms = [], []
+        push, select_levels = PartialSumState.push, archsim.select_levels
 
         def counted(self, u_hat, index):
             indices.append(index)
             return push(self, u_hat, index)
 
+        def spied(u):
+            forms.append(u.copy())
+            return select_levels(u)
+
         monkeypatch.setattr(PartialSumState, "push", counted)
+        monkeypatch.setattr(archsim, "select_levels", spied)
         spec = make_code_spec(16, 8)
         q_llrs = quantize(noisy_llrs(spec, seed=4, frames=4), 6)
-        run(SimConfig(spec=spec, q=6, architecture=arch), q_llrs)
-        assert indices == list(range(1, 17))
+        res = run(SimConfig(spec=spec, q=6, architecture=arch), q_llrs)
+        assert indices == []
+        assert len(forms) == 1 and np.array_equal(forms[0], res.decisions)
 
     @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
-    def test_dataflow_reads_the_checked_select_stages(self, monkeypatch, arch):
-        # the dataflow reads exactly the select bits the checker proved ready,
-        # in C1's order, and no others
-        stages = []
-        selection_bits = PartialSumState.selection_bits
-
-        def spied(self, stage):
-            stages.append(stage)
-            return selection_bits(self, stage)
-
-        monkeypatch.setattr(PartialSumState, "selection_bits", spied)
-        spec = make_code_spec(16, 8)
-        cfg = SimConfig(spec=spec, q=6, architecture=arch)
-        q_llrs = quantize(noisy_llrs(spec, seed=5, frames=4), 6)
-        run(cfg, q_llrs)
-        checked = [select for *_, select in cfg.schedule[0][0] if select is not None]
-        assert stages and stages == checked
+    def test_dataflow_reads_the_checked_select_stages(self, arch):
+        # the level gathers read exactly the select bits the checker proved
+        # ready, at each read's checked stage and decision count, and no others
+        n = 16
+        cfg = SimConfig(spec=make_code_spec(n, n // 2), q=6, architecture=arch)
+        stages = [(level, int(j)) for level, (_, (_, _, g_sel)) in enumerate(cfg.levels, 1)
+                  for j in g_sel]
+        checked = [(select, decided // (2 * (n >> select)))
+                   for _, stage, op, select, _, _, decided in cfg.schedule[0][0]
+                   if select is not None]
+        checked += [(4, decided // 2) for _, stage, op, _, _, _, decided in cfg.schedule[0][0]
+                    if op == "fg" and stage == 4]  # a merged leaf's pair, by its first bit
+        assert stages and sorted(stages) == sorted(checked)
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_legal_schedules_fire_one_sequence_per_stream(self, monkeypatch, n):
@@ -500,6 +503,119 @@ class TestLockstepStreams:
             c1, c2 = ([firing[1:] for firing in stream] for stream in streams)
             assert c1 == c2
         assert accepted > 100  # the random re-packings reach legal schedules
+
+
+def frozen_ones_code(n, seed):
+    """A random code of length n whose frozen values include ones."""
+    rng = np.random.default_rng(seed)
+    frozen = tuple(int(i) + 1 for i in np.flatnonzero(rng.random(n) < 0.5)) or (1,)
+    values = (1,) + tuple(int(v) for v in rng.integers(0, 2, len(frozen) - 1))
+    return CodeSpec(n, n - len(frozen), frozen, values)
+
+
+class TestLevelPass:
+    """A run guesses its decisions, evaluates the tree a level at a time on
+    the guess and confirms it; a wrong guess costs passes, never the result."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        passes = []
+        level_pass = archsim._level_pass
+
+        def counted(*args):
+            passes.append(args[3].copy())  # the pass's guess
+            return level_pass(*args)
+
+        monkeypatch.setattr(archsim, "_level_pass", counted)
+        return passes
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("guess", ["zeros", "last_information_bit_flipped", "random"])
+    def test_wrong_guesses_reach_the_oracle(self, monkeypatch, arch, guess):
+        n, q = 32, 6
+        spec = frozen_ones_code(n, seed=7)
+        rng = np.random.default_rng(11)
+        q_llrs = rng.integers(-qmax(q), qmax(q) + 1, size=(6, n))
+        ref, ref_llrs = sc_decode_batch(q_llrs, spec, "minsum_q", q=q)
+        cfg = SimConfig(spec=spec, q=q, architecture=arch)
+        clean = run(cfg, q_llrs)
+        last = int(np.flatnonzero(~spec.frozen_mask)[-1])
+
+        def guessed(wires, *args):  # stands in for the fast path's walk
+            if guess == "zeros":
+                return np.zeros(wires.shape, dtype=np.int8)
+            if guess == "random":
+                return rng.integers(0, 2, size=wires.shape, dtype=np.int8)
+            u = ref.T.astype(np.int8)
+            u[last] ^= 1
+            return u
+
+        monkeypatch.setattr(archsim, "_ssc_wires", guessed)
+        passes = self.count_passes(monkeypatch)
+        res = run(cfg, q_llrs)
+        for got, want in ((res.decisions, ref), (res.decision_llrs, ref_llrs),
+                          (res.decisions, clean.decisions),
+                          (res.decision_llrs, clean.decision_llrs)):
+            assert np.array_equal(got, want)
+        assert 2 <= len(passes) <= n + 1
+        if guess == "last_information_bit_flipped":
+            assert len(passes) == 2  # no decision depends on the last information bit
+        # after pass t, the first t decisions are final
+        for t, u in enumerate(passes[1:], start=1):
+            assert np.array_equal(u[:t], ref.T[:t])
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_trace_after_a_wrong_guess(self, monkeypatch, arch):
+        # the rows come from the pass that confirmed its guess
+        spec = frozen_ones_code(16, seed=3)
+        cfg = SimConfig(spec=spec, q=6, architecture=arch, record_trace=True)
+        q_llrs = quantize(noisy_llrs(spec, seed=6, frames=len(cfg.schedule[0])), 6)
+        clean = run(cfg, q_llrs)
+        monkeypatch.setattr(archsim, "_ssc_wires",
+                            lambda wires, *args: np.zeros(wires.shape, dtype=np.int8))
+        passes = self.count_passes(monkeypatch)
+        res = run(cfg, q_llrs)
+        assert len(passes) > 2 and res.trace == clean.trace
+        assert np.array_equal(res.decisions, clean.decisions)
+
+    def test_a_pass_that_never_confirms_raises(self, monkeypatch):
+        n = 16
+        spec = make_code_spec(n, n // 2)
+        level_pass, passes = archsim._level_pass, []
+
+        def contrary(config, gathers, wires, guess, levels):
+            passes.append(1)
+            llrs, _ = level_pass(config, gathers, wires, guess, levels)
+            return llrs, 1 - guess.astype(np.int64)
+
+        monkeypatch.setattr(archsim, "_level_pass", contrary)
+        q_llrs = quantize(noisy_llrs(spec, seed=2, frames=3), 6)
+        with pytest.raises(RuntimeError, match="did not settle in 17 passes"):
+            run(SimConfig(spec=spec, q=6, architecture="lookahead"), q_llrs)
+        assert len(passes) == n + 1
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_a_disarmed_checker_lets_the_campaign_fail(self, monkeypatch, arch):
+        # a checker that accepts one stale parent read (the buffer holds the
+        # block before the one the firing needs): the run gathers its levels
+        # from the checked firings, so the campaign must report mismatches
+        check = archsim.check_schedule
+
+        def disarmed(architecture, n):
+            streams, activity, peak = check(architecture, n)
+            k = next(k for k, f in enumerate(streams[0]) if f[1] > 1 and f[5] > 0)
+            for stream in streams:
+                cycle, stage, op, select, blk, parent, decided = stream[k]
+                stream[k] = (cycle, stage, op, select, blk, parent - 1, decided)
+            return streams, activity, peak
+
+        spec = make_code_spec(16, 8)
+        config = SimConfig(spec=spec, q=6, architecture=arch)
+        assert verify_equivalence(config, trials=20, seed=1).passed
+        monkeypatch.setattr(archsim, "check_schedule", disarmed)
+        report = verify_equivalence(SimConfig(spec=spec, q=6, architecture=arch),
+                                    trials=20, seed=1)
+        assert report.mismatches > 0 and not report.passed
 
 
 def assert_matches_oracle(spec, q, q_llrs):
@@ -562,8 +678,8 @@ class TestSimulatorAgainstOracle:
 
 
 class TestSingleFrameGatePEs:
-    """One frame through gate-level PEs: its one-PE firings take the models'
-    int path, and its operand words skip WordQ's range check, up to q = 54
+    """One frame through gate-level PEs: each tree level is one call of the
+    models, and its operand words skip WordQ's range check, up to q = 54
     (``assert_matches_oracle`` runs the gate models only to q = 16)."""
 
     @pytest.mark.parametrize("kind", ["rails", "ties"])
@@ -590,7 +706,7 @@ class TestSingleFrameGatePEs:
         assert np.array_equal(res.decision_llrs[0], trace.decision_llrs)
 
         # with every unchecked word built by the checked WordQ, no word is out
-        # of range and nothing changes; the n/2 one-PE firings get int words
+        # of range and nothing changes; each of the log2(n) levels is one call
         merged_pe, operands = archsim.merged_pe, []
 
         def spy(a, b):
@@ -603,7 +719,7 @@ class TestSingleFrameGatePEs:
         checked = run(gated, x)
         assert np.array_equal(checked.decisions, res.decisions)
         assert np.array_equal(checked.decision_llrs, res.decision_llrs)
-        assert len(operands) == n - 1 and operands.count(int) == n // 2
+        assert len(operands) == n.bit_length() - 1 and operands.count(int) == 0
 
 
 class TestTraceAndValidation:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polarsc import (
+    CodeSpec,
     ControlSignal,
     IgcNetwork,
     InvalidParameterError,
@@ -15,9 +16,11 @@ from polarsc import (
     build_network,
     control_schedule,
     polar_transform,
+    sc_decode_batch,
 )
+from polarsc.archsim import check_schedule
 from polarsc.cost import PROPOSED, component_counts
-from polarsc.igc import refreshed_stage
+from polarsc.igc import refreshed_stage, select_levels
 
 
 def oracle_selection(bits, k, stage, n):
@@ -155,6 +158,49 @@ class TestSelectionBits:
     def test_storage_footprint(self):
         for n in (4, 8, 64, 1024):
             assert PartialSumState(n).storage_slots == n // 2 - 2
+
+
+class TestSelectLevels:
+    """``select_levels`` gives, from all decisions at once, what the streaming
+    state gives at every select read of a checked schedule."""
+
+    @pytest.mark.parametrize("arch", ["conventional", "lookahead", "parallel2"])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256])
+    def test_equals_the_streaming_state_at_every_select_read(self, arch, n):
+        # decisions of SC on a code with frozen ones, and random bits
+        m = n.bit_length() - 1
+        rng = np.random.default_rng(n)
+        frozen = tuple(int(i) + 1 for i in np.flatnonzero(rng.random(n) < 0.5)) or (1,)
+        values = (1,) + tuple(int(v) for v in rng.integers(0, 2, len(frozen) - 1))
+        spec = CodeSpec(n, n - len(frozen), frozen, values)
+        u, _ = sc_decode_batch(rng.integers(-7, 8, size=(4, n)), spec, "minsum_q", q=4)
+        u = np.vstack([u, rng.integers(0, 2, size=(3, n))])
+        levels = select_levels(u)
+        assert [level.shape for level in levels] == [
+            (1 << (s - 1), n >> s, len(u)) for s in range(1, m + 1)]
+        state = PartialSumState(n)
+        reads = []
+        for _, stage, op, select, _, _, decided in check_schedule(arch, n)[0][0]:
+            while state.decided < decided:
+                state.push(u[:, state.decided], state.decided + 1)
+            if select is not None:
+                got = levels[select - 1][decided // (2 * (n >> select))]
+                assert np.array_equal(got.T, state.selection_bits(select)), (stage, decided)
+                reads.append(select)
+            if op == "fg" and stage == m:  # a merged leaf's pair, selected by its first bit
+                state.push(u[:, decided], decided + 1)
+                assert np.array_equal(levels[m - 1][decided // 2].T, state.selection_bits(m))
+        # every g block of a sequential stage, or every odd merged block below stage 1
+        assert len(reads) == (n - 1 if arch == "conventional" else n // 2 - 1)
+
+    def test_reads_its_input_and_takes_bools(self):
+        # the transforms of the left halves of the blocks of 8, 4 and 2
+        u = np.array([[1, 0, 1, 1, 0, 0, 1, 0]])
+        levels = select_levels(u.astype(bool))
+        assert [level[:, :, 0].tolist() for level in levels] == [
+            [[1, 1, 0, 1]], [[1, 0], [0, 0]], [[1], [1], [0], [1]]]
+        select_levels(u)
+        assert u.tolist() == [[1, 0, 1, 1, 0, 0, 1, 0]]
 
 
 class TestNetwork:

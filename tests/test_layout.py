@@ -165,7 +165,8 @@ def test_unchecked_words_have_two_readers():
     # WordQ's range check is skipped only for values read off q planes and
     # for the simulator's words, which come from its checked input; no
     # outside value reaches the unchecked constructor
-    assert _readers(["_unchecked_word"]) == {("gates.py", "_words"), ("archsim.py", "_dataflow")}
+    assert _readers(["_unchecked_word"]) == {
+        ("gates.py", "_words"), ("archsim.py", "_level_pass")}
 
 
 def test_one_dataflow_call_and_one_reference_reader():

@@ -596,7 +596,7 @@ class TestSscDecode:
             gc.enable()
 
 
-class TestRecordingWalk:
+class TestGeniePass:
     """The equivalence campaign's screen: the genie pass ``_genie_llrs``,
     given sc_decode_batch's decisions, records its decision LLRs."""
 
