@@ -22,6 +22,7 @@ wire-major decisions.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +84,12 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _HASH_B = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(9)], dtype=np.uint64)
 
 
+@lru_cache(maxsize=8)  # seeds and trial indices are unbounded, so no one table covers all
+def _hash_a(count):
+    """The first ``count`` multipliers h_i of SeedSequence's pool hash."""
+    return tuple(_INIT_A * pow(_MULT_A, i, 1 << 32) & _M32 for i in range(count))
+
+
 def _hashmix(value, xor, mul):
     value = (value ^ xor) * mul & _M32
     return value ^ value >> 16
@@ -107,15 +114,14 @@ def _trial_states(seed, trials):
     shifts = range(0, int(bits.max()), 32)
     extra = np.array([[w] * len(trials) for w in words[4:]]
                      + [[t >> s & _M32 for t in trials] for s in shifts], dtype=np.uint64)
-    h = [_INIT_A * pow(_MULT_A, i, 1 << 32) & _M32 for i in range(17 + 4 * len(extra))]
+    h = _hash_a(17 + 4 * len(extra))
     pool = [_hashmix(w, h[i], h[i + 1]) for i, w in enumerate(words[:4])]
     pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
     for i, (src, dst) in enumerate(pairs, start=4):
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[i], h[i + 1]))
     pool = np.array(pool, dtype=np.uint64)  # one row, broadcast over the trials
-    h = np.array(h, dtype=np.uint64)
     for c, column in enumerate(extra):  # seed words, then key word j = c + 4 - len(words)
-        hc = h[16 + 4 * c:21 + 4 * c]
+        hc = np.array(h[16 + 4 * c:21 + 4 * c], dtype=np.uint64)
         mixed = _mix(pool, _hashmix(column[:, None], hc[:-1], hc[1:]))
         pool = np.where((bits > 32 * (c + 4 - len(words)))[:, None], mixed, pool)
     out = _hashmix(pool[:, [0, 1, 2, 3] * 2], _HASH_B[:-1], _HASH_B[1:])
@@ -171,10 +177,12 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
     states = _trial_states(master_seed, trials)
     raw = np.empty((len(trials), (k + 1) // 2), dtype=np.uint64)
     normals = np.empty((len(trials), n))
-    for i, (state, inc) in enumerate(states):
-        rng.bit_generator.state = {**fresh, "state": {"state": state, "inc": inc}}
+    pcg = {}
+    state = {**fresh, "state": pcg}  # refilled per trial; the setter copies it out
+    for i, (pcg["state"], pcg["inc"]) in enumerate(states):
+        rng.bit_generator.state = state
         raw[i] = rng.bit_generator.random_raw(raw.shape[1])
-        normals[i] = rng.standard_normal(n)
+        rng.standard_normal(out=normals[i])
     # integers(0, 2) takes the top bit of each 32-bit half, low half first
     msgs = (raw[:, :, None] >> np.array([31, 63], np.uint64) & 1).reshape(
         len(trials), -1)[:, :k].astype(np.int64)
@@ -185,8 +193,12 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
                            "the chunk's first trial no longer matches trial_rng")
     symbols = 1.0 - 2.0 * encode(msgs, spec)
     llrs = np.empty((len(ebn0_points), len(trials), n))
-    for p, var in enumerate(variances):
-        llrs[p] = clamp(2.0 * (symbols + np.sqrt(var) * normals) / var, MAX_LLR)
+    for out, var in zip(llrs, variances):  # 2.0 * (symbols + sqrt(var) * normals) / var, in order
+        np.multiply(normals, np.sqrt(var), out=out)
+        out += symbols
+        out *= 2.0
+        out /= var
+        clamp(out, MAX_LLR, out=out)
     return msgs, llrs.reshape(-1, n)
 
 

@@ -14,6 +14,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,13 +48,18 @@ def require_scale(scale):
 def clamp(x, m, out=None):
     """Clip ``x`` to [-m, m] (into ``out`` if given): the toolkit's one
     saturation helper, for real LLRs at m = MAX_LLR and q-bit integers at
-    m = qmax(q)."""
-    # np.minimum/np.maximum keep np.clip's dtype and +/-inf handling and cost
-    # ~2 us less a call up to ~1000 elements: a level pass at N = 256 on 4 or 8
-    # frames clamps in 34 or 44 us against np.clip's 62 or 69, and the SSC walk's
-    # deep levels are as small. np.clip wins on large arrays, 7 against 93 us on
-    # (128, 600) int8 (numpy 2.4.6, timeit, best of 7 on a 2-vCPU machine).
-    return np.minimum(np.maximum(x, -m, out=out), m, out=out)
+    m = qmax(q). The result has the dtype that ``x`` and ``m`` promote to."""
+    # the clip ufunc with 0-d bounds is vectorized on integers, where
+    # np.minimum/np.maximum against a scalar are not: 3.3-5.5 against 65-125 us
+    # on (512, 128) int8, 1.2 against 2.0 us on (128, 4) int64, 26 against
+    # 43-59 us on (512, 128) floats (numpy 2.4.6, timeit, best of 7, 2 vCPUs)
+    return x.clip(*_rails(m, x.dtype), out=out)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _rails(m, dtype):
+    """-m and m as 0-d arrays of the dtype that ``dtype`` and ``m`` promote to."""
+    return tuple(np.array(v, np.result_type(dtype, m)) for v in (-m, m))
 
 
 def as_quantized(llrs, q):
@@ -123,8 +129,10 @@ def quantize(x, q, scale=1.0):
     """
     require_scale(scale)
     x = require_array(x, "LLRs")
-    with np.errstate(over="ignore"):  # an overflowing product is +/-inf, which saturates
-        y = x.astype(float, copy=False) * scale
+    y = x.astype(float, copy=False)  # read only: it may be the caller's array
+    if scale != 1.0:  # y * 1.0 is y bit for bit, NaN aside, and NaN is refused
+        with np.errstate(over="ignore"):  # an overflowing product is +/-inf, which saturates
+            y = y * scale
     a = np.asarray(np.abs(y))  # an array even for one value, for the in-place steps
     np.minimum(a, qmax(q), out=a)  # saturating first keeps +/-inf out of the rounding
     mag = np.rint(a)  # ties to even; a - mag is exact, so exact halves move up
@@ -384,6 +392,13 @@ def _ssc_split(node, v, x, ctx):
     x[:h] ^= x[h:]
 
 
+# 0-d operands of the SSC kernels, 0.3-0.6 us a ufunc call faster than scalars: -2
+# for the int8 partial sums, and per wire dtype a 1 and the sign bit's shift
+_MINUS_TWO = np.array(-2, np.int8)
+_ONE = {np.dtype(t): np.array(1, t) for t in (np.int8, np.int16, np.int32, np.int64, float)}
+_SIGN_SHIFT = {d: np.array(8 * d.itemsize - 1, d) for d in _ONE if d.kind == "i"}
+
+
 def _ssc_f_minsum(a, b, out, scratch):
     """``f_minsum(a, b)`` of floats into ``out``."""
     t = scratch[:out.size].reshape(out.shape)
@@ -401,7 +416,7 @@ def _ssc_f_minsum_q(a, b, out, scratch):
     np.abs(b, out=s)
     np.minimum(out, s, out=out)
     np.bitwise_xor(a, b, out=s)
-    s >>= 8 * s.itemsize - 1  # the sign mask: -1 where sgn(a) != sgn(b), else 0
+    s >>= _SIGN_SHIFT[s.dtype]  # the sign mask: -1 where sgn(a) != sgn(b), else 0
     out ^= s
     out -= s
 
@@ -436,8 +451,8 @@ def _ssc_g(a, b, x, out, scratch, rail):
         np.add(b, a, out=out)
     else:
         t = scratch[:out.size].reshape(out.shape)
-        np.multiply(x, -2, out=t)
-        t += 1
+        np.multiply(x, _MINUS_TWO, out=t)
+        t += _ONE[t.dtype]
         t *= a
         np.add(b, t, out=out)
     clamp(out, rail, out=out)

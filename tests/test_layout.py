@@ -11,7 +11,8 @@ from the name; the cost model reads its PE pool, IGC count and latency off the
 checked schedule, and only that pass builds an activity table. A trial's
 random stream has one definition, ``channel.trial_rng``; the sweeps' seeding
 pass that recomputes a chunk's states is called from the channel draw alone.
-An array from the caller has one check, ``code.require_array``. A simulator
+An array from the caller has one check, ``code.require_array``, and an LLR
+has one saturation helper, ``llr.clamp``. A simulator
 run is one dataflow call, and outside ``llr.py`` only ``archsim.divergence``
 names the equivalence reference and its genie screen.
 ``cli.main`` only dispatches: each flag is read by the subcommand that uses it.
@@ -220,6 +221,31 @@ def test_outside_arrays_have_one_check():
         ("llr.py", "g_update", "np.asarray(u_sel)"),
         ("llr.py", "quantize", "np.asarray(np.abs(y))"),
     }
+
+
+def test_one_saturation_helper():
+    # every two-sided clip is llr.clamp: the clip ufunc is named inside it
+    # alone, no minimum of a maximum (or the reverse) clips a value by hand,
+    # and each saturating step calls it; f_exact's floor min(lo, tiny) is one-sided
+    assert _readers(["clip"]) == {("llr.py", "clamp")}
+    pairs = [
+        (name, ast.unparse(node))
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Call)
+        and {getattr(node.func, "attr", None), getattr(node.args[0].func, "attr", None)}
+        == {"minimum", "maximum"}
+    ]
+    assert pairs == []
+    callers = {
+        (name, owner.get(node))
+        for name, tree in _trees().items()
+        for owner in [_owners(tree)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "clamp"
+    }
+    assert callers == {("llr.py", "_ssc_g"), ("llr.py", "g_update"), ("llr.py", "_checked_input"),
+                       ("archsim.py", "_level_pass"), ("channel.py", "_draw")}
 
 
 def test_cli_main_reads_no_flag():

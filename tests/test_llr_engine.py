@@ -222,6 +222,36 @@ class TestQuantize:
         rail = clamp(np.array([np.inf, -np.inf, -60.0, 7.5]), MAX_LLR)
         assert list(rail) == [MAX_LLR, -MAX_LLR, -MAX_LLR, 7.5]
 
+    @pytest.mark.parametrize("dtype, m, want", [
+        (np.int64, 31, np.int64), (np.int8, 31, np.int8),
+        (np.int64, MAX_LLR, np.float64), (np.float64, 31, np.float64)])
+    def test_clamp_result_has_the_promoted_dtype(self, dtype, m, want):
+        # the dtype that x and the rail promote to: an int array at the float
+        # MAX_LLR comes back float, as np.maximum/np.minimum gave it
+        got = clamp(np.array([60, -60, 3, 0], dtype=dtype), m)
+        assert got.dtype == want and got.tolist() == [m, -m, 3, 0]
+
+    def test_clamp_takes_numpy_scalars(self):
+        # g_update on 0-d arrays hands clamp a numpy scalar
+        got = clamp(np.float64(72.0), MAX_LLR)
+        assert isinstance(got, np.float64) and got == MAX_LLR
+        got = clamp(np.int64(-40), qmax(6))
+        assert isinstance(got, np.int64) and got == -31
+        assert g_update(np.asarray(2.0), np.asarray(70.0), 0) == MAX_LLR
+        assert g_update(np.asarray(20), np.asarray(-20), 1, q=6) == -31
+
+    @pytest.mark.parametrize("x, m", [
+        (np.array([100, -100, 5, 0], dtype=np.int8), 31),
+        (np.array([np.inf, -np.inf, -0.0, 0.0, 7.5, -60.0]), MAX_LLR)])
+    def test_clamp_in_place_saturates_and_keeps_signed_zeros(self, x, m):
+        want = np.minimum(np.maximum(x, -m), m)
+        got = clamp(x, m, out=x)
+        assert got is x and x.tobytes() == want.tobytes()
+        assert np.all(np.abs(x) <= m)
+        if x.dtype.kind == "f":
+            assert np.signbit(x).tolist() == [False, True, True, False, False, True]
+            assert np.signbit(clamp(np.float64(-0.0), MAX_LLR))
+
     def test_q_upper_bound(self):
         # 54 is the widest q whose rail 2^53 - 1 float64 holds exactly
         m = qmax(54)
@@ -232,6 +262,18 @@ class TestQuantize:
         for bad in (1, 6.0):
             with pytest.raises(InvalidParameterError):
                 qmax(bad)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_input_is_never_written(self, dtype):
+        # at scale 1.0 the rounding reads the caller's own array
+        values = [np.inf, -np.inf, -0.0, 0.0, 0.5, -2.5, 1.5, 30.5, -7.25]
+        want = [31, -31, 0, 0, 1, -3, 2, 31, -7]
+        cases = [(np.array(values, dtype=dtype), want)]
+        cases += [(np.array(v, dtype=dtype), w) for v, w in zip(values, want)]  # 0-d inputs
+        for x, expect in cases:
+            before = x.tobytes()
+            got = [quantize(x, 6).tolist(), quantize(x, 6, 1.0).tolist()]
+            assert x.tobytes() == before and got == [expect, expect]
 
     def test_peak_memory(self):
         # the scaled copy, the magnitude, the rounded magnitude and the
