@@ -234,6 +234,14 @@ def run(config, channel_llrs):
     trace row has no frame column, so ``record_trace`` takes exactly one
     frame per stream, and frame s is traced as stream s.
     """
+    return _run(config, channel_llrs, None)
+
+
+def _run(config, channel_llrs, guess):
+    """``run``, given a first guess of its decisions: SC's (N, frames)
+    decisions on ``channel_llrs``, read and not written, or None for the
+    run's own walk. ``ber_sweep`` passes its minsum_q decoder's, so a chunk
+    is walked once; the level pass confirms any guess (see ``_dataflow``)."""
     streams, activity, peak = config.schedule
     n = config.spec.n_bits
     llrs = as_quantized(channel_llrs, config.q)
@@ -262,7 +270,7 @@ def run(config, channel_llrs):
                     for i in range(len(a)))
 
     decisions, dec_llrs = _dataflow(config, config.levels, frames,
-                                    record if config.record_trace else None)
+                                    record if config.record_trace else None, guess)
     return SimResult(
         decisions=decisions,
         decision_llrs=dec_llrs,
@@ -296,7 +304,7 @@ def _level_pass(config, gathers, wires, guess, levels):
     and decisions and appends each level's (input nodes, (f, g0, g1), select
     blocks) to ``levels`` unless it is None."""
     spec, q = config.spec, config.q
-    rail = np.int64(qmax(q))  # read once; a Python int would be converted by every ufunc
+    rail = qmax(q)
     nodes = wires[None]
     for ((f_dst, f_src), (g_dst, g_src, g_sel)), sel in zip(gathers, select_levels(guess.T)):
         h = nodes.shape[1] // 2
@@ -316,19 +324,21 @@ def _level_pass(config, gathers, wires, guess, levels):
     return llrs, np.where(spec.frozen_mask[:, None], spec.frozen_value_array[:, None], llrs < 0)
 
 
-def _dataflow(config, gathers, frames, record):
+def _dataflow(config, gathers, frames, record, guess):
     """Decide a (batch, N) stack of frames in lockstep by level passes over
     ``gathers``; return the decisions and decision-time LLRs, and show the
     last pass's level arrays to ``record(levels)`` unless it is None.
 
-    The first guess is SC's, by the fast path's walk. LLR i depends on
-    decisions 1..i-1 alone, so a pass whose guess agrees with the
-    cycle-by-cycle dataflow on decisions 1..i-1 agrees on 1..i: one that
-    decides exactly its guess is confirmed, and otherwise the frames run
-    again on its decisions, settling within N + 1 passes."""
+    The first guess is SC's: ``guess`` (N, frames) if given, else by the
+    fast path's walk. LLR i depends on decisions 1..i-1 alone, so a pass
+    whose guess agrees with the cycle-by-cycle dataflow on decisions 1..i-1
+    agrees on 1..i: one that decides exactly its guess is confirmed, and
+    otherwise the frames run again on its decisions, settling within N + 1
+    passes."""
     spec, q = config.spec, config.q
     wires = np.ascontiguousarray(frames.T)
-    guess = _ssc_wires(wires.astype(_wire_dtype(MODE_MINSUM_Q, q)), spec, MODE_MINSUM_Q, q)
+    if guess is None:
+        guess = _ssc_wires(wires.astype(_wire_dtype(MODE_MINSUM_Q, q)), spec, MODE_MINSUM_Q, q)
     for _ in range(len(wires) + 1):
         levels = None if record is None else []
         llrs, u = _level_pass(config, gathers, wires, guess, levels)

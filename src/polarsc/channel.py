@@ -248,7 +248,7 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     whether or not a decoder uses them.
     """
     # imported here to keep channel usable without the simulator stack
-    from .archsim import SimConfig, run
+    from .archsim import SimConfig, _run
 
     trials = require_count(trials, 1)
     qmax(q)
@@ -273,15 +273,18 @@ def ber_sweep(spec, modes, architectures, ebn0_points, trials, seed,
     for _, msgs, llrs in trial_chunks(spec, cfgs, trials):
         q_llrs = quantize(llrs, q, scale) if quantized else None
         wires = {}  # per arithmetic, the chunk's LLRs one row per wire (within the rail)
+        guess = None  # the minsum_q decoder's decisions, each simulator's first guess
         for d, (mode, sim) in enumerate(decoders):
             if sim is not None:
-                u_wires = run(sim, q_llrs).decisions.T
+                u_wires = _run(sim, q_llrs, guess).decisions.T
             else:
                 dtype = _wire_dtype(mode, q)
                 if dtype not in wires:
                     wires[dtype] = np.ascontiguousarray(
                         (q_llrs if mode == MODE_MINSUM_Q else llrs).T, dtype=dtype)
                 u_wires = _ssc_wires(wires[dtype], spec, mode, q)
+                if mode == MODE_MINSUM_Q:
+                    guess = u_wires
             # wrong[k, p, t]: information bit k of trial t at point p
             wrong = u_wires[info].reshape(-1, len(cfgs), len(msgs)) != msgs.T[:, None]
             errors[:, d, 0] += wrong.sum(axis=(0, 2))

@@ -14,7 +14,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -258,9 +258,12 @@ def ssc_decode_batch(channel_llrs, spec, mode, q=None):
     on bits alone, by the recursion on h = (v < 0) and z = (v == 0) (see
     ``_rate1_bits``); no f or g runs below a Rate-1 node.
 
-    The node tree is planned once per code and kept on the spec (see
-    ``_ssc_plan``); a leaf is a Rate-0 or Rate-1 node of size one, so no
-    leaf calls ``decide``. No node writes u: SC's partial sums are the
+    The walk is planned once per code as a flat list of steps and kept
+    on the spec (see ``_ssc_plan``); a leaf is a Rate-0 or Rate-1 node of
+    size one, so no leaf calls ``decide``. The steps are bound to their
+    buffers once per batch shape, and the spec keeps its ``_SSC_BINDINGS``
+    most recently used bindings of inputs up to ``_SSC_KEPT_BYTES`` (see
+    ``_ssc_binding``). No node writes u: SC's partial sums are the
     transform of its decisions, so u_hat is the transform of the root's.
     The walk itself is ``_ssc_wires``, which ``ber_sweep`` calls directly.
     """
@@ -281,14 +284,16 @@ def _ssc_wires(wires, spec, mode, q):
 
     ``wires`` is an (N, frames) array of ``_wire_dtype(mode, q)`` within the
     mode's rail, one row per wire and one column per frame; it is read, not
-    written. Returns u_hat as an (N, frames) int8 array.
+    written. Returns u_hat as a fresh (N, frames) int8 array.
 
-    The buffers are allocated once per call and freed at return: the
-    inputs of the children of a size-2h node live in the (h, frames) buffer
-    of their level, and f and g write there in place through one flat
-    scratch array shared by all levels. Partial sums are int8, one
-    (N, frames) array written in place, and transformed in place into
-    u_hat at the end. f takes its sign from copysign(m, a*b) on floats and
+    The walk runs the spec's steps (``_ssc_plan``) in one loop, on buffers
+    bound to them once per (frames, dtype) and, for a small input, kept on
+    the spec (see ``_ssc_binding``): the inputs of the children of a
+    size-2h node live in the (h, frames) buffer of their level, and f and g
+    write there in place through temporaries of their level. Partial sums
+    are int8, one (N, frames) array zeroed on entry and written in place; a
+    copy of it is transformed into u_hat at the end, so nothing returned
+    aliases a buffer. f takes its sign from copysign(m, a*b) on floats and
     as (m ^ s) - s on integers, s the sign mask of a ^ b; g is
     b + (1 - 2x)*a, or b + a under a Rate-0 left child whose partial sums
     are all zero. A float f may give -0.0 where ``f_minsum`` or ``f_exact``
@@ -296,62 +301,154 @@ def _ssc_wires(wires, spec, mode, q):
     outputs that are zeros themselves, b +/- 0 is exact, and the tests
     x < 0 and x == 0 treat both zeros alike.
     """
-    dtype = wires.dtype
-    rail = dtype.type(qmax(q) if mode == MODE_MINSUM_Q else MAX_LLR)
-    f = {MODE_EXACT: _ssc_f_exact, MODE_MINSUM: _ssc_f_minsum, MODE_MINSUM_Q: _ssc_f_minsum_q}[mode]
-    temps = 3 if mode == MODE_EXACT else 1  # scratch arrays the largest f or g needs
     n, frames = wires.shape
-    psums = np.zeros((n, frames), dtype=np.int8)  # a zero-sum Rate-0 node writes nothing
-    levels = {n >> d: np.empty((n >> d, frames), dtype) for d in range(1, n.bit_length())}
-    scratch = np.empty(temps * (n // 2) * frames, dtype)
-    _ssc_node(_ssc_plan(spec), wires, psums, (levels, scratch, f, rail))
-    return transform_rows(psums[None])[0]  # wire-major, so each butterfly is contiguous
+    steps, root, psums = _ssc_binding(spec, frames, wires.dtype)
+    if root:
+        steps = list(steps)
+        for i, op, bound in root:  # the steps that read the caller's wires
+            steps[i] = op, ((wires,) if op == "hard" else (wires[:n // 2], wires[n // 2:])) + bound
+    # looked up on every walk, not bound, so a kernel patched by name is the one run
+    f = {MODE_EXACT: _ssc_f_exact, MODE_MINSUM: _ssc_f_minsum, MODE_MINSUM_Q: _ssc_f_minsum_q}[mode]
+    rail = wires.dtype.type(qmax(q) if mode == MODE_MINSUM_Q else MAX_LLR)
+    kernels = {"f": f, "g": partial(_ssc_g, rail=rail), "hard": _ssc_rate1,
+               "sums": np.copyto, "xor": np.bitwise_xor}
+    psums.fill(0)  # a zero-sum Rate-0 node writes nothing, and a walk cut short leaves sums
+    for op, args in steps:
+        kernels[op](*args)
+    return transform_rows(psums[None].copy())[0]  # wire-major, so each butterfly is contiguous
 
 
 _RATE0, _RATE1, _SPLIT = range(3)
+# bindings kept per spec: enough for a sweep's full and last chunk, each in
+# float64 and in an integer dtype, or for the equivalence campaign's batches
+_SSC_BINDINGS = 4
+# the largest (N, frames) input, in bytes, whose binding is kept. A larger one's
+# buffers (~2.6x the input in float64) are built for their walk and freed at
+# return: kept, they would add to the peak memory of every later step of the
+# process, and at that size the arithmetic outweighs building the views
+_SSC_KEPT_BYTES = 1 << 18
 
 
 def _ssc_plan(spec):
-    """The SSC node tree of ``spec``, built on first use and kept on the
-    spec as the non-field attribute ``_ssc_plan``, so ==, hash and repr
-    ignore it.
+    """The SSC walk of ``spec`` as a flat list of steps in execution order,
+    built on first use and kept on the spec as the non-field attribute
+    ``_ssc_plan``, so ==, hash and repr ignore it.
 
-    A node is (kind, left, right, sums): Rate-0, Rate-1 or a split, never a
-    single-bit leaf. A Rate-0 node keeps its partial sums as an (n, 1) int8
-    column, or None when they are all zero; a split keeps its two children."""
+    A step is (op, size, start, extra) on the node of ``size`` wires whose
+    partial sums are rows start.. of the walk's: "f" into its left child,
+    "g" into its right (extra True when the left child's sums are all zero),
+    "xor" of its children's sums, "hard" decisions of a Rate-1 node, and
+    "sums" of a Rate-0 node (extra the (size, 1) int8 column). A Rate-0
+    node whose sums are all zero makes no step."""
     plan = getattr(spec, "_ssc_plan", None)
     if plan is None:
-        plan = _ssc_plan_node(spec, 0, spec.n_bits)
+        plan = []
+        _ssc_node(spec, 0, spec.n_bits, plan)
         object.__setattr__(spec, "_ssc_plan", plan)
     return plan
 
 
-def _ssc_plan_node(spec, start, n):
+def _ssc_node(spec, start, n, steps):
+    """Append the steps of the node on wires start..start+n-1 to ``steps``
+    and return its kind: Rate-0, Rate-1 or a split, never a single-bit
+    leaf. A split's steps are f into its left child, the left child's, g
+    into its right child, the right child's and the xor; a Rate-0 child
+    reads no input, so no f or g computes one for it."""
     frozen = spec.frozen_mask[start:start + n]
     if frozen.all():
         sums = transform_rows(spec.frozen_value_array[None, start:start + n].copy())
-        return (_RATE0, None, None, sums.T.astype(np.int8) if sums.any() else None)
+        if sums.any():
+            steps.append(("sums", n, start, sums.T.astype(np.int8)))
+        return _RATE0
     if not frozen.any():
-        return (_RATE1, None, None, None)
-    half = n // 2
-    return (_SPLIT, _ssc_plan_node(spec, start, half),
-            _ssc_plan_node(spec, start + half, half), None)
+        steps.append(("hard", n, start, None))
+        return _RATE1
+    h, left = n // 2, len(steps)
+    if _ssc_node(spec, start, h, steps) != _RATE0:
+        steps.insert(left, ("f", n, start, None))
+    right = len(steps)  # == left: a Rate-0 left child whose sums are all zero
+    if _ssc_node(spec, start + h, h, steps) != _RATE0:
+        steps.insert(right, ("g", n, start, right == left))
+    steps.append(("xor", n, start, None))
+    return _SPLIT
 
 
-def _ssc_node(node, v, x, ctx):
-    """Run plan ``node`` on its input ``v`` (n wires x k frames) and leave
-    its partial sums in ``x`` (n x k int8, zero on entry)."""
-    kind, sums = node[0], node[3]
-    if kind == _RATE0:
-        if sums is not None:
-            np.copyto(x, sums)
-    elif kind == _SPLIT:
-        _ssc_split(node, v, x, ctx)
-    else:
-        np.less(v, 0, out=x.view(bool))
-        if len(v) > 1 and not v.all():  # a zero decides 0 at size one, as v < 0 does
-            cols = np.flatnonzero(~v.all(axis=0))  # the columns with a zero input
-            x[:, cols] = _rate1_bits(x[:, cols].view(bool), v[:, cols] == 0)
+def _ssc_binding(spec, frames, dtype):
+    """``spec``'s steps bound to buffers for ``frames`` frames of ``dtype``:
+    (steps, root, psums) from ``_ssc_bind``, built on the first walk of that
+    shape and, for an input of at most ``_SSC_KEPT_BYTES``, kept on the
+    spec as the non-field attribute ``_ssc_bindings``. The kept bindings
+    live as long as the spec, the ``_SSC_BINDINGS`` most recently used
+    ones; older ones are dropped. Walks that share a spec share its
+    buffers, so they must not run at the same time."""
+    store = getattr(spec, "_ssc_bindings", None)
+    if store is None:
+        store = {}
+        object.__setattr__(spec, "_ssc_bindings", store)
+    key = (frames, dtype)
+    binding = store.pop(key, None)  # re-inserted last, as the most recently used
+    if binding is None:
+        binding = _ssc_bind(_ssc_plan(spec), spec.n_bits, frames, dtype)
+        if spec.n_bits * frames * dtype.itemsize > _SSC_KEPT_BYTES:
+            return binding
+        if len(store) >= _SSC_BINDINGS:
+            del store[next(iter(store))]
+    store[key] = binding
+    return binding
+
+
+def _ssc_bind(plan, n, frames, dtype):
+    """Allocate the walk's buffers for ``frames`` frames of ``dtype`` and
+    bind ``plan`` to them: returns (steps, root, psums), steps one
+    (op, args) per plan step, args its kernel's arguments. The input of the
+    root node is the caller's array, so each step that reads it is None in
+    steps and (index, op, args but the input) in root.
+
+    The buffers are the (n, frames) int8 partial sums, one (h, frames)
+    level buffer per h = n/2, ..., 1, and per level its temporaries: three
+    for floats, which exact's f needs (minsum's kernels use the first),
+    one for integers. So exact and minsum share one float64 binding."""
+    k = 3 if dtype.kind == "f" else 1
+    psums = np.empty((n, frames), np.int8)
+    levels = {n >> d: np.empty((n >> d, frames), dtype) for d in range(1, n.bit_length())}
+    scratch = np.empty(k * (n // 2) * frames, dtype)
+    temps = {h: tuple(scratch[:k * h * frames].reshape(k, h, frames)) for h in levels}
+    steps, root = [], []
+    for op, size, start, extra in plan:
+        h = size // 2
+        if op == "sums":
+            steps.append((op, (psums[start:start + size], extra)))
+            continue
+        if op == "xor":
+            left = psums[start:start + h]
+            steps.append((op, (left, psums[start + h:start + size], left)))
+            continue
+        if op == "hard":
+            x = psums[start:start + size]
+            bound = (x, x.view(bool))
+        elif op == "f":
+            bound = (levels[h], temps[h])
+        else:
+            bound = (None if extra else psums[start:start + h], levels[h], temps[h])
+        v = levels.get(size)  # None at the root, whose input is the caller's
+        if v is None:
+            root.append((len(steps), op, bound))
+            steps.append(None)
+        else:
+            steps.append((op, ((v,) if op == "hard" else (v[:h], v[h:])) + bound))
+    return steps, root, psums
+
+
+def _ssc_rate1(v, x, signs):
+    """A Rate-1 node's partial sums into ``x`` (``signs`` is x as bool): the
+    hard decisions of its input ``v``, the columns with a zero input
+    settled on bits by ``_rate1_bits``."""
+    np.less(v, _ZERO[v.dtype], out=signs)
+    # count_nonzero is ~3x faster than all() on small arrays; a zero decides 0
+    # at size one, as v < 0 does
+    if len(v) > 1 and np.count_nonzero(v) < v.size:
+        cols = np.flatnonzero(~v.all(axis=0))  # the columns with a zero input
+        x[:, cols] = _rate1_bits(signs[:, cols], v[:, cols] == 0)
 
 
 def _rate1_bits(h, z):
@@ -374,34 +471,17 @@ def _rate1_bits(h, z):
     return np.concatenate([x_left ^ x_right, x_right])
 
 
-def _ssc_split(node, v, x, ctx):
-    """One SC step at ``node``: f into the left child, g into the right;
-    a Rate-0 child reads no input, so none is computed for it."""
-    levels, scratch, f, rail = ctx
-    _, left, right, _ = node
-    h = len(v) // 2
-    a, b = v[:h], v[h:]
-    child = levels[h]
-    if left[0] != _RATE0:
-        f(a, b, child, scratch)
-    _ssc_node(left, child, x[:h], ctx)
-    if right[0] != _RATE0:
-        zero = left[0] == _RATE0 and left[3] is None
-        _ssc_g(a, b, None if zero else x[:h], child, scratch, rail)
-    _ssc_node(right, child, x[h:], ctx)
-    x[:h] ^= x[h:]
-
-
 # 0-d operands of the SSC kernels, 0.3-0.6 us a ufunc call faster than scalars: -2
-# for the int8 partial sums, and per wire dtype a 1 and the sign bit's shift
+# for the int8 partial sums, and per wire dtype a 0, a 1 and the sign bit's shift
 _MINUS_TWO = np.array(-2, np.int8)
 _ONE = {np.dtype(t): np.array(1, t) for t in (np.int8, np.int16, np.int32, np.int64, float)}
+_ZERO = {d: np.array(0, d) for d in _ONE}
 _SIGN_SHIFT = {d: np.array(8 * d.itemsize - 1, d) for d in _ONE if d.kind == "i"}
 
 
-def _ssc_f_minsum(a, b, out, scratch):
-    """``f_minsum(a, b)`` of floats into ``out``."""
-    t = scratch[:out.size].reshape(out.shape)
+def _ssc_f_minsum(a, b, out, temps):
+    """``f_minsum(a, b)`` of floats into ``out``, through the first of ``temps``."""
+    t = temps[0]
     np.abs(a, out=out)
     np.abs(b, out=t)
     np.minimum(out, t, out=out)
@@ -409,9 +489,9 @@ def _ssc_f_minsum(a, b, out, scratch):
     np.copysign(out, t, out=out)
 
 
-def _ssc_f_minsum_q(a, b, out, scratch):
-    """``f_minsum(a, b)`` of integers into ``out``."""
-    s = scratch[:out.size].reshape(out.shape)
+def _ssc_f_minsum_q(a, b, out, temps):
+    """``f_minsum(a, b)`` of integers into ``out``, through the first of ``temps``."""
+    s = temps[0]
     np.abs(a, out=out)
     np.abs(b, out=s)
     np.minimum(out, s, out=out)
@@ -421,9 +501,10 @@ def _ssc_f_minsum_q(a, b, out, scratch):
     out -= s
 
 
-def _ssc_f_exact(a, b, out, scratch):
-    """``f_exact(a, b)`` into ``out``, for inputs within the rail."""
-    ea, eb, t = scratch[:3 * out.size].reshape((3,) + out.shape)
+def _ssc_f_exact(a, b, out, temps):
+    """``f_exact(a, b)`` into ``out``, for inputs within the rail, through
+    three ``temps``."""
+    ea, eb, t = temps
     np.abs(a, out=ea)
     np.abs(b, out=eb)
     np.minimum(ea, eb, out=out)  # lo
@@ -444,13 +525,14 @@ def _ssc_f_exact(a, b, out, scratch):
     np.copysign(t, ea, out=out)
 
 
-def _ssc_g(a, b, x, out, scratch, rail):
-    """``g_update(a, b, x)`` into ``out``, clipped to +/-``rail`` in place;
-    ``x`` None stands for all-zero partial sums."""
+def _ssc_g(a, b, x, out, temps, rail):
+    """``g_update(a, b, x)`` into ``out``, clipped to +/-``rail`` in place,
+    through the first of ``temps``; ``x`` None stands for all-zero partial
+    sums."""
     if x is None:
         np.add(b, a, out=out)
     else:
-        t = scratch[:out.size].reshape(out.shape)
+        t = temps[0]
         np.multiply(x, _MINUS_TWO, out=t)
         t += _ONE[t.dtype]
         t *= a

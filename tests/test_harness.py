@@ -435,6 +435,32 @@ class TestSweepChunks:
         self.set_chunk(monkeypatch, 4, len(points), spec)
         assert sweep() == {"trial_rng": 3, "encode": 3}
 
+    def test_one_minsum_q_walk_per_chunk(self, monkeypatch):
+        # the simulators take the minsum_q decoder's decisions as their first
+        # guess, so a chunk is walked once; without minsum_q among the modes
+        # each simulator walks it itself. The counts are the walk's and each
+        # simulator's alone: a guess only ever costs level passes.
+        walks = []
+        for module in (channel, archsim):
+            def spied(wires, *args, _walk=module._ssc_wires):
+                walks.append(wires.shape)
+                return _walk(wires, *args)
+            monkeypatch.setattr(module, "_ssc_wires", spied)
+        spec, points = make_code_spec(64, 32), [1.0, 2.0]
+
+        def sweep(modes):
+            walks.clear()
+            results = ber_sweep(spec, modes, ["lookahead", "parallel2"], points, 10, seed=1)
+            return [(r.ebn0_db, r.architecture, r.bit_errors, r.frame_errors) for r in results]
+
+        want = [(1.0, "functional", 30, 2), (1.0, "lookahead", 30, 2), (1.0, "parallel2", 30, 2),
+                (2.0, "functional", 0, 0), (2.0, "lookahead", 0, 0), (2.0, "parallel2", 0, 0)]
+        assert sweep(["minsum_q"]) == want and walks == [(64, 20)]
+        assert sweep([]) == [w for w in want if w[1] != "functional"]
+        assert walks == [(64, 20)] * 2
+        self.set_chunk(monkeypatch, 4, len(points), spec)
+        assert sweep(["minsum_q"]) == want and walks == [(64, 8), (64, 8), (64, 4)]
+
     @pytest.mark.parametrize("n", [64, 256])
     def test_tie_heavy_minsum_q_counts_equal_sc(self, monkeypatch, n):
         # at q = 2 every quantized LLR is -1, 0 or +1, so many Rate-1 nodes
@@ -558,10 +584,10 @@ class TestEquivalenceChunks:
         dataflow = archsim._dataflow
         chunks = []  # trials per chunk of the damaged run
 
-        def damaged(config, firings, frames, record):
+        def damaged(config, firings, frames, record, guess):
             # a simulator that differs on the target frame, wherever it sits
             chunks.append(len(frames) // per_trial)
-            u_hat, dec_llrs = dataflow(config, firings, frames, record)
+            u_hat, dec_llrs = dataflow(config, firings, frames, record, guess)
             u_hat[(frames == target).all(axis=1), 5] ^= 1
             return u_hat, dec_llrs
 

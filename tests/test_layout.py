@@ -12,9 +12,10 @@ checked schedule, and only that pass builds an activity table. A trial's
 random stream has one definition, ``channel.trial_rng``; the sweeps' seeding
 pass that recomputes a chunk's states is called from the channel draw alone.
 An array from the caller has one check, ``code.require_array``, and an LLR
-has one saturation helper, ``llr.clamp``. A simulator
-run is one dataflow call, and outside ``llr.py`` only ``archsim.divergence``
-names the equivalence reference and its genie screen.
+has one saturation helper, ``llr.clamp``. The SSC walk's buffers are
+allocated where its steps are bound to them, never in its step loop. A
+simulator run is one dataflow call, and outside ``llr.py`` only
+``archsim.divergence`` names the equivalence reference and its genie screen.
 ``cli.main`` only dispatches: each flag is read by the subcommand that uses it.
 Every public name has a reader outside the tests.
 """
@@ -171,9 +172,11 @@ def test_unchecked_words_have_two_readers():
 
 
 def test_one_dataflow_call_and_one_reference_reader():
-    # run decides all its frames in one _dataflow call; the campaign and the
-    # CLI's single run reach the reference decoder through divergence
-    assert _readers(["_dataflow"]) == {("archsim.py", "run")}
+    # run decides all its frames in one _dataflow call, made by _run, which
+    # ber_sweep calls directly to hand over its first guess; the campaign and
+    # the CLI's single run reach the reference decoder through divergence
+    assert _readers(["_dataflow"]) == {("archsim.py", "_run")}
+    assert _readers(["_run"]) == {("archsim.py", "run"), ("channel.py", "ber_sweep")}
     assert {r for r in _readers(["sc_decode_batch"]) if r[0] != "llr.py"} == {
         ("archsim.py", "divergence")}
 
@@ -196,6 +199,32 @@ def test_genie_pass_has_one_reader_and_llr_no_full_sc_plan():
     constants = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id.isupper()}
     assert {"_RATE0", "_SPLIT"} <= constants <= set(kinds)
     assert "_sc_plan" not in {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+
+
+def test_ssc_buffers_allocated_only_where_bound():
+    # the SSC walk runs on buffers bound once per code and batch shape: they
+    # are allocated in _ssc_bind, and neither the walk's step loop nor any
+    # function of llr that the walk names (its kernels) makes an array; the
+    # walk's one copy, after the loop, is the fresh u_hat it returns
+    funcs = {f.name: f for f in _trees()["llr.py"].body if isinstance(f, ast.FunctionDef)}
+    makers = {"empty", "zeros", "ones", "full",
+              "empty_like", "zeros_like", "ones_like", "full_like"}
+    copies = makers | {"array", "copy", "astype", "concatenate", "stack", "where",
+                       "ascontiguousarray"}
+
+    def calls(node, names):
+        return [ast.unparse(n) for n in ast.walk(node) if isinstance(n, ast.Call)
+                and (getattr(n.func, "attr", None) or getattr(n.func, "id", None)) in names]
+
+    assert {name for name, f in funcs.items() if calls(f, makers)} == {
+        "_ssc_bind", "_sc_decode", "lr_recursion_prob"}
+    walk = funcs["_ssc_wires"]
+    assert calls(walk, copies) == ["psums[None].copy()"]
+    loops = [n for n in ast.walk(walk) if isinstance(n, ast.For)]
+    assert loops and all(calls(loop, copies) == [] for loop in loops)
+    named = {n.id for n in ast.walk(walk) if isinstance(n, ast.Name)} & set(funcs)
+    assert {"_ssc_f_exact", "_ssc_f_minsum", "_ssc_f_minsum_q", "_ssc_g"} <= named
+    assert {name: calls(funcs[name], copies) for name in named} == {name: [] for name in named}
 
 
 def test_outside_arrays_have_one_check():

@@ -638,6 +638,108 @@ class TestSscDecode:
             gc.enable()
 
 
+def _walk(x, spec, mode, q):
+    """``llr._ssc_wires`` on the (frames, N) ``x``, as ``ssc_decode_batch``
+    calls it: returns the walk's input and its (N, frames) u_hat."""
+    wires = np.ascontiguousarray(np.asarray(x).T, dtype=llr._wire_dtype(mode, q))
+    return wires, llr._ssc_wires(wires, spec, mode, q)
+
+
+class TestSscBindings:
+    """The walk runs on buffers bound once per spec and (frames, dtype) and
+    kept on the spec; no call may see what an earlier call left in them."""
+
+    @staticmethod
+    def inputs(spec, frames, mode, q, seed):
+        llrs = np.random.default_rng(seed).normal(1.0, 2.5, size=(frames, spec.n_bits))
+        return llrs if q is None else quantize(llrs, q)
+
+    def test_interleaved_calls_equal_sc(self):
+        # two codes, four batch sizes and three wire dtypes (int8 for q = 3
+        # and 6, int16 for 12, float64) in a shuffled order, twice over, so
+        # bindings are built, reused and dropped between calls
+        specs = [make_code_spec(64, 32), frozen_ones_spec(64, seed=4)]
+        modes = [("exact", None), ("minsum", None), ("minsum_q", 3), ("minsum_q", 6),
+                 ("minsum_q", 12)]
+        cases = [(s, frames, mode, q) for s in range(2) for frames in (1, 4, 8, 600)
+                 for mode, q in modes]
+        rng = np.random.default_rng(33)
+        want, seen = {}, []
+        for case in cases:
+            s, frames, mode, q = case
+            x = self.inputs(specs[s], frames, mode, q, seed=len(want))
+            want[case] = x, sc_decode_batch(x, specs[s], mode, q=q)[0].T
+        for _ in range(2):
+            for i in rng.permutation(len(cases)):
+                s, frames, mode, q = cases[i]
+                x, u_want = want[cases[i]]
+                wires, u = _walk(x, specs[s], mode, q)
+                assert u.dtype == np.int8 and np.array_equal(u, u_want), cases[i]
+                seen.append((wires, wires.copy(), u, u.copy()))
+            assert all(len(spec._ssc_bindings) <= llr._SSC_BINDINGS for spec in specs)
+        # no later call wrote an array returned earlier, or any input
+        for wires, wires_was, u, u_was in seen:
+            assert np.array_equal(wires, wires_was) and np.array_equal(u, u_was)
+
+    @pytest.mark.parametrize("mode,q", [("exact", None), ("minsum", None), ("minsum_q", 6)])
+    def test_a_walk_cut_short_leaves_nothing_behind(self, monkeypatch, mode, q):
+        # a kernel raising at the walk's last g leaves its partial sums
+        # written; the next walk zeroes them on entry
+        spec = frozen_ones_spec(128, seed=8)
+        x = self.inputs(spec, 8, mode, q, seed=5)
+        want = sc_decode_batch(x, spec, mode, q=q)[0].T
+        _, calls = _f_and_g_calls(monkeypatch, lambda: _walk(x, spec, mode, q), SSC_KERNELS)
+        g, seen = llr._ssc_g, []
+
+        def raising(*args, **kwargs):
+            seen.append(1)
+            if len(seen) == calls["g"]:
+                raise FloatingPointError("injected")
+            return g(*args, **kwargs)
+
+        monkeypatch.setattr(llr, "_ssc_g", raising)
+        with pytest.raises(FloatingPointError, match="injected"):
+            _walk(x, spec, mode, q)
+        monkeypatch.undo()
+        assert np.array_equal(_walk(x, spec, mode, q)[1], want)
+
+    def test_bindings_per_spec_are_bounded(self):
+        # exact and minsum share one float64 binding per batch size; past the
+        # bound, the least recently used binding goes
+        spec = make_code_spec(32, 16)
+        for mode in ("exact", "minsum"):
+            _walk(self.inputs(spec, 3, mode, None, seed=1), spec, mode, None)
+        assert list(spec._ssc_bindings) == [(3, np.dtype(float))]
+        for frames in range(1, llr._SSC_BINDINGS + 4):
+            x = self.inputs(spec, frames, "minsum_q", 6, seed=frames)
+            u = _walk(x, spec, "minsum_q", 6)[1]
+            assert np.array_equal(u, sc_decode_batch(x, spec, "minsum_q", q=6)[0].T)
+            assert len(spec._ssc_bindings) <= llr._SSC_BINDINGS
+        _walk(x, spec, "minsum_q", 6)  # the most recent stays, at the end
+        assert len(spec._ssc_bindings) == llr._SSC_BINDINGS
+        assert list(spec._ssc_bindings)[-1] == (frames, np.dtype(np.int8))
+        assert (3, np.dtype(float)) not in spec._ssc_bindings
+
+    def test_large_inputs_bind_per_walk(self):
+        # a binding is kept only for an input of at most _SSC_KEPT_BYTES: a
+        # (1024, 128) float64 input is 1 MiB, its int8 form 128 KiB
+        spec = make_code_spec(1024, 512)
+        x = self.inputs(spec, 128, None, None, seed=3)
+        for mode, q in (("minsum", None), ("minsum_q", 6)):
+            y = x if q is None else quantize(x, q)
+            u = _walk(y, spec, mode, q)[1]
+            assert np.array_equal(u, sc_decode_batch(y, spec, mode, q=q)[0].T)
+        assert list(spec._ssc_bindings) == [(128, np.dtype(np.int8))]
+
+
+def frozen_ones_spec(n, seed):
+    """An (n, n/2) code whose frozen positions hold random values, so some
+    Rate-0 nodes have partial sums that are not all zero."""
+    spec = make_code_spec(n, n // 2)
+    values = np.random.default_rng(seed).integers(0, 2, n - n // 2)
+    return CodeSpec(n, n // 2, spec.frozen_set, tuple(int(v) for v in values))
+
+
 class TestGeniePass:
     """The equivalence campaign's screen: the genie pass ``_genie_llrs``,
     given sc_decode_batch's decisions, records its decision LLRs."""
