@@ -10,9 +10,8 @@ precisely the MUX select vector for that stage's precomputed g candidates.
 Storage is one slot array per combining level, reused block after block.
 Levels 1..log2(N)-2 account for the N/2 - 2 memory slots of the network;
 the level-0 bit and the topmost N/2-wide output live on wires within a
-decision cycle. A batch of codewords decided in lockstep shares one state,
-whose pushes carry one bit per codeword and whose slot arrays gain a batch axis.
-Given all decisions at once, ``select_levels`` gives the simulator every select.
+decision cycle. Given all decisions of a batch of codewords at once,
+``select_levels`` gives the simulator every select.
 """
 
 from __future__ import annotations
@@ -50,19 +49,15 @@ class PartialSumState:
     def storage_slots(self):
         """Persistent memory bits held between decision pairs: the widths of
         the slot arrays at levels 1..log2(N)-2."""
-        return sum(acc.shape[-1] for acc in self._acc[1:self.m - 1])
+        return sum(len(acc) for acc in self._acc[1:self.m - 1])
 
     def push(self, u_hat, index):
-        """Fold decision ``u_hat`` (1-based ``index``) into the sums: one bit,
-        or a 1-D array of bits, one per codeword of a batch, all with the
-        same index, shaped like the first push. The fold is closed-form:
-        m - ``refreshed_stage`` butterflies with the stored siblings."""
-        bits = require_array(u_hat, "u_hat")
-        shape = self._acc[0].shape[:-1] if self._count else bits.shape  # set by push 1
-        if bits.shape != shape or bits.ndim > 1 or not set(bits.ravel().tolist()) <= {0, 1}:
-            raise InvalidParameterError(
-                f"u_hat must be a bit or a 1-D array of bits, shaped as in push 1: {u_hat}"
-            )
+        """Fold decision ``u_hat``, one bit 0 or 1, with 1-based ``index``
+        into the sums. The fold is closed-form: m - ``refreshed_stage``
+        butterflies with the stored siblings."""
+        bit = require_array(u_hat, "u_hat")
+        if bit.ndim or bit.item() not in (0, 1):
+            raise InvalidParameterError(f"u_hat must be one bit, 0 or 1: {u_hat}")
         if require_count(index, name="index") != self._count + 1:
             raise SequencingError(
                 f"expected decision index {self._count + 1}, got {index}"
@@ -70,10 +65,10 @@ class PartialSumState:
         if index > self.n_bits:
             raise SequencingError("all decisions already pushed")
         self._count += 1
-        cur = bits.astype(np.int64)[..., None]
+        cur = bit.astype(np.int64)[None]
         level = self.m - refreshed_stage(self._count, self.n_bits)
         for j in range(level):
-            cur = np.concatenate([self._acc[j] ^ cur, cur], axis=-1)
+            cur = np.concatenate([self._acc[j] ^ cur, cur])
         if level < self.m:  # a completed codeword feeds nothing above it
             self._acc[level] = cur  # a completed left half is stage m - level's selection vector
         return self
@@ -84,8 +79,7 @@ class PartialSumState:
 
     def selection_bits(self, stage):
         """MUX select lines for ``stage``: transform of the decided left
-        half of the current stage-``stage`` block (length N / 2^stage, with
-        a leading batch axis after batched pushes)."""
+        half of the current stage-``stage`` block, of length N / 2^stage."""
         if not self.stage_ready(stage):
             raise NotReadyError(
                 f"stage {stage} feed incomplete after {self._count} decisions"

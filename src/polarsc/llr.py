@@ -261,11 +261,12 @@ def ssc_decode_batch(channel_llrs, spec, mode, q=None):
     The walk is planned once per code as a flat list of steps and kept
     on the spec (see ``_ssc_plan``); a leaf is a Rate-0 or Rate-1 node of
     size one, so no leaf calls ``decide``. The steps are bound to their
-    buffers once per batch shape, and the spec keeps its ``_SSC_BINDINGS``
-    most recently used bindings of inputs up to ``_SSC_KEPT_BYTES`` (see
-    ``_ssc_binding``). No node writes u: SC's partial sums are the
-    transform of its decisions, so u_hat is the transform of the root's.
-    The walk itself is ``_ssc_wires``, which ``ber_sweep`` calls directly.
+    buffers once per batch shape, the root's input among them, and the spec
+    keeps its ``_SSC_BINDINGS`` most recently used bindings of inputs up to
+    ``_SSC_KEPT_BYTES`` (see ``_ssc_binding``). No node writes u: SC's
+    partial sums are the transform of its decisions, so u_hat is the
+    transform of the root's. The walk itself is ``_ssc_wires``, which
+    ``ber_sweep`` calls directly.
     """
     llrs = _checked_input(channel_llrs, spec, mode, q)
     wires = np.ascontiguousarray(llrs.T, dtype=_wire_dtype(mode, q))
@@ -288,25 +289,23 @@ def _ssc_wires(wires, spec, mode, q):
 
     The walk runs the spec's steps (``_ssc_plan``) in one loop, on buffers
     bound to them once per (frames, dtype) and, for a small input, kept on
-    the spec (see ``_ssc_binding``): the inputs of the children of a
-    size-2h node live in the (h, frames) buffer of their level, and f and g
-    write there in place through temporaries of their level. Partial sums
-    are int8, one (N, frames) array zeroed on entry and written in place; a
-    copy of it is transformed into u_hat at the end, so nothing returned
-    aliases a buffer. f takes its sign from copysign(m, a*b) on floats and
-    as (m ^ s) - s on integers, s the sign mask of a ^ b; g is
-    b + (1 - 2x)*a, or b + a under a Rate-0 left child whose partial sums
-    are all zero. A float f may give -0.0 where ``f_minsum`` or ``f_exact``
-    gives +0.0. That is invisible: the sign of a zero reaches only f
-    outputs that are zeros themselves, b +/- 0 is exact, and the tests
-    x < 0 and x == 0 treat both zeros alike.
+    the spec (see ``_ssc_binding``). A kept binding owns the root's input,
+    and ``wires`` is copied into it; a larger input is read in place. The
+    inputs of the children of a size-2h node live in the (h, frames) buffer
+    of their level, and f and g write there in place through temporaries of
+    their level. Partial sums are int8, one (N, frames) array zeroed on
+    entry and written in place; a copy of it is transformed into u_hat at
+    the end, so nothing returned aliases a buffer. f takes its sign from
+    copysign(m, a*b) on floats and as (m ^ s) - s on integers, s the sign
+    mask of a ^ b; g is b + (1 - 2x)*a, or b + a under a Rate-0 left child
+    whose partial sums are all zero. A float f may give -0.0 where
+    ``f_minsum`` or ``f_exact`` gives +0.0. That is invisible: the sign of
+    a zero reaches only f outputs that are zeros themselves, b +/- 0 is
+    exact, and the tests x < 0 and x == 0 treat both zeros alike.
     """
-    n, frames = wires.shape
-    steps, root, psums = _ssc_binding(spec, frames, wires.dtype)
-    if root:
-        steps = list(steps)
-        for i, op, bound in root:  # the steps that read the caller's wires
-            steps[i] = op, ((wires,) if op == "hard" else (wires[:n // 2], wires[n // 2:])) + bound
+    steps, root, psums = _ssc_binding(spec, wires)
+    if root is not wires:  # a kept binding's own root, so it keeps no view of the caller's
+        np.copyto(root, wires)
     # looked up on every walk, not bound, so a kernel patched by name is the one run
     f = {MODE_EXACT: _ssc_f_exact, MODE_MINSUM: _ssc_f_minsum, MODE_MINSUM_Q: _ssc_f_minsum_q}[mode]
     rail = wires.dtype.type(qmax(q) if mode == MODE_MINSUM_Q else MAX_LLR)
@@ -340,11 +339,11 @@ def _ssc_plan(spec):
     "xor" of its children's sums, "hard" decisions of a Rate-1 node, and
     "sums" of a Rate-0 node (extra the (size, 1) int8 column). A Rate-0
     node whose sums are all zero makes no step."""
-    plan = getattr(spec, "_ssc_plan", None)
+    plan = vars(spec).get("_ssc_plan")
     if plan is None:
         plan = []
         _ssc_node(spec, 0, spec.n_bits, plan)
-        object.__setattr__(spec, "_ssc_plan", plan)
+        vars(spec)["_ssc_plan"] = plan
     return plan
 
 
@@ -373,70 +372,61 @@ def _ssc_node(spec, start, n, steps):
     return _SPLIT
 
 
-def _ssc_binding(spec, frames, dtype):
-    """``spec``'s steps bound to buffers for ``frames`` frames of ``dtype``:
-    (steps, root, psums) from ``_ssc_bind``, built on the first walk of that
-    shape and, for an input of at most ``_SSC_KEPT_BYTES``, kept on the
-    spec as the non-field attribute ``_ssc_bindings``. The kept bindings
-    live as long as the spec, the ``_SSC_BINDINGS`` most recently used
-    ones; older ones are dropped. Walks that share a spec share its
-    buffers, so they must not run at the same time."""
-    store = getattr(spec, "_ssc_bindings", None)
-    if store is None:
-        store = {}
-        object.__setattr__(spec, "_ssc_bindings", store)
-    key = (frames, dtype)
+def _ssc_binding(spec, wires):
+    """``spec``'s steps bound to buffers for the (N, frames) input ``wires``:
+    (steps, root, psums) from ``_ssc_bind``. For an input of at most
+    ``_SSC_KEPT_BYTES``, the binding of its (frames, dtype) is built on its
+    first walk, owns the root that it reads and is kept on the spec as the
+    non-field attribute ``_ssc_bindings``, the ``_SSC_BINDINGS`` most
+    recently used ones; walks that share a spec share its buffers, so they
+    must not run at the same time. A larger input's binding reads ``wires``
+    itself and is not kept."""
+    if wires.nbytes > _SSC_KEPT_BYTES:
+        return _ssc_bind(_ssc_plan(spec), wires, kept=False)
+    store = vars(spec).setdefault("_ssc_bindings", {})
+    key = (wires.shape[1], wires.dtype)
     binding = store.pop(key, None)  # re-inserted last, as the most recently used
     if binding is None:
-        binding = _ssc_bind(_ssc_plan(spec), spec.n_bits, frames, dtype)
-        if spec.n_bits * frames * dtype.itemsize > _SSC_KEPT_BYTES:
-            return binding
+        binding = _ssc_bind(_ssc_plan(spec), wires, kept=True)
         if len(store) >= _SSC_BINDINGS:
             del store[next(iter(store))]
     store[key] = binding
     return binding
 
 
-def _ssc_bind(plan, n, frames, dtype):
-    """Allocate the walk's buffers for ``frames`` frames of ``dtype`` and
-    bind ``plan`` to them: returns (steps, root, psums), steps one
-    (op, args) per plan step, args its kernel's arguments. The input of the
-    root node is the caller's array, so each step that reads it is None in
-    steps and (index, op, args but the input) in root.
+def _ssc_bind(plan, wires, kept):
+    """Allocate the walk's buffers for input shaped like ``wires`` and bind
+    ``plan`` to them: returns (steps, root, psums), steps one (op, args) per
+    plan step, args its kernel's arguments, and root the (n, frames) input
+    of the root node: a buffer of its own if ``kept``, else ``wires``.
 
     The buffers are the (n, frames) int8 partial sums, one (h, frames)
     level buffer per h = n/2, ..., 1, and per level its temporaries: three
     for floats, which exact's f needs (minsum's kernels use the first),
     one for integers. So exact and minsum share one float64 binding."""
+    (n, frames), dtype = wires.shape, wires.dtype
     k = 3 if dtype.kind == "f" else 1
     psums = np.empty((n, frames), np.int8)
     levels = {n >> d: np.empty((n >> d, frames), dtype) for d in range(1, n.bit_length())}
     scratch = np.empty(k * (n // 2) * frames, dtype)
     temps = {h: tuple(scratch[:k * h * frames].reshape(k, h, frames)) for h in levels}
-    steps, root = [], []
+    levels[n] = np.empty((n, frames), dtype) if kept else wires
+    steps = []
     for op, size, start, extra in plan:
-        h = size // 2
+        h, v, x = size // 2, levels[size], psums[start:start + size]  # the node's input and sums
         if op == "sums":
-            steps.append((op, (psums[start:start + size], extra)))
-            continue
-        if op == "xor":
-            left = psums[start:start + h]
-            steps.append((op, (left, psums[start + h:start + size], left)))
-            continue
-        if op == "hard":
-            x = psums[start:start + size]
-            bound = (x, x.view(bool))
+            args = x, extra
+        elif op == "xor":
+            left = x[:h]
+            args = left, x[h:], left  # one view as input and out: faster than two equal views
+        elif op == "hard":
+            args = v, x, x.view(bool)
         elif op == "f":
-            bound = (levels[h], temps[h])
+            args = v[:h], v[h:], levels[h], temps[h]
         else:
-            bound = (None if extra else psums[start:start + h], levels[h], temps[h])
-        v = levels.get(size)  # None at the root, whose input is the caller's
-        if v is None:
-            root.append((len(steps), op, bound))
-            steps.append(None)
-        else:
-            steps.append((op, ((v,) if op == "hard" else (v[:h], v[h:])) + bound))
-    return steps, root, psums
+            args = v[:h], v[h:], None if extra else x[:h], levels[h], temps[h]
+        steps.append((op, args))
+    return steps, levels[n], psums
 
 
 def _ssc_rate1(v, x, signs):

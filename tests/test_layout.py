@@ -13,7 +13,8 @@ random stream has one definition, ``channel.trial_rng``; the sweeps' seeding
 pass that recomputes a chunk's states is called from the channel draw alone.
 An array from the caller has one check, ``code.require_array``, and an LLR
 has one saturation helper, ``llr.clamp``. The SSC walk's buffers are
-allocated where its steps are bound to them, never in its step loop. A
+allocated where its steps are bound to them, never in its step loop, and
+its one loop runs the bound steps, the root's included, unpatched. A
 simulator run is one dataflow call, and outside ``llr.py`` only
 ``archsim.divergence`` names the equivalence reference and its genie screen.
 ``cli.main`` only dispatches: each flag is read by the subcommand that uses it.
@@ -24,7 +25,10 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
+
 import polarsc
+from polarsc import llr
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "polarsc"
@@ -225,6 +229,26 @@ def test_ssc_buffers_allocated_only_where_bound():
     named = {n.id for n in ast.walk(walk) if isinstance(n, ast.Name)} & set(funcs)
     assert {"_ssc_f_exact", "_ssc_f_minsum", "_ssc_f_minsum_q", "_ssc_g"} <= named
     assert {name: calls(funcs[name], copies) for name in named} == {name: [] for name in named}
+
+
+def test_ssc_steps_are_bound_once_with_their_root():
+    # every step of the SSC walk, the root's among them, is bound by
+    # _ssc_bind: the walk has one loop, over the steps _ssc_binding returns,
+    # and builds or patches no step list, and no binding holds a placeholder
+    walk = next(f for f in _trees()["llr.py"].body
+                if isinstance(f, ast.FunctionDef) and f.name == "_ssc_wires")
+    loops = [n for n in ast.walk(walk) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert [ast.unparse(loop.iter) for loop in loops] == ["steps"]
+    stores = [n for n in ast.walk(walk) if isinstance(n, ast.Assign)
+              if any(isinstance(t, ast.Name) and t.id == "steps" for t in ast.walk(n.targets[0]))]
+    assert [ast.unparse(n.value.func) for n in stores] == ["_ssc_binding"]
+    assert not [n for n in ast.walk(walk)
+                if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)]
+    # a kept binding (16 x 4 int8) and one bound for its walk (1024 x 128 float64)
+    for n, frames, dtype in ((16, 4, np.int8), (1024, 128, np.float64)):
+        spec = polarsc.make_code_spec(n, n // 2)
+        steps, _, _ = llr._ssc_binding(spec, np.zeros((n, frames), dtype))
+        assert steps and all(isinstance(step, tuple) and len(step) == 2 for step in steps)
 
 
 def test_outside_arrays_have_one_check():

@@ -32,6 +32,7 @@ from polarsc import (
     ssc_decode_batch,
 )
 from polarsc import PartialSumState, llr
+from polarsc.channel import BPSK_AWGN, ChannelConfig, ber_sweep, draw_trials
 from polarsc.code import require_array
 from polarsc.llr import as_quantized, clamp, qmax
 
@@ -379,7 +380,7 @@ class TestMalformedInput:
         "lr_recursion_prob": lr_recursion_prob,
         "polar_transform": lambda v, spec: polar_transform(v),
         "encode": encode,
-        "push": lambda v, spec: PartialSumState(4).push(v, 1),
+        "push": lambda v, spec: [PartialSumState(4).push(bit, 1) for bit in v],  # one bit each
         "as_quantized": lambda v, spec: as_quantized(v, 6),
         "archsim.run": lambda v, spec: archsim.run(
             SimConfig(spec=spec, q=6, architecture="lookahead"), [v]),
@@ -617,9 +618,11 @@ class TestSscDecode:
 
     def test_buffers_released_at_return(self):
         # ber_sweep's call shape at N = 1024; with the cyclic collector off,
-        # buffers held by a reference cycle would outlive the call. They
-        # share one lifetime, so a leak keeps at least the 128 KiB of
-        # partial sums; numpy and the interpreter keep the odd 100 B.
+        # buffers held by a reference cycle would outlive the call. A float64
+        # input (1 MiB) is bound for its walk alone, and its buffers share one
+        # lifetime, so a leak keeps at least the 128 KiB of partial sums. The
+        # int8 binding is kept on the spec, and the second walk reuses it.
+        # Numpy and the interpreter keep the odd 100 B.
         spec = make_code_spec(1024, 512)
         llrs = np.random.default_rng(11).normal(1.0, 2.0, size=(128, 1024))
         calls = [(llrs, "exact", None), (llrs, "minsum", None), (quantize(llrs, 6), "minsum_q", 6)]
@@ -731,6 +734,33 @@ class TestSscBindings:
             assert np.array_equal(u, sc_decode_batch(y, spec, mode, q=q)[0].T)
         assert list(spec._ssc_bindings) == [(128, np.dtype(np.int8))]
 
+    def test_kept_bindings_own_their_arrays(self):
+        # a kept binding copies its input into a root of its own: none of its
+        # arrays shares memory with an input it walked or a u_hat it returned.
+        # A (64, 600) float64 input is 300 KiB, above _SSC_KEPT_BYTES: its
+        # walk reads it in place and leaves the spec's store as it was
+        spec = frozen_ones_spec(64, seed=6)
+        seen = []
+        for seed, (frames, mode, q) in enumerate([(4, "minsum_q", 6), (8, "exact", None),
+                                                  (600, "minsum_q", 3)] * 2):
+            x = self.inputs(spec, frames, mode, q, seed=seed)
+            wires, u = _walk(x, spec, mode, q)
+            assert np.array_equal(u, sc_decode_batch(x, spec, mode, q=q)[0].T)
+            seen += [wires, u]
+        store = dict(spec._ssc_bindings)
+        assert len(store) == 3
+        for steps, root, psums in store.values():
+            arrays = [root, psums] + [a for _, args in steps for arg in args
+                                      for a in (arg if isinstance(arg, tuple) else (arg,))
+                                      if isinstance(a, np.ndarray)]
+            assert not any(np.shares_memory(a, b) for a in arrays for b in seen)
+        x = self.inputs(spec, 600, "minsum", None, seed=9)
+        wires, u = _walk(x, spec, "minsum", None)
+        assert wires.nbytes > llr._SSC_KEPT_BYTES
+        assert np.array_equal(u, sc_decode_batch(x, spec, "minsum", q=None)[0].T)
+        assert list(spec._ssc_bindings) == list(store)
+        assert all(spec._ssc_bindings[key] is store[key] for key in store)
+
 
 def frozen_ones_spec(n, seed):
     """An (n, n/2) code whose frozen positions hold random values, so some
@@ -767,6 +797,36 @@ class TestGeniePass:
             ties += int((want_llrs == 0).sum())
             frozen_ones += sum(values)
         assert ties and frozen_ones
+
+
+class TestGenieOnTheSentBits:
+    """The genie pass on the bits a sweep sent, its messages scattered among
+    the frozen values. SC decides as the genie does until its first wrong
+    decision, and there it sees the genie's LLR; a frozen bit is set, not
+    decided. So a frame is in error exactly when the genie's decision
+    differs from u at some information bit."""
+
+    @pytest.mark.parametrize("frozen", ["zero", "random"])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_frame_errors_are_the_genie_errors(self, n, frozen):
+        spec = make_code_spec(n, n // 2) if frozen == "zero" else frozen_ones_spec(n, seed=n)
+        points, trials, seed, q = [0.5, 1.5, 2.5], 64, 11, 6
+        results = ber_sweep(spec, ["minsum_q"], [], points, trials, seed, q=q)
+        info = ~spec.frozen_mask
+        counts = []
+        for point, result in zip(points, results):
+            cfg = ChannelConfig(kind=BPSK_AWGN, ebn0_db=point, master_seed=seed)
+            msgs, llrs = draw_trials(spec, cfg, trials)
+            q_llrs = quantize(llrs, q)
+            u = np.tile(spec.frozen_value_array, (trials, 1))
+            u[:, info] = msgs
+            genie = llr._genie_llrs(q_llrs, u, q) < 0
+            wrong = (genie != u)[:, info].any(axis=1)
+            decoded = ssc_decode_batch(q_llrs, spec, "minsum_q", q=q)
+            assert np.array_equal(wrong, (decoded != u)[:, info].any(axis=1)), point
+            assert int(wrong.sum()) == result.frame_errors, point
+            counts.append(result.frame_errors)
+        assert 0 < sum(counts) < trials * len(points)  # frames of both kinds
 
 
 def _has_rate0_left_with_sums(spec):
