@@ -176,7 +176,8 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
     first = rng.integers(0, 2, size=k), rng.standard_normal(n)
     states = _trial_states(master_seed, trials)
     raw = np.empty((len(trials), (k + 1) // 2), dtype=np.uint64)
-    normals = np.empty((len(trials), n))
+    llrs = np.empty((len(ebn0_points), len(trials), n))
+    normals = llrs[-1]  # the last point's LLRs are formed on them in place
     pcg = {}
     state = {**fresh, "state": pcg}  # refilled per trial; the setter copies it out
     for i, (pcg["state"], pcg["inc"]) in enumerate(states):
@@ -184,15 +185,15 @@ def _draw(spec, kind, master_seed, trials, ebn0_points):
         raw[i] = rng.bit_generator.random_raw(raw.shape[1])
         rng.standard_normal(out=normals[i])
     # integers(0, 2) takes the top bit of each 32-bit half, low half first
-    msgs = (raw[:, :, None] >> np.array([31, 63], np.uint64) & 1).reshape(
-        len(trials), -1)[:, :k].astype(np.int64)
+    msgs = np.right_shift(raw.view(np.uint32)[:, :k], 31, dtype=np.int64)
     if (states[0] != (fresh["state"]["state"], fresh["state"]["inc"])
             or not np.array_equal(msgs[0], first[0])
             or not np.array_equal(normals[0], first[1])):
         raise RuntimeError("numpy's SeedSequence, PCG64 seeding or integers() changed: "
                            "the chunk's first trial no longer matches trial_rng")
-    symbols = 1.0 - 2.0 * encode(msgs, spec)
-    llrs = np.empty((len(ebn0_points), len(trials), n))
+    symbols = encode(msgs, spec)  # the bits, turned into +/-1 in place: exact as floats
+    symbols *= -2
+    symbols += 1
     for out, var in zip(llrs, variances):  # 2.0 * (symbols + sqrt(var) * normals) / var, in order
         np.multiply(normals, np.sqrt(var), out=out)
         out += symbols

@@ -535,6 +535,21 @@ class TestSweepChunks:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0], peaks
 
+    def test_chunk_front_end_keeps_no_full_size_temporaries(self):
+        # the draw forms its symbols in place and quantize runs in blocks, so
+        # a chunk's front end allocates little beyond the arrays it returns;
+        # with a whole-array quantize and float symbol temporaries this
+        # request peaked at 1260 KiB
+        spec = make_code_spec(64, 32)
+        ber_sweep(spec, ["minsum_q"], [], [1, 2, 3], 200, 5)  # warm caches
+        tracemalloc.start()
+        try:
+            ber_sweep(spec, ["minsum_q"], [], [1, 2, 3], 200, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 1260 * 1024, peak
+
     def test_one_sim_config_per_architecture(self, monkeypatch):
         # the sweep builds each simulator configuration once, not per chunk
         built = Counter()

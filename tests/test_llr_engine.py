@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,6 +173,44 @@ class TestDecide:
             decide(1.0, index, CodeSpec(4, 4, (), ()))
 
 
+def documented_quantize(x, q, scale=1.0):
+    """quantize's documented rule one value at a time: scale (a float
+    product, so an overflow is +/-inf), round half away from zero in exact
+    arithmetic, saturate at +/-qmax(q)."""
+    m = qmax(q)
+
+    def one(v):
+        y = float(v) * scale
+        mag = m if abs(y) >= m else math.floor(Fraction(abs(y)) + Fraction(1, 2))
+        return -mag if y < 0 else mag
+
+    return np.array([one(v) for v in np.ravel(x)], dtype=np.int64).reshape(np.shape(x))
+
+
+# exact halves either side of an even and an odd integer, the largest double
+# below 0.5, infinities, a negative zero, odd integers above 2^52 (exact at
+# q = 54) and a value whose product with a large scale overflows
+QUANTIZE_EDGES = [2.5, -2.5, 1.5, -0.5, 30.5, -31.5, 0.49999999999999994,
+                  -0.49999999999999994, np.inf, -np.inf, -0.0, 2.0**52 + 1, -(2.0**52 + 1), 1e300]
+QUANTIZE_SETTINGS = pytest.mark.parametrize(
+    "q, scale", [(6, 1.0), (54, 1.0), (6, 0.75), (54, 1e10)],
+    ids=["q6", "q54", "q6-scaled", "q54-overflowing-scale"])
+
+
+def quantize_input(size):
+    """``size`` values, half of them exact halves, with the edge values
+    around every block boundary of quantize and at both ends."""
+    block = llr._QUANTIZE_BLOCK
+    rng = np.random.default_rng(size)
+    x = rng.normal(0.0, 20.0, size)
+    x[::2] = np.round(x[::2] * 2) / 2
+    spots = sorted({i for edge in [*range(0, size, block), size]
+                    for i in range(edge - 3, edge + 3) if 0 <= i < size})
+    for j, i in enumerate(spots):
+        x[i] = QUANTIZE_EDGES[j % len(QUANTIZE_EDGES)]
+    return x
+
+
 class TestQuantize:
     @pytest.mark.parametrize("x,q,want", [
         (0.4, 4, 0), (7.9, 4, 7), (-2.5, 4, -3), (2.5, 6, 3), (-2.5, 6, -3),
@@ -276,9 +315,51 @@ class TestQuantize:
             got = [quantize(x, 6).tolist(), quantize(x, 6, 1.0).tolist()]
             assert x.tobytes() == before and got == [expect, expect]
 
+    @QUANTIZE_SETTINGS
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["0", "1", "B-1", "B", "B+1", "3B+5"])
+    def test_blocks_follow_the_documented_rule(self, q, scale, blocks, extra):
+        size = blocks * llr._QUANTIZE_BLOCK + extra
+        self.check_against_the_rule(quantize_input(size), q, scale)
+
+    @QUANTIZE_SETTINGS
+    def test_0d_and_transposed_input_follow_the_documented_rule(self, q, scale):
+        for v in QUANTIZE_EDGES:
+            self.check_against_the_rule(np.array(v), q, scale)
+        base = np.empty((5, llr._QUANTIZE_BLOCK + 1))  # its transpose strides across it
+        base.T[...] = quantize_input(base.size).reshape(base.T.shape)
+        assert not base.T.flags.c_contiguous
+        self.check_against_the_rule(base.T, q, scale, owner=base)
+
+    def test_integer_input_follows_the_documented_rule(self):
+        self.check_against_the_rule(np.arange(-80, 81), 6, 0.5)
+
+    @staticmethod
+    def check_against_the_rule(x, q, scale, owner=None):
+        owner = x if owner is None else owner
+        before = owner.tobytes()
+        got = quantize(x, q, scale)
+        assert got.dtype == np.int64 and got.shape == x.shape
+        assert np.array_equal(got, documented_quantize(x, q, scale))
+        assert owner.tobytes() == before
+
+    def test_peak_is_the_result_and_two_blocks(self):
+        # each block goes through two reused float buffers and is written
+        # into the int64 result; 4 KiB covers the loop's views and the
+        # ufuncs' own bookkeeping
+        x = np.random.default_rng(6).normal(0.0, 8.0, size=(600, 64))
+        quantize(x, 6)
+        tracemalloc.start()
+        try:
+            out = quantize(x, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 8 * llr._QUANTIZE_BLOCK + 4096
+
     def test_peak_memory(self):
-        # the scaled copy, the magnitude, the rounded magnitude and the
-        # int64 result, and no further input-sized temporary
+        # a loose bound at a larger shape: no input-sized temporary beyond
+        # the int64 result
         x = np.random.default_rng(6).normal(0.0, 8.0, size=(4096, 64))
         tracemalloc.start()
         try:

@@ -19,6 +19,9 @@ medians. ``--claim`` checks a claimed gain on every run of its workload:
 the change's median at least RATIO times the parent's (in the metric's
 better direction), the change better in at least nine tenths of the pairs,
 and the medians further apart than the parent's interquartile range.
+Each run's minor page faults (the ``ru_minflt`` growth of
+``getrusage(RUSAGE_CHILDREN)`` across its subprocess, set-up included) are
+recorded per side as ``minor_faults``.
 
 The end-to-end metrics and their better direction come from the
 ``BENCHMARK.json`` next to ``tools/``. The output file is rewritten after
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -91,15 +95,18 @@ def _claim(text):
 
 
 def benchmark_once(checkout, workload, seed, seconds, trace):
-    """One perfbench run in ``checkout``: (result line, detail line)."""
+    """One perfbench run in ``checkout``: (result line, detail line, minor
+    page faults of the run's process)."""
     cmd = RUN + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
                  "--trace", str(trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                  f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    return json.loads(lines[-1]), json.loads(lines[-2])["detail"]
+    return json.loads(lines[-1]), json.loads(lines[-2])["detail"], faults
 
 
 def quartile_spread(values):
@@ -129,11 +136,13 @@ def run_pairs(sides, workload, seed, pairs, seconds, better, record):
     ``sides``, filling ``record`` in place; yields the machine facts of
     the benchmark after every pair."""
     values = {label: {name: [] for name in better} for label, _ in sides}
+    faults = {label: [] for label, _ in sides}
     digests, ok = set(), True
     record.update(workload=workload, seed=seed, pairs=0)
     for i in range(pairs):
         for label, checkout in (sides if i % 2 == 0 else sides[::-1]):
-            result, detail = benchmark_once(checkout, workload, seed, seconds, trace=0)
+            result, detail, minflt = benchmark_once(checkout, workload, seed, seconds, trace=0)
+            faults[label].append(minflt)
             ok = ok and result["correct"] and result["failed"] == 0
             digests.add(detail["digest"])
             for name in better:
@@ -142,7 +151,8 @@ def run_pairs(sides, workload, seed, pairs, seconds, better, record):
         record.update(pairs=i + 1, digest_identical=len(digests) == 1,
                       digest=sorted(digests)[0] if len(digests) == 1 else sorted(digests),
                       summary=summarize(values[a], values[b], better),
-                      parent=values[a], change=values[b], ok=ok and len(digests) == 1)
+                      parent=values[a], change=values[b], ok=ok and len(digests) == 1,
+                      minor_faults={"parent": faults[a], "change": faults[b]})
         yield detail["machine"]
 
 
@@ -152,7 +162,7 @@ def traced(sides, workload, seed, seconds):
            "command": " ".join(RUN + ["--workload", workload, "--seed", str(seed),
                                       "--seconds", str(seconds), "--trace", "1"])}
     for label, checkout in sides:
-        result, _ = benchmark_once(checkout, workload, seed, seconds, trace=1)
+        result, _, _ = benchmark_once(checkout, workload, seed, seconds, trace=1)
         out[label] = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
     return out
 
